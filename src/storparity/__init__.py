@@ -69,6 +69,7 @@ from .sweep import (
     PROSUMER_TYPES,
     PV_RANGE_KWP,
     BoxStats,
+    ProfileSource,
     Scenario,
     ScenarioResult,
     best_pv_size,

@@ -9,14 +9,18 @@ the same configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
+# Names imported below that cli itself does not call stay importable from
+# it: the benchmark's span recorder (perfbench/spans.py) wraps them here.
 from .dispatch import BatterySpec, annual_balance, simulate, write_trace_csv
 from .errors import StorParityError
 from .finance import CountryData, EconomicParams, load_country_data
@@ -37,6 +41,7 @@ from .sweep import (
     DEFAULT_RATIOS,
     PROSUMER_TYPES,
     PV_RANGE_KWP,
+    ProfileSource,
     Scenario,
     best_pv_size,
     box_stats_by_country_price,
@@ -49,47 +54,112 @@ from .sweep import (
     results_to_csv,
     run_sweep,
     scenario_balance,
+    scenario_dispatch,
 )
+
+# The measured-profile sweep's former name; perfbench/spans.py still wraps it.
+_sweep_with_profile_overrides = run_sweep
 
 DATA_DIR_ENV = "STORPARITY_DATA_DIR"
 
 MANIFEST_NAME = "run-manifest.json"
-
-_ECON_KEYS = (
-    "pv_price_eur_per_kwp",
-    "vat_rate",
-    "maintenance_rate",
-    "discount_rate",
-    "horizon_years",
-    "pv_degradation_rate",
-)
-_BATTERY_KEYS = ("round_trip_efficiency", "usable_fraction", "max_charge_kw", "max_discharge_kw")
-_AXIS_KEYS = ("countries", "prosumer_types", "ratios", "bess_prices")
-_OTHER_KEYS = ("countries_csv", "load_profile_csv", "pv_profile_csv", "parallel")
-_CONFIG_KEYS = frozenset(_ECON_KEYS + _BATTERY_KEYS + _AXIS_KEYS + _OTHER_KEYS)
 
 
 class ConfigError(Exception):
     """Bad flags, bad config file, or missing/unknown referenced data."""
 
 
+def _items(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
+def number_list(text: str) -> list[float]:
+    return [float(p) for p in _items(text)]
+
+
+def _of_type(*types):
+    """JSON value check: the value must be an instance of types, and not a bool."""
+
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(value)
+        return value
+
+    return check
+
+
+def _list_of(check):
+    return lambda value: [check(v) for v in _of_type(list)(value)]
+
+
+#: A setting's type: its name, its flag-text parser and its JSON value check.
+Kind = namedtuple("Kind", "label parse from_json")
+
+NUMBER = Kind("number", float, _of_type(int, float))
+INTEGER = Kind("integer", int, _of_type(int))
+PATH = Kind("path string", Path, lambda value: Path(_of_type(str)(value)))
+NAMES = Kind("list of strings", _items, _list_of(_of_type(str)))
+NUMBERS = Kind("list of numbers", number_list, _list_of(lambda v: float(_of_type(int, float)(v))))
+
+SHARED, SWEEP, PROFILE = ("simulate", "sweep", "report"), ("sweep",), ("simulate", "sweep")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting of the CLI.
+
+    key is the config key and the argparse dest; flag is None for a
+    config-only key; target is where the value goes: an EconomicParams field
+    ("econ"), a battery setting ("battery"), or the command itself ("run");
+    commands are the subcommands that take the flag.
+    """
+
+    key: str
+    flag: str | None
+    kind: Kind
+    target: str
+    commands: tuple[str, ...] = SHARED
+    help: str | None = None
+
+
+OPTIONS = {
+    o.key: o
+    for o in (
+        Option("pv_price_eur_per_kwp", "--pv-price", NUMBER, "econ"),
+        Option("vat_rate", "--vat", NUMBER, "econ", help="override the per-country VAT rate"),
+        Option("maintenance_rate", "--maintenance-rate", NUMBER, "econ"),
+        Option("discount_rate", "--discount-rate", NUMBER, "econ"),
+        Option("horizon_years", "--horizon", INTEGER, "econ"),
+        Option("pv_degradation_rate", "--degradation", NUMBER, "econ"),
+        Option("round_trip_efficiency", "--round-trip-efficiency", NUMBER, "battery"),
+        Option("usable_fraction", "--usable-fraction", NUMBER, "battery"),
+        Option("max_charge_kw", "--max-charge-kw", NUMBER, "battery"),
+        Option("max_discharge_kw", "--max-discharge-kw", NUMBER, "battery"),
+        Option("countries_csv", "--countries", PATH, "run", help="country CSV (default: "
+               f"${DATA_DIR_ENV}/countries.csv, else packaged data)"),
+        # The config key "countries" is the sweep's country axis, not a path.
+        Option("countries", None, NAMES, "run", SWEEP),
+        Option("prosumer_types", "--types", NAMES, "run", SWEEP, "prosumer types, e.g. A,B"),
+        Option("ratios", "--ratios", NUMBERS, "run", SWEEP, "kWh/kWp ratios, e.g. 0.5,1,2"),
+        Option("bess_prices", "--bess-prices", NUMBERS, "run", SWEEP, "EUR/kWh, e.g. 500,150"),
+        Option("load_profile_csv", "--load-profile", PATH, "run", PROFILE,
+               "measured load CSV; sweep rescales it to each type's annual energy"),
+        Option("pv_profile_csv", "--pv-profile", PATH, "run", PROFILE,
+               "measured PV CSV; sweep rescales it to kWp times country yield"),
+        Option("parallel", "--parallel", INTEGER, "run", SWEEP, "workers (default: CPU count)"),
+    )
+}
+
+
 @dataclass
 class RunConfig:
-    countries_path: Path | None
+    values: dict  # each OPTIONS key that is set: its flag's value, else the file's
     countries_source: str
     countries: dict[str, CountryData]
     econ: EconomicParams
     battery_kwargs: dict
-    shapes: ProfileShapes
+    profiles: ProfileSource
     out_dir: Path
-    parallel: int
-    axis_countries: list[str]
-    axis_types: list[str]
-    axis_ratios: list[float]
-    axis_prices: list[float]
-    load_profile: TimeSeriesProfile | None = None
-    pv_profile: TimeSeriesProfile | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,33 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
         "systems under a pure self-consumption scheme (no export remuneration).",
     )
     parser.add_argument("--version", action="version", version=f"storparity {__version__}")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="flat JSON config file; flags win over it")
-    common.add_argument(
-        "--countries",
-        type=Path,
-        help=f"country CSV (default: ${DATA_DIR_ENV}/countries.csv, else packaged data)",
-    )
-    common.add_argument("--out", type=Path, default=None, help="output directory (default: .)")
-    common.add_argument("--discount-rate", type=float, dest="discount_rate")
-    common.add_argument("--maintenance-rate", type=float, dest="maintenance_rate")
-    common.add_argument("--pv-price", type=float, dest="pv_price_eur_per_kwp")
-    common.add_argument(
-        "--vat", type=float, dest="vat_rate", help="override the per-country VAT rate"
-    )
-    common.add_argument("--horizon", type=int, dest="horizon_years")
-    common.add_argument("--degradation", type=float, dest="pv_degradation_rate")
-    common.add_argument("--round-trip-efficiency", type=float, dest="round_trip_efficiency")
-    common.add_argument("--usable-fraction", type=float, dest="usable_fraction")
-    common.add_argument("--max-charge-kw", type=float, dest="max_charge_kw")
-    common.add_argument("--max-discharge-kw", type=float, dest="max_discharge_kw")
-
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {
+        "simulate": sub.add_parser("simulate", help="evaluate a single scenario"),
+        "sweep": sub.add_parser("sweep", help="run the full scenario grid"),
+        "report": sub.add_parser("report", help="summarize a results CSV"),
+    }
+    for name, command in commands.items():
+        command.add_argument("--config", type=Path, help="flat JSON config file; flags win over it")
+        command.add_argument("--out", type=Path, help="output directory (default: .)")
+        for opt in OPTIONS.values():
+            if opt.flag is not None and name in opt.commands:
+                command.add_argument(opt.flag, dest=opt.key, type=opt.kind.parse, help=opt.help)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="evaluate a single scenario"
-    )
+    p_sim = commands["simulate"]
     p_sim.add_argument("--country", required=True)
     p_sim.add_argument("--type", required=True, dest="prosumer_type", choices=PROSUMER_TYPES)
     p_sim.add_argument("--pv-kwp", required=True, type=int, dest="pv_kwp")
@@ -137,32 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept PV sizes outside the standard per-type range",
     )
     p_sim.add_argument("--trace", type=Path, help="also write the dispatch trace CSV here")
-    p_sim.add_argument(
-        "--load-profile", type=Path, help="measured load CSV used as-is instead of synthesis"
-    )
-    p_sim.add_argument(
-        "--pv-profile", type=Path, help="measured PV CSV used as-is instead of synthesis"
-    )
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="run the full scenario grid")
-    p_sweep.add_argument("--parallel", type=int, help="worker count (default: CPU count)")
-    p_sweep.add_argument("--types", help="comma-separated prosumer types, e.g. A,B")
-    p_sweep.add_argument("--ratios", help="comma-separated kWh/kWp ratios, e.g. 0.5,1,2")
-    p_sweep.add_argument("--bess-prices", help="comma-separated EUR/kWh prices, e.g. 500,150")
-    p_sweep.add_argument(
-        "--load-profile",
-        type=Path,
-        help="load CSV used as a shape, rescaled to each prosumer type's annual energy",
-    )
-    p_sweep.add_argument(
-        "--pv-profile",
-        type=Path,
-        help="PV CSV used as a shape, rescaled per scenario to kWp times country yield",
-    )
-
-    p_rep = sub.add_parser("report", parents=[common], help="summarize a results CSV")
-    p_rep.add_argument("results_csv", type=Path)
-
+    commands["report"].add_argument("results_csv", type=Path)
     return parser
 
 
@@ -175,157 +207,77 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - OPTIONS.keys())
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    return raw
-
-
-def _pick(args: argparse.Namespace, config: dict, key: str, default):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _parse_float_list(text) -> list[float]:
-    if isinstance(text, str):
-        items = [p for p in text.split(",") if p.strip()]
-    else:
-        items = list(text)
-    if not items:
-        raise ConfigError("empty axis list")
-    return [float(p) for p in items]
-
-
-def _parse_str_list(text) -> list[str]:
-    if isinstance(text, str):
-        return [p.strip() for p in text.split(",") if p.strip()]
-    return [str(p) for p in text]
+    config = {}
+    for key, value in raw.items():
+        kind = OPTIONS[key].kind
+        try:
+            config[key] = kind.from_json(value)
+        except ValueError:
+            raise ConfigError(
+                f"config key {key} in {path} must be a {kind.label}, got {value!r}"
+            ) from None
+    return config
 
 
 def _read_profile(path: Path, kind: ProfileKind) -> TimeSeriesProfile:
     try:
-        text = Path(path).read_text("utf-8")
+        return parse_profile_csv(path.read_text("utf-8"), kind=kind)
     except FileNotFoundError as exc:
         raise ConfigError(f"profile CSV not found: {path}") from exc
-    try:
-        return parse_profile_csv(text, kind=kind)
-    except StorParityError as exc:
+    except ValueError as exc:  # StorParityError, a short year, undecodable bytes
         raise ConfigError(f"profile CSV {path}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    config = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    config = _load_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key, None) for key in OPTIONS}
+    values = config | {key: value for key, value in flags.items() if value is not None}
 
-    # --countries is the data-file flag; the config key "countries" is the
-    # sweep axis subset and must not be mistaken for a path.
-    countries_path = getattr(args, "countries", None)
-    if countries_path is None and "countries_csv" in config:
-        countries_path = config["countries_csv"]
-    if countries_path is None:
-        data_dir = os.environ.get(DATA_DIR_ENV)
-        if data_dir:
-            countries_path = Path(data_dir) / "countries.csv"
-    if countries_path is None:
-        source = "packaged countries.csv"
-        try:
-            countries = load_country_data(None)
-        except ValueError as exc:
-            raise ConfigError(f"packaged country data is invalid: {exc}") from exc
-    else:
-        countries_path = Path(countries_path)
-        source = str(countries_path)
-        try:
-            countries = load_country_data(countries_path)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"country CSV not found: {countries_path}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"country CSV {countries_path}: {exc}") from exc
+    countries_path = values.get("countries_csv")
+    if countries_path is None and os.environ.get(DATA_DIR_ENV):
+        countries_path = Path(os.environ[DATA_DIR_ENV]) / "countries.csv"
+    source = "packaged countries.csv" if countries_path is None else str(countries_path)
+    try:
+        countries = load_country_data(countries_path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"country CSV not found: {countries_path}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"country CSV {source}: {exc}") from exc
 
-    econ_kwargs = {}
-    for key in _ECON_KEYS:
-        value = _pick(args, config, key, None)
-        if value is not None:
-            econ_kwargs[key] = value
-    bess_price = getattr(args, "bess_price", None)
-    if bess_price is not None:
-        econ_kwargs["bess_price_eur_per_kwh"] = bess_price
+    econ_kwargs = {k: v for k, v in values.items() if OPTIONS[k].target == "econ"}
+    if getattr(args, "bess_price", None) is not None:
+        econ_kwargs["bess_price_eur_per_kwh"] = args.bess_price
     try:
         econ = EconomicParams(**econ_kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad economic parameters: {exc}") from exc
 
-    battery_kwargs: dict = {}
-    rt = _pick(args, config, "round_trip_efficiency", None)
+    battery_kwargs = {k: v for k, v in values.items() if OPTIONS[k].target == "battery"}
+    rt = battery_kwargs.pop("round_trip_efficiency", None)
     if rt is not None:
         if not 0.0 < rt <= 1.0:
             raise ConfigError(f"round_trip_efficiency must be in (0, 1], got {rt}")
-        battery_kwargs["eta_charge"] = math.sqrt(rt)
-        battery_kwargs["eta_discharge"] = math.sqrt(rt)
-    for key in ("usable_fraction", "max_charge_kw", "max_discharge_kw"):
-        value = _pick(args, config, key, None)
-        if value is not None:
-            battery_kwargs[key] = value
+        battery_kwargs["eta_charge"] = battery_kwargs["eta_discharge"] = math.sqrt(rt)
     try:
         BatterySpec(capacity_kwh=1.0, **battery_kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad battery parameters: {exc}") from exc
 
-    axis_countries = _parse_str_list(config["countries"]) if "countries" in config else list(countries)
-    for name in axis_countries:
-        if name not in countries:
-            raise ConfigError(f"country '{name}' not found in {source}")
-    types_value = _pick(args, config, "types", None)
-    if types_value is None:
-        types_value = config.get("prosumer_types")
-    axis_types = _parse_str_list(types_value) if types_value is not None else list(PROSUMER_TYPES)
-    for t in axis_types:
-        if t not in PROSUMER_TYPES:
-            raise ConfigError(f"unknown prosumer type '{t}' (expected one of {PROSUMER_TYPES})")
-    ratios_value = _pick(args, config, "ratios", None)
-    axis_ratios = _parse_float_list(ratios_value) if ratios_value is not None else list(DEFAULT_RATIOS)
-    prices_value = getattr(args, "bess_prices", None)
-    if prices_value is None:
-        prices_value = config.get("bess_prices")
-    axis_prices = _parse_float_list(prices_value) if prices_value is not None else list(DEFAULT_BESS_PRICES)
-
-    parallel = _pick(args, config, "parallel", None)
-    if parallel is None:
-        parallel = os.cpu_count() or 1
-    if parallel < 1:
-        raise ConfigError(f"parallel must be >= 1, got {parallel}")
-
-    load_path = getattr(args, "load_profile", None) or config.get("load_profile_csv")
-    pv_path = getattr(args, "pv_profile", None) or config.get("pv_profile_csv")
-    load_profile = _read_profile(Path(load_path), ProfileKind.LOAD) if load_path else None
-    pv_profile = _read_profile(Path(pv_path), ProfileKind.PV) if pv_path else None
-
-    out_dir = getattr(args, "out", None) or Path(".")
-
-    return RunConfig(
-        countries_path=countries_path,
-        countries_source=source,
-        countries=countries,
-        econ=econ,
-        battery_kwargs=battery_kwargs,
-        shapes=default_shapes(),
-        out_dir=Path(out_dir),
-        parallel=int(parallel),
-        axis_countries=axis_countries,
-        axis_types=axis_types,
-        axis_ratios=axis_ratios,
-        axis_prices=axis_prices,
-        load_profile=load_profile,
-        pv_profile=pv_profile,
-        raw=config,
+    load_path, pv_path = values.get("load_profile_csv"), values.get("pv_profile_csv")
+    profiles = ProfileSource(
+        load=_read_profile(load_path, ProfileKind.LOAD) if load_path else None,
+        pv=_read_profile(pv_path, ProfileKind.PV) if pv_path else None,
+        # simulate runs the measured year as it is; sweep uses it as a shape
+        rescale=args.command == "sweep",
     )
+    return RunConfig(values, source, countries, econ, battery_kwargs, profiles, args.out or Path("."))
 
 
-def _manifest(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
-    econ = cfg.econ
+def _write_manifest(cfg: RunConfig, command: str, extra: dict) -> None:
+    """Write run-manifest.json: every parameter the run used, byte-reproducibly."""
     battery_defaults = BatterySpec(capacity_kwh=1.0, **cfg.battery_kwargs)
     manifest = {
         "tool": "storparity",
@@ -341,12 +293,9 @@ def _manifest(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
             for name, c in cfg.countries.items()
         },
         "econ": {
-            "pv_price_eur_per_kwp": econ.pv_price_eur_per_kwp,
-            "vat_rate_override": econ.vat_rate,
-            "maintenance_rate": econ.maintenance_rate,
-            "discount_rate": econ.discount_rate,
-            "horizon_years": econ.horizon_years,
-            "pv_degradation_rate": econ.pv_degradation_rate,
+            ("vat_rate_override" if key == "vat_rate" else key): getattr(cfg.econ, key)
+            for key, opt in OPTIONS.items()
+            if opt.target == "econ"
         },
         "battery": {
             "usable_fraction": battery_defaults.usable_fraction,
@@ -356,32 +305,19 @@ def _manifest(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
             "max_discharge_kw": cfg.battery_kwargs.get("max_discharge_kw", "0.5C"),
             "soc_init": "soc_min",
         },
-        "shapes": {
-            "load": {
-                "weekday_weights": list(cfg.shapes.load.weekday_weights),
-                "weekend_weights": list(cfg.shapes.load.weekend_weights),
-                "monthly_weights": list(cfg.shapes.load.monthly_weights),
-                "weekend_days": sorted(cfg.shapes.load.weekend_days),
-            },
-            "pv": {
-                "monthly_weights": list(cfg.shapes.pv.monthly_weights),
-                "sunrise_hours": list(cfg.shapes.pv.sunrise_hours),
-                "sunset_hours": list(cfg.shapes.pv.sunset_hours),
-                "bell_exponent": cfg.shapes.pv.bell_exponent,
-            },
-        },
+        # tuples become lists and the frozenset of weekend days a sorted list
+        "shapes": asdict(cfg.profiles.shapes),
         "grid": {
             "annual_load_kwh": ANNUAL_LOAD_KWH,
             "pv_ranges_kwp": {t: list(PV_RANGE_KWP[t]) for t in PROSUMER_TYPES},
         },
+        "profile_overrides": {
+            side: str(cfg.values[key]) if key in cfg.values else None
+            for side, key in (("load", "load_profile_csv"), ("pv", "pv_profile_csv"))
+        },
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    return manifest
-
-
-def _write_manifest(cfg: RunConfig, command: str, extra: dict | None = None) -> None:
-    text = json.dumps(_manifest(cfg, command, extra), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=sorted) + "\n"
     (cfg.out_dir / MANIFEST_NAME).write_text(text, encoding="utf-8")
 
 
@@ -409,34 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     country = cfg.countries[scenario.country]
     try:
-        if cfg.load_profile is not None or cfg.pv_profile is not None:
-            load_p = cfg.load_profile or synthesize_load_profile(
-                scenario.annual_load_kwh, cfg.shapes.load
-            )
-            pv_p = cfg.pv_profile or synthesize_pv_profile(
-                scenario.pv_kwp,
-                country.annual_yield_kwh_per_kwp,
-                cfg.shapes.pv,
-                step_hours=load_p.step_hours,
-            )
-            pv_p, load_p = align(pv_p, load_p)
-            battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **cfg.battery_kwargs)
-            trace = simulate(pv_p, load_p, battery)
-            balance = annual_balance(trace, load_p.step_hours)
-        else:
-            balance = scenario_balance(scenario, country, cfg.shapes, cfg.battery_kwargs)
-            trace = None
-            if args.trace is not None:
-                load_p = synthesize_load_profile(scenario.annual_load_kwh, cfg.shapes.load)
-                pv_p = synthesize_pv_profile(
-                    scenario.pv_kwp,
-                    country.annual_yield_kwh_per_kwp,
-                    cfg.shapes.pv,
-                    step_hours=load_p.step_hours,
-                )
-                pv_p, load_p = align(pv_p, load_p)
-                battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **cfg.battery_kwargs)
-                trace = simulate(pv_p, load_p, battery)
+        trace, balance = scenario_dispatch(scenario, country, cfg.profiles, cfg.battery_kwargs)
         result = result_from_balance(scenario, country, cfg.econ, balance)
     except ValueError as exc:  # StorParityError and kin
         print(f"computation error: {exc}", file=sys.stderr)
@@ -444,26 +353,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "scenario_result.csv").write_text(results_to_csv([result]), encoding="utf-8")
-    if args.trace is not None and trace is not None:
+    if args.trace is not None:
         args.trace.parent.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, args.trace)
-    _write_manifest(
-        cfg,
-        "simulate",
-        {
-            "scenario": {
-                "country": scenario.country,
-                "prosumer_type": scenario.prosumer_type,
-                "pv_kwp": scenario.pv_kwp,
-                "ratio_kwh_per_kwp": scenario.ratio_kwh_per_kwp,
-                "bess_price_eur_per_kwh": scenario.bess_price_eur_per_kwh,
-            },
-            "profile_overrides": {
-                "load": str(args.load_profile) if args.load_profile else None,
-                "pv": str(args.pv_profile) if args.pv_profile else None,
-            },
-        },
-    )
+    _write_manifest(cfg, "simulate", {"scenario": asdict(scenario)})
 
     print(
         f"scenario : {scenario.country} type {scenario.prosumer_type}, "
@@ -482,60 +375,39 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_with_profile_overrides(cfg: RunConfig, grid, failures):
-    """Sweep path for measured profiles used as rescaled shape templates."""
-    results = []
-    balances: dict[tuple, object] = {}
-    for scenario in grid:
-        country = cfg.countries[scenario.country]
-        key = (scenario.country, scenario.prosumer_type, scenario.pv_kwp, scenario.ratio_kwh_per_kwp)
-        try:
-            if key not in balances:
-                if cfg.load_profile is not None:
-                    load_p = scale_to_annual(cfg.load_profile, scenario.annual_load_kwh)
-                else:
-                    load_p = synthesize_load_profile(scenario.annual_load_kwh, cfg.shapes.load)
-                target = scenario.pv_kwp * country.annual_yield_kwh_per_kwp
-                if cfg.pv_profile is not None:
-                    pv_p = scale_to_annual(cfg.pv_profile, target)
-                else:
-                    pv_p = synthesize_pv_profile(
-                        scenario.pv_kwp,
-                        country.annual_yield_kwh_per_kwp,
-                        cfg.shapes.pv,
-                        step_hours=load_p.step_hours,
-                    )
-                pv_p, load_p = align(pv_p, load_p)
-                battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **cfg.battery_kwargs)
-                trace = simulate(pv_p, load_p, battery)
-                balances[key] = annual_balance(trace, load_p.step_hours)
-            results.append(result_from_balance(scenario, country, cfg.econ, balances[key]))
-        except ValueError as exc:
-            failures.append((scenario, f"{type(exc).__name__}: {exc}"))
-    return results
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve(args)
-        grid = build_grid(cfg.axis_countries, cfg.axis_types, cfg.axis_ratios, cfg.axis_prices)
-    except (ConfigError, StorParityError) as exc:
+        axes = {
+            "countries": cfg.values.get("countries", list(cfg.countries)),
+            "prosumer_types": cfg.values.get("prosumer_types", list(PROSUMER_TYPES)),
+            "ratios": cfg.values.get("ratios", list(DEFAULT_RATIOS)),
+            "bess_prices": cfg.values.get("bess_prices", list(DEFAULT_BESS_PRICES)),
+        }
+        for name in axes["countries"]:
+            if name not in cfg.countries:
+                raise ConfigError(f"country '{name}' not found in {cfg.countries_source}")
+        for t in axes["prosumer_types"]:
+            if t not in PROSUMER_TYPES:
+                raise ConfigError(f"unknown prosumer type '{t}' (expected one of {PROSUMER_TYPES})")
+        parallel = cfg.values.get("parallel", os.cpu_count() or 1)
+        if parallel < 1:
+            raise ConfigError(f"parallel must be >= 1, got {parallel}")
+        grid = build_grid(*axes.values())
+    except (ConfigError, ValueError) as exc:  # ValueError: a Scenario out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     failures: list = []
-    if cfg.load_profile is not None or cfg.pv_profile is not None:
-        results = _sweep_with_profile_overrides(cfg, grid, failures)
-    else:
-        results = run_sweep(
-            grid,
-            cfg.countries,
-            cfg.econ,
-            cfg.shapes,
-            battery_kwargs=cfg.battery_kwargs,
-            parallel=cfg.parallel,
-            failures=failures,
-        )
+    results = run_sweep(
+        grid,
+        cfg.countries,
+        cfg.econ,
+        cfg.profiles,
+        battery_kwargs=cfg.battery_kwargs,
+        parallel=parallel,
+        failures=failures,
+    )
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "results.csv").write_text(results_to_csv(results), encoding="utf-8")
@@ -544,24 +416,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             parity_shares_to_csv(results), encoding="utf-8"
         )
         (cfg.out_dir / "box_stats.csv").write_text(box_stats_to_csv(results), encoding="utf-8")
-    _write_manifest(
-        cfg,
-        "sweep",
-        {
-            "axes": {
-                "countries": cfg.axis_countries,
-                "prosumer_types": cfg.axis_types,
-                "ratios": cfg.axis_ratios,
-                "bess_prices": cfg.axis_prices,
-            },
-            "profile_overrides": {
-                "load": str(cfg.raw.get("load_profile_csv") or getattr(args, "load_profile", None) or "")
-                or None,
-                "pv": str(cfg.raw.get("pv_profile_csv") or getattr(args, "pv_profile", None) or "")
-                or None,
-            },
-        },
-    )
+    _write_manifest(cfg, "sweep", {"axes": axes})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")
     if results:
@@ -594,19 +449,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     quartiles = box_stats_by_country_price(results)
 
     best_rows = []
-    seen_types = sorted({r.scenario.prosumer_type for r in results})
-    seen_ratios = sorted({r.scenario.ratio_kwh_per_kwp for r in results})
-    seen_prices = sorted({r.scenario.bess_price_eur_per_kwh for r in results})
-    seen_countries = sorted({r.scenario.country for r in results})
-    for country in seen_countries:
-        for ptype in seen_types:
-            for ratio in seen_ratios:
-                for price in seen_prices:
-                    try:
-                        size = best_pv_size(results, country, ptype, ratio, price)
-                    except StorParityError:
-                        continue
-                    best_rows.append((country, ptype, ratio, price, size))
+    axes = ("country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh")
+    seen = [sorted({getattr(r.scenario, axis) for r in results}) for axis in axes]
+    for country, ptype, ratio, price in itertools.product(*seen):
+        try:
+            size = best_pv_size(results, country, ptype, ratio, price)
+        except StorParityError:
+            continue
+        best_rows.append((country, ptype, ratio, price, size))
 
     print("== Grid-parity shares (% of scenarios with LCOU below retail) ==")
     for country, price_label, share in shares:

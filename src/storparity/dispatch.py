@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnalignedProfilesError, ZeroProductionError
+from .errors import UnalignedProfilesError, ZeroProductionError, check_finite
 from .profiles import TimeSeriesProfile
 
 #: Default round-trip efficiency, split symmetrically between charge and
@@ -50,6 +50,7 @@ class BatterySpec:
     soc_init_kwh: float | None = None
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.capacity_kwh < 0.0:
             raise ValueError(f"capacity_kwh must be >= 0, got {self.capacity_kwh}")
         if not 0.0 < self.usable_fraction <= 1.0:

@@ -1,4 +1,19 @@
-"""Domain exception types shared across the package."""
+"""Domain exception types shared across the package, and the finiteness check."""
+
+import math
+from dataclasses import fields
+from numbers import Real
+
+
+def check_finite(instance) -> None:
+    """Raise ValueError naming the first numeric dataclass field that is NaN or inf.
+
+    Constructors call it first: a range check such as ``x < 0`` lets NaN through.
+    """
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class StorParityError(ValueError):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ZeroEnergyError, ZeroSelfConsumptionError
+from .errors import ZeroEnergyError, ZeroSelfConsumptionError, check_finite
 
 DEFAULT_PV_PRICE_EUR_PER_KWP = 1300.0
 BESS_PRICE_CURRENT_EUR_PER_KWH = 500.0
@@ -62,6 +62,7 @@ class EconomicParams:
     pv_degradation_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.pv_price_eur_per_kwp < 0.0 or self.bess_price_eur_per_kwh < 0.0:
             raise ValueError("unit prices must be >= 0")
         if self.vat_rate is not None and not 0.0 <= self.vat_rate < 1.0:
@@ -94,6 +95,7 @@ class CountryData:
     vat_rate: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.name:
             raise ValueError("country name must be non-empty")
         if self.retail_price_eur_per_kwh <= 0.0:

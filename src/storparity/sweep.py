@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dispatch import BatterySpec, EnergyBalance, annual_balance, simulate
-from .errors import EmptyAxisError, EmptySelectionError
+from .dispatch import BatterySpec, DispatchTrace, EnergyBalance, annual_balance, simulate
+from .errors import EmptyAxisError, EmptySelectionError, check_finite
 from .finance import CountryData, EconomicParams, capex, degraded_energy, financial_result
-from .profiles import ProfileShapes, align, default_shapes, synthesize_load_profile, synthesize_pv_profile
+from .profiles import (
+    ProfileShapes,
+    TimeSeriesProfile,
+    align,
+    default_shapes,
+    scale_to_annual,
+    synthesize_load_profile,
+    synthesize_pv_profile,
+)
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +65,7 @@ class Scenario:
     bess_price_eur_per_kwh: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.prosumer_type not in PROSUMER_TYPES:
             raise ValueError(f"unknown prosumer type {self.prosumer_type!r}")
         if int(self.pv_kwp) != self.pv_kwp or self.pv_kwp < 1:
@@ -152,40 +161,59 @@ def build_grid(
     return sorted(grid)
 
 
-@lru_cache(maxsize=4096)
-def _cached_balance(
-    pv_kwp: int,
-    annual_yield: float,
-    annual_load_kwh: float,
-    shapes: ProfileShapes,
-    bess_kwh: float,
-    battery_items: tuple,
-) -> EnergyBalance:
-    load = synthesize_load_profile(annual_load_kwh, shapes.load)
-    pv = synthesize_pv_profile(pv_kwp, annual_yield, shapes.pv, step_hours=load.step_hours)
-    pv, load = align(pv, load)
-    battery = BatterySpec(capacity_kwh=bess_kwh, **dict(battery_items))
+@dataclass(frozen=True, eq=False)
+class ProfileSource:
+    """Where each scenario's PV and load years come from.
+
+    A series without a measured template is synthesized from the shapes. A
+    template is rescaled to the scenario's annual energy (the type's
+    consumption, or kWp times the country yield) when ``rescale`` is set,
+    and used as-is otherwise.
+    """
+
+    shapes: ProfileShapes = field(default_factory=default_shapes)
+    load: TimeSeriesProfile | None = None
+    pv: TimeSeriesProfile | None = None
+    rescale: bool = True
+
+    def profiles(
+        self, scenario: Scenario, data: CountryData
+    ) -> tuple[TimeSeriesProfile, TimeSeriesProfile]:
+        """The scenario's (pv, load) pair, aligned onto one step."""
+        load, pv = self.load, self.pv
+        if load is None:
+            load = synthesize_load_profile(scenario.annual_load_kwh, self.shapes.load)
+        elif self.rescale:
+            load = scale_to_annual(load, scenario.annual_load_kwh)
+        kwp, annual_yield = scenario.pv_kwp, data.annual_yield_kwh_per_kwp
+        if pv is None:
+            pv = synthesize_pv_profile(kwp, annual_yield, self.shapes.pv, load.step_hours)
+        elif self.rescale:
+            pv = scale_to_annual(pv, kwp * annual_yield)
+        return align(pv, load)
+
+
+def scenario_dispatch(
+    scenario: Scenario,
+    data: CountryData,
+    source: ProfileSource | None = None,
+    battery_kwargs: Mapping | None = None,
+) -> tuple[DispatchTrace, EnergyBalance]:
+    """Build and dispatch one scenario's profiles: the trace and its annual balance."""
+    pv, load = (source if source is not None else ProfileSource()).profiles(scenario, data)
+    battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **(battery_kwargs or {}))
     trace = simulate(pv, load, battery)
-    return annual_balance(trace, load.step_hours)
+    return trace, annual_balance(trace, load.step_hours)
 
 
 def scenario_balance(
     scenario: Scenario,
     data: CountryData,
-    shapes: ProfileShapes | None = None,
+    source: ProfileSource | None = None,
     battery_kwargs: Mapping | None = None,
 ) -> EnergyBalance:
-    """Synthesize, align and dispatch one scenario, returning the balance."""
-    shapes = shapes if shapes is not None else default_shapes()
-    items = tuple(sorted((battery_kwargs or {}).items()))
-    return _cached_balance(
-        scenario.pv_kwp,
-        data.annual_yield_kwh_per_kwp,
-        scenario.annual_load_kwh,
-        shapes,
-        scenario.bess_kwh,
-        items,
-    )
+    """Synthesize or rescale, align and dispatch one scenario: its annual balance."""
+    return scenario_dispatch(scenario, data, source, battery_kwargs)[1]
 
 
 def result_from_balance(
@@ -227,31 +255,36 @@ def run_scenario(
     scenario: Scenario,
     data: CountryData,
     econ: EconomicParams,
-    shapes: ProfileShapes | None = None,
+    source: ProfileSource | None = None,
     *,
     battery_kwargs: Mapping | None = None,
 ) -> ScenarioResult:
     """Full pipeline for one scenario: profiles, dispatch, finance."""
-    balance = scenario_balance(scenario, data, shapes, battery_kwargs)
+    balance = scenario_balance(scenario, data, source, battery_kwargs)
     return result_from_balance(scenario, data, econ, balance)
 
 
-def _run_one(task: tuple) -> tuple:
-    scenario, data, econ, shapes, battery_items = task
+def _dispatch_key(scenario: Scenario, data: CountryData) -> tuple:
+    # The BESS price only enters the finance; battery settings are per call.
+    return (
+        data.annual_yield_kwh_per_kwp, scenario.prosumer_type, scenario.pv_kwp, scenario.bess_kwh
+    )
+
+
+def _balance_or_failure(
+    source: ProfileSource, battery_kwargs: dict, data: Mapping, scenario: Scenario
+) -> EnergyBalance | str:
     try:
-        result = run_scenario(
-            scenario, data, econ, shapes, battery_kwargs=dict(battery_items)
-        )
-        return (True, result)
-    except Exception as exc:
-        return (False, (scenario, f"{type(exc).__name__}: {exc}"))
+        return scenario_balance(scenario, data[scenario.country], source, battery_kwargs)
+    except ValueError as exc:  # StorParityError and kin; bugs propagate
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(
     grid: Sequence[Scenario],
     data: Mapping[str, CountryData],
     econ: EconomicParams,
-    shapes: ProfileShapes | None = None,
+    source: ProfileSource | None = None,
     *,
     battery_kwargs: Mapping | None = None,
     parallel: int | None = None,
@@ -259,47 +292,42 @@ def run_sweep(
 ) -> list[ScenarioResult]:
     """Evaluate every scenario of the grid, in grid order.
 
-    Per-scenario errors never abort the sweep: they are logged, appended to
-    the optional ``failures`` list as (scenario, message) pairs, and the
-    scenario is omitted from the results. Output is identical whether the
-    work runs serially or on a process pool.
+    Scenarios sharing a dispatch key (country yield, prosumer type, PV size,
+    BESS capacity) are dispatched once, serially or on a process pool of
+    ``parallel`` workers, with identical output. A scenario's ValueError
+    (StorParityError included) is logged, appended to the optional
+    ``failures`` list as a (scenario, message) pair, and the scenario is
+    left out of the results; other exceptions propagate.
     """
-    shapes = shapes if shapes is not None else default_shapes()
-    battery_items = tuple(sorted((battery_kwargs or {}).items()))
+    firsts: dict[tuple, Scenario] = {}
+    for scenario in grid:
+        if scenario.country in data:
+            firsts.setdefault(_dispatch_key(scenario, data[scenario.country]), scenario)
+    source = source if source is not None else ProfileSource()
+    work = partial(_balance_or_failure, source, dict(battery_kwargs or {}), data)
+    if parallel is not None and parallel > 1 and len(firsts) > 1:
+        chunk = max(1, len(firsts) // (parallel * 4))
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            balances = dict(zip(firsts, pool.map(work, firsts.values(), chunksize=chunk)))
+    else:
+        balances = dict(zip(firsts, map(work, firsts.values())))
 
-    tasks = []
-    missing: list[tuple[Scenario, str]] = []
+    results: list[ScenarioResult] = []
     for scenario in grid:
         country = data.get(scenario.country)
         if country is None:
-            missing.append((scenario, f"KeyError: country {scenario.country!r} not in data"))
-            tasks.append(None)
+            outcome = f"KeyError: country {scenario.country!r} not in data"
         else:
-            tasks.append((scenario, country, econ, shapes, battery_items))
-
-    real_tasks = [t for t in tasks if t is not None]
-    if parallel is not None and parallel > 1 and len(real_tasks) > 1:
-        chunk = max(1, len(real_tasks) // (parallel * 4))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_run_one, real_tasks, chunksize=chunk))
-    else:
-        outcomes = [_run_one(t) for t in real_tasks]
-
-    results: list[ScenarioResult] = []
-    problems = list(missing)
-    it = iter(outcomes)
-    for task in tasks:
-        if task is None:
-            continue
-        ok, payload = next(it)
-        if ok:
-            results.append(payload)
-        else:
-            problems.append(payload)
-    for scenario, message in problems:
-        log.warning("scenario %s failed: %s", scenario.key, message)
+            outcome = balances[_dispatch_key(scenario, country)]
+        if not isinstance(outcome, str):
+            try:
+                results.append(result_from_balance(scenario, country, econ, outcome))
+                continue
+            except ValueError as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+        log.warning("scenario %s failed: %s", scenario.key, outcome)
         if failures is not None:
-            failures.append((scenario, message))
+            failures.append((scenario, outcome))
     return results
 
 

@@ -262,7 +262,6 @@ def test_criterion_7_performance_and_parallel_determinism(tmp_path):
     # cold-start measurement: drop all memoized profiles and balances
     profiles_module._synthesize_load.cache_clear()
     profiles_module._synthesize_pv.cache_clear()
-    sweep_module._cached_balance.cache_clear()
 
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+import storparity.sweep as sweep_module
 from _reference import reference_lcou, reference_quartiles
 from storparity import (
+    BatterySpec,
+    CountryData,
     EconomicParams,
     EmptyAxisError,
     EmptySelectionError,
@@ -91,6 +96,31 @@ class TestScenario:
             Scenario("Cyprus", "A", 3, -1.0, 150.0)
 
 
+CYPRUS_A3 = {"country": "Cyprus", "prosumer_type": "A", "pv_kwp": 3}
+CYPRUS_DATA = {"name": "Cyprus", "vat_rate": 0.19}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, base, field",
+    [
+        (EconomicParams, {}, "discount_rate"),
+        (EconomicParams, {}, "bess_price_eur_per_kwh"),
+        (BatterySpec, {"capacity_kwh": 1.0}, "max_charge_kw"),
+        (BatterySpec, {}, "capacity_kwh"),
+        (Scenario, {**CYPRUS_A3, "bess_price_eur_per_kwh": 150.0}, "ratio_kwh_per_kwp"),
+        (Scenario, {**CYPRUS_A3, "ratio_kwh_per_kwp": 1.0}, "bess_price_eur_per_kwh"),
+        (CountryData, {**CYPRUS_DATA, "annual_yield_kwh_per_kwp": 1464.85},
+         "retail_price_eur_per_kwh"),
+        (CountryData, {**CYPRUS_DATA, "retail_price_eur_per_kwh": 0.1927},
+         "annual_yield_kwh_per_kwp"),
+    ],
+)
+def test_non_finite_values_rejected(cls, base, field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**base, **{field: bad})
+
+
 class TestRunScenario:
     def test_cyprus_b3_fixture_and_dcf_recomputation(self, country_data, default_econ):
         scenario = Scenario("Cyprus", "B", 3, 1.0, 150.0)
@@ -160,6 +190,15 @@ class TestRunSweep:
         serial = run_sweep(grid, country_data, default_econ)
         parallel = run_sweep(grid, country_data, default_econ, parallel=2)
         assert results_to_csv(serial) == results_to_csv(parallel)
+
+    def test_programming_errors_propagate(self, country_data, default_econ, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside dispatch")
+
+        monkeypatch.setattr(sweep_module, "simulate", broken)
+        grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1.0], bess_prices=[150.0])
+        with pytest.raises(TypeError, match="bug inside dispatch"):
+            run_sweep(grid, country_data, default_econ)
 
     def test_failures_collected_not_fatal(self, country_data, default_econ):
         grid = build_grid(["Cyprus", "Ruritania"], prosumer_types=["A"],
