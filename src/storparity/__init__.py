@@ -16,6 +16,7 @@ from .dispatch import (
     annual_balance,
     scr_no_storage,
     simulate,
+    simulate_balances,
     simulate_series,
     trace_to_csv,
     write_trace_csv,

@@ -432,7 +432,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        cfg = _resolve(args)
+        if args.config:  # type-checked, though no setting changes a report
+            _load_config_file(args.config)
         try:
             text = args.results_csv.read_text("utf-8")
         except FileNotFoundError as exc:
@@ -503,8 +504,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             for c, t, r, p, k in best_rows
         ],
     }
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "report_summary.json").write_text(
+    out_dir = args.out or Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return 0

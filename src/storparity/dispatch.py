@@ -13,10 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import UnalignedProfilesError, ZeroProductionError, check_finite
+from .errors import (
+    NegativePowerError,
+    UnalignedProfilesError,
+    ZeroProductionError,
+    check_finite,
+)
 from .profiles import TimeSeriesProfile
 
 #: Default round-trip efficiency, split symmetrically between charge and
@@ -157,18 +163,29 @@ def simulate(
     return simulate_series(pv.values, load.values, battery, pv.step_hours)
 
 
+def _check_power(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} power values must be finite")
+    if (values < 0.0).any():
+        raise NegativePowerError(f"{name} power values must be non-negative")
+
+
 def simulate_series(
     pv_kw, load_kw, battery: BatterySpec, step_hours: float
 ) -> DispatchTrace:
     """Dispatch over raw power series of any length (same rule as simulate)."""
-    pv_vals = [float(v) for v in pv_kw]
-    load_vals = [float(v) for v in load_kw]
-    if len(pv_vals) != len(load_vals):
+    pv = np.array(pv_kw, dtype=float)
+    load = np.array(load_kw, dtype=float)
+    if len(pv) != len(load):
         raise UnalignedProfilesError(
-            f"series lengths differ ({len(pv_vals)} vs {len(load_vals)})"
+            f"series lengths differ ({len(pv)} vs {len(load)})"
         )
     if step_hours <= 0.0:
         raise ValueError(f"step_hours must be positive, got {step_hours}")
+    _check_power("pv", pv)
+    _check_power("load", load)
+    pv_vals = pv.tolist()
+    load_vals = load.tolist()
     dt = step_hours
     n = len(pv_vals)
 
@@ -226,8 +243,8 @@ def simulate_series(
         soc_series[i] = soc
 
     return DispatchTrace(
-        p_pv=np.asarray(pv_vals),
-        p_load=np.asarray(load_vals),
+        p_pv=pv,
+        p_load=load,
         p_direct=np.asarray(direct),
         p_charge=np.asarray(charge),
         p_discharge_delivered=np.asarray(delivered),
@@ -237,15 +254,170 @@ def simulate_series(
     )
 
 
+#: numpy sums a float64 vector by halving it (at multiples of 8) down to runs
+#: of at most this many items, each summed with eight interleaved partial sums.
+_PAIRWISE_RUN = 128
+
+
+def _pairwise_sum(n: int, run_sum: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Sum n steps in numpy's pairwise order; run_sum(size) sums the next size steps."""
+    if n <= _PAIRWISE_RUN:
+        return run_sum(n)
+    half = n // 2 - (n // 2) % 8
+    left = _pairwise_sum(half, run_sum)
+    return left + _pairwise_sum(n - half, run_sum)
+
+
+def _run_sum(block: np.ndarray) -> np.ndarray:
+    """Column sums of one run, added in the order numpy adds a run's items."""
+    size = len(block)
+    whole = size - size % 8
+    if whole:
+        r = block[:whole].reshape(whole // 8, 8, -1).sum(axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    else:
+        total = np.zeros(block.shape[1])
+    for row in block[whole:]:
+        total += row
+    return total
+
+
+def simulate_balances(
+    pv_rows: Sequence[np.ndarray],
+    load_rows: Sequence[np.ndarray],
+    configs: Sequence[tuple[int, int, BatterySpec]],
+    step_hours: float,
+) -> list[EnergyBalance]:
+    """Annual balances of many dispatch configs at once, without traces.
+
+    ``configs[i] = (p, l, battery)`` dispatches ``pv_rows[p]`` against
+    ``load_rows[l]``. All rows have one length; each is checked once for
+    NaN, inf and negative values. Each balance equals
+    ``annual_balance(simulate_series(...), step_hours)`` bit for bit and does
+    not depend on which other configs share the call.
+    """
+    if step_hours <= 0.0:
+        raise ValueError(f"step_hours must be positive, got {step_hours}")
+    n = len(pv_rows[0]) if len(pv_rows) else 0
+    for name, rows in (("pv", pv_rows), ("load", load_rows)):
+        for row in rows:
+            if len(row) != n:
+                raise UnalignedProfilesError(f"series lengths differ ({len(row)} vs {n})")
+            _check_power(name, row)
+    balances: list = [None] * len(configs)
+    batch = []
+    for i, (p, l, battery) in enumerate(configs):
+        if battery.soc_min_kwh <= battery.soc_init_kwh <= battery.capacity_kwh:
+            batch.append(i)
+        else:  # soc_init within 1e-12 outside its bounds: the batch needs it inside
+            trace = simulate_series(pv_rows[p], load_rows[l], battery, step_hours)
+            balances[i] = annual_balance(trace, step_hours)
+    if batch:
+        batched = _batched_balances(pv_rows, load_rows, [configs[i] for i in batch], step_hours)
+        for i, balance in zip(batch, batched):
+            balances[i] = balance
+    return balances
+
+
+def _batched_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBalance]:
+    """simulate_balances for configs whose soc_init lies in [soc_min, capacity].
+
+    The time loop steps every config side by side with the floating-point
+    operations of simulate_series. Both branches run on every row: a row
+    without surplus has 0 to charge, a row without deficit 0 to discharge,
+    and because soc stays in [soc_min, capacity] the other branch's update
+    and clamp leave its soc unchanged. The flows are summed over the runs of
+    steps of numpy's pairwise sum, and the run sums combined in its order.
+    """
+    n = len(pv_rows[0])
+    k = len(configs)
+    pv_index = np.array([p for p, _, _ in configs])
+    load_index = np.array([l for _, l, _ in configs])
+
+    cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e, soc = np.array([
+        (b.capacity_kwh, b.soc_min_kwh, b.eta_charge, b.eta_discharge,
+         b.max_charge_kw * dt, b.max_discharge_kw * dt, b.soc_init_kwh)
+        for _, _, b in configs
+    ]).T.copy()  # one contiguous row per parameter; soc is updated in place
+    tmp = np.empty(k)
+    # local names: the loop below makes twelve calls per step
+    sub, div, mul, add, low, high = (
+        np.subtract, np.divide, np.multiply, np.add, np.minimum, np.maximum
+    )
+
+    start = 0
+
+    def run_sum(size: int) -> np.ndarray:
+        """Dispatch the next size steps; the column sums of their four flows."""
+        nonlocal start
+        stop = start + size
+        pv = np.stack([row[start:stop] for row in pv_rows], axis=1)[:, pv_index]
+        load = np.stack([row[start:stop] for row in load_rows], axis=1)[:, load_index]
+        start = stop
+        surplus_e = (pv - load) * dt  # (load - pv) * dt is its exact negation
+        deficit_e = high(-surplus_e, 0.0)
+        high(surplus_e, 0.0, out=surplus_e)
+        offered = low(surplus_e, charge_cap_e)
+        wanted = low(deficit_e, discharge_cap_e)
+        flows = np.empty((size, 4, k))
+        accepted, delivered = flows[:, 0], flows[:, 1]
+        for acc, dlv, off, want in zip(accepted, delivered, offered, wanted):
+            sub(cap, soc, tmp)
+            div(tmp, eta_c, tmp)  # headroom
+            low(off, tmp, out=acc)
+            mul(acc, eta_c, tmp)
+            add(soc, tmp, soc)
+            low(soc, cap, out=soc)
+            sub(soc, soc_min, tmp)
+            mul(tmp, eta_d, tmp)  # available
+            low(want, tmp, out=dlv)
+            div(dlv, eta_d, tmp)
+            sub(soc, tmp, soc)
+            high(soc, soc_min, out=soc)
+        sub(surplus_e, accepted, flows[:, 2])  # curtailed
+        sub(deficit_e, delivered, flows[:, 3])  # imported
+        div(flows, dt, flows)
+        return _run_sum(flows.reshape(size, 4 * k))
+
+    totals = (_pairwise_sum(n, run_sum) * dt).reshape(4, k).T.tolist()
+
+    produced = [float(row.sum() * dt) for row in pv_rows]
+    consumed = [float(row.sum() * dt) for row in load_rows]
+    direct: dict[tuple[int, int], float] = {}
+    balances = []
+    for (p, l, _), (charged, discharged, curtailed, imported) in zip(configs, totals):
+        if (p, l) not in direct:
+            direct[p, l] = float(np.minimum(pv_rows[p], load_rows[l]).sum() * dt)
+        balances.append(
+            _energy_balance(
+                produced[p], direct[p, l], charged, discharged, imported, curtailed, consumed[l]
+            )
+        )
+    return balances
+
+
 def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:
     """Aggregate a trace into annual energies plus SCR and SSR."""
-    e_produced = float(trace.p_pv.sum() * step_hours)
-    e_direct = float(trace.p_direct.sum() * step_hours)
-    e_charged = float(trace.p_charge.sum() * step_hours)
-    e_delivered = float(trace.p_discharge_delivered.sum() * step_hours)
-    e_import = float(trace.p_import.sum() * step_hours)
-    e_curtail = float(trace.p_curtail.sum() * step_hours)
-    e_consumed = float(trace.p_load.sum() * step_hours)
+    return _energy_balance(
+        float(trace.p_pv.sum() * step_hours),
+        float(trace.p_direct.sum() * step_hours),
+        float(trace.p_charge.sum() * step_hours),
+        float(trace.p_discharge_delivered.sum() * step_hours),
+        float(trace.p_import.sum() * step_hours),
+        float(trace.p_curtail.sum() * step_hours),
+        float(trace.p_load.sum() * step_hours),
+    )
+
+
+def _energy_balance(
+    e_produced: float,
+    e_direct: float,
+    e_charged: float,
+    e_delivered: float,
+    e_import: float,
+    e_curtail: float,
+    e_consumed: float,
+) -> EnergyBalance:
     self_consumed = e_direct + e_delivered
     scr = self_consumed / e_produced if e_produced > 0.0 else 0.0
     ssr = self_consumed / e_consumed if e_consumed > 0.0 else 0.0

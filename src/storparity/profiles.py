@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -329,11 +328,7 @@ def synthesize_load_profile(
         shape = _DEFAULT_LOAD_SHAPE
     if annual_kwh <= 0.0:
         raise ValueError(f"annual_kwh must be positive, got {annual_kwh}")
-    return _synthesize_load(float(annual_kwh), shape)
-
-
-@lru_cache(maxsize=64)
-def _synthesize_load(annual_kwh: float, shape: LoadShapeParams) -> TimeSeriesProfile:
+    annual_kwh = float(annual_kwh)
     step = shape.step_hours
     weekday = np.asarray(shape.weekday_weights)
     weekend = np.asarray(shape.weekend_weights)
@@ -373,13 +368,7 @@ def synthesize_pv_profile(
     per_day = 24.0 / step_hours
     if abs(per_day - round(per_day)) > 1e-9:
         raise ValueError(f"step_hours must divide 24 h, got {step_hours}")
-    return _synthesize_pv(float(kwp), float(annual_yield_kwh_per_kwp), shape, float(step_hours))
-
-
-@lru_cache(maxsize=512)
-def _synthesize_pv(
-    kwp: float, annual_yield: float, shape: PvShapeParams, step_hours: float
-) -> TimeSeriesProfile:
+    kwp, annual_yield, step_hours = float(kwp), float(annual_yield_kwh_per_kwp), float(step_hours)
     per_day = int(round(24.0 / step_hours))
     starts = np.arange(per_day) * step_hours
     ends = starts + step_hours

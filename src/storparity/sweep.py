@@ -10,7 +10,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dispatch import BatterySpec, DispatchTrace, EnergyBalance, annual_balance, simulate
+from .dispatch import (
+    BatterySpec,
+    DispatchTrace,
+    EnergyBalance,
+    annual_balance,
+    simulate,
+    simulate_balances,
+)
 from .errors import EmptyAxisError, EmptySelectionError, check_finite
 from .finance import CountryData, EconomicParams, capex, degraded_energy, financial_result
 from .profiles import (
@@ -176,21 +183,27 @@ class ProfileSource:
     pv: TimeSeriesProfile | None = None
     rescale: bool = True
 
+    def load_profile(self, scenario: Scenario) -> TimeSeriesProfile:
+        """The scenario's load year; every load of one source has the same step."""
+        if self.load is None:
+            return synthesize_load_profile(scenario.annual_load_kwh, self.shapes.load)
+        return scale_to_annual(self.load, scenario.annual_load_kwh) if self.rescale else self.load
+
+    def pv_profile(
+        self, scenario: Scenario, data: CountryData, step_hours: float
+    ) -> TimeSeriesProfile:
+        """The scenario's PV year: synthesized at step_hours, or from the template."""
+        kwp, annual_yield = scenario.pv_kwp, data.annual_yield_kwh_per_kwp
+        if self.pv is None:
+            return synthesize_pv_profile(kwp, annual_yield, self.shapes.pv, step_hours)
+        return scale_to_annual(self.pv, kwp * annual_yield) if self.rescale else self.pv
+
     def profiles(
         self, scenario: Scenario, data: CountryData
     ) -> tuple[TimeSeriesProfile, TimeSeriesProfile]:
         """The scenario's (pv, load) pair, aligned onto one step."""
-        load, pv = self.load, self.pv
-        if load is None:
-            load = synthesize_load_profile(scenario.annual_load_kwh, self.shapes.load)
-        elif self.rescale:
-            load = scale_to_annual(load, scenario.annual_load_kwh)
-        kwp, annual_yield = scenario.pv_kwp, data.annual_yield_kwh_per_kwp
-        if pv is None:
-            pv = synthesize_pv_profile(kwp, annual_yield, self.shapes.pv, load.step_hours)
-        elif self.rescale:
-            pv = scale_to_annual(pv, kwp * annual_yield)
-        return align(pv, load)
+        load = self.load_profile(scenario)
+        return align(self.pv_profile(scenario, data, load.step_hours), load)
 
 
 def scenario_dispatch(
@@ -271,13 +284,57 @@ def _dispatch_key(scenario: Scenario, data: CountryData) -> tuple:
     )
 
 
-def _balance_or_failure(
-    source: ProfileSource, battery_kwargs: dict, data: Mapping, scenario: Scenario
-) -> EnergyBalance | str:
-    try:
-        return scenario_balance(scenario, data[scenario.country], source, battery_kwargs)
-    except ValueError as exc:  # StorParityError and kin; bugs propagate
-        return f"{type(exc).__name__}: {exc}"
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _dispatch_keys(
+    source: ProfileSource,
+    battery_kwargs: Mapping,
+    data: Mapping[str, CountryData],
+    scenarios: Sequence[Scenario],
+) -> list[EnergyBalance | str]:
+    """Dispatch each scenario's key in one batch: its balance, or why it failed.
+
+    Each PV series (country yield and kWp) and each load (prosumer type) is
+    built once. A ValueError while building a key's profiles or battery
+    fails that key alone; other exceptions propagate.
+    """
+    built: dict = {}  # prosumer type -> load, (yield, kWp) -> PV, as the source builds them
+    index: dict = {}  # the same keys -> position of the aligned values in their rows
+    pv_rows: list[np.ndarray] = []
+    load_rows: list[np.ndarray] = []
+    configs: list[tuple[int, int, BatterySpec]] = []
+    outcomes: list[int | str] = []  # position in configs, or the failure
+    step_hours = None
+    for scenario in scenarios:
+        country = data[scenario.country]
+        load_key = scenario.prosumer_type
+        pv_key = (country.annual_yield_kwh_per_kwp, scenario.pv_kwp)
+        try:
+            if load_key not in index or pv_key not in index:
+                if load_key not in built:
+                    built[load_key] = source.load_profile(scenario)
+                if pv_key not in built:
+                    step = built[load_key].step_hours
+                    built[pv_key] = source.pv_profile(scenario, country, step)
+                # one source builds every load at one step and every PV at one
+                # step, so every aligned pair shares one step and length
+                pv, load = align(built[pv_key], built[load_key])
+                step_hours = load.step_hours
+                for key, values, rows in ((pv_key, pv.values, pv_rows),
+                                          (load_key, load.values, load_rows)):
+                    if key not in index:
+                        index[key] = len(rows)
+                        rows.append(values)
+            battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **battery_kwargs)
+        except ValueError as exc:  # StorParityError and kin; bugs propagate
+            outcomes.append(_failure(exc))
+            continue
+        outcomes.append(len(configs))
+        configs.append((index[pv_key], index[load_key], battery))
+    balances = simulate_balances(pv_rows, load_rows, configs, step_hours) if configs else []
+    return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 
 def run_sweep(
@@ -293,8 +350,9 @@ def run_sweep(
     """Evaluate every scenario of the grid, in grid order.
 
     Scenarios sharing a dispatch key (country yield, prosumer type, PV size,
-    BESS capacity) are dispatched once, serially or on a process pool of
-    ``parallel`` workers, with identical output. A scenario's ValueError
+    BESS capacity) are dispatched once, all keys in one batched kernel call,
+    or one contiguous slice of keys per worker of a ``parallel``-worker
+    process pool, with identical output. A scenario's ValueError
     (StorParityError included) is logged, appended to the optional
     ``failures`` list as a (scenario, message) pair, and the scenario is
     left out of the results; other exceptions propagate.
@@ -304,13 +362,17 @@ def run_sweep(
         if scenario.country in data:
             firsts.setdefault(_dispatch_key(scenario, data[scenario.country]), scenario)
     source = source if source is not None else ProfileSource()
-    work = partial(_balance_or_failure, source, dict(battery_kwargs or {}), data)
-    if parallel is not None and parallel > 1 and len(firsts) > 1:
-        chunk = max(1, len(firsts) // (parallel * 4))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            balances = dict(zip(firsts, pool.map(work, firsts.values(), chunksize=chunk)))
+    work = partial(_dispatch_keys, source, dict(battery_kwargs or {}), data)
+    keys = list(firsts.values())
+    workers = min(parallel or 1, len(keys))
+    if workers > 1:
+        bounds = [len(keys) * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            slices = pool.map(work, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+            outcomes = [outcome for part in slices for outcome in part]
     else:
-        balances = dict(zip(firsts, map(work, firsts.values())))
+        outcomes = work(keys)
+    balances = dict(zip(firsts, outcomes))
 
     results: list[ScenarioResult] = []
     for scenario in grid:
@@ -324,7 +386,7 @@ def run_sweep(
                 results.append(result_from_balance(scenario, country, econ, outcome))
                 continue
             except ValueError as exc:
-                outcome = f"{type(exc).__name__}: {exc}"
+                outcome = _failure(exc)
         log.warning("scenario %s failed: %s", scenario.key, outcome)
         if failures is not None:
             failures.append((scenario, outcome))
@@ -384,7 +446,9 @@ def best_pv_size(
 
 
 def _fmt_axis(x: float) -> str:
-    return f"{x:g}"
+    """``{:g}`` where it reads back as x, else the shortest form that does."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def results_to_csv(results: Sequence[ScenarioResult]) -> str:
@@ -475,6 +539,22 @@ def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parity_groups(results: Sequence[ScenarioResult]):
+    """(country, BESS price, its results) per country and price, then (country, None, all)."""
+    prices = _prices_in(results)
+    for country in _countries_in(results):
+        in_country = [r for r in results if r.scenario.country == country]
+        for price in prices:
+            selected = [r for r in in_country if r.scenario.bess_price_eur_per_kwh == price]
+            if selected:
+                yield country, price, selected
+        yield country, None, in_country
+
+
+def _price_label(price: float | None) -> str:
+    return "pooled" if price is None else _fmt_axis(price)
+
+
 def parity_share_table(
     results: Sequence[ScenarioResult],
 ) -> list[tuple[str, str, float]]:
@@ -482,27 +562,17 @@ def parity_share_table(
 
     Price labels are the numeric price or 'pooled' for the all-prices row.
     """
-    rows = []
-    for country in _countries_in(results):
-        for price in _prices_in(results):
-            try:
-                share = parity_share(results, country=country, bess_price=price)
-            except EmptySelectionError:
-                continue
-            rows.append((country, _fmt_axis(price), share))
-        rows.append((country, "pooled", parity_share(results, country=country)))
-    return rows
+    return [
+        (country, _price_label(price), parity_share(selected))
+        for country, price, selected in _parity_groups(results)
+    ]
 
 
 def parity_shares_to_csv(results: Sequence[ScenarioResult]) -> str:
     lines = [PARITY_CSV_HEADER]
-    for country, price_label, share in parity_share_table(results):
-        selected = [
-            r
-            for r in results
-            if r.scenario.country == country
-            and (price_label == "pooled" or _fmt_axis(r.scenario.bess_price_eur_per_kwh) == price_label)
-        ]
+    for country, price, selected in _parity_groups(results):
         count = sum(1 for r in selected if r.grid_parity)
-        lines.append(f"{country},{price_label},{share:.6f},{count},{len(selected)}")
+        lines.append(
+            f"{country},{_price_label(price)},{parity_share(selected):.6f},{count},{len(selected)}"
+        )
     return "\n".join(lines) + "\n"

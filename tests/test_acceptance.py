@@ -10,8 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import storparity.profiles as profiles_module
-import storparity.sweep as sweep_module
 from _reference import random_dispatch_instance, reference_simulate
 from storparity import (
     BatterySpec,
@@ -259,10 +257,7 @@ def test_criterion_6_table_fidelity():
 
 
 def test_criterion_7_performance_and_parallel_determinism(tmp_path):
-    # cold-start measurement: drop all memoized profiles and balances
-    profiles_module._synthesize_load.cache_clear()
-    profiles_module._synthesize_pv.cache_clear()
-
+    # cold-start measurement: nothing is memoized across sweeps
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
     start = time.perf_counter()

@@ -388,6 +388,28 @@ class TestReport:
         )
 
 
+    def test_config_profiles_and_countries_are_not_read(self, tmp_path, capsys):
+        fixture = tmp_path / "one.csv"
+        fixture.write_text(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "load_profile_csv": str(tmp_path / "missing.csv"),
+            "countries_csv": str(tmp_path / "missing-countries.csv"),
+        }))
+        out = tmp_path / "rep"
+        assert main(["report", str(fixture), "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "report_summary.json").is_file()
+        capsys.readouterr()
+
+    def test_config_types_are_still_checked(self, tmp_path, capsys):
+        fixture = tmp_path / "one.csv"
+        fixture.write_text(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"discount_rate": "0.05"}))
+        assert main(["report", str(fixture), "--config", str(config)]) == 2
+        assert "discount_rate" in capsys.readouterr().err
+
+
 class TestParserBasics:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -1,7 +1,9 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _reference import random_dispatch_instance, reference_simulate
 from storparity import (
@@ -19,7 +21,7 @@ from storparity import (
     synthesize_pv_profile,
     trace_to_csv,
 )
-from storparity.dispatch import TRACE_CSV_HEADER
+from storparity.dispatch import TRACE_CSV_HEADER, simulate_balances
 
 SQRT_RT = math.sqrt(0.9)
 
@@ -240,6 +242,116 @@ class TestDispatchProperties:
         b = simulate(pv, load, battery)
         assert np.array_equal(a.soc_kwh, b.soc_kwh)
         assert np.array_equal(a.p_import, b.p_import)
+
+
+@st.composite
+def batteries(draw):
+    capacity = draw(st.sampled_from([0.0, 4.0]) | st.floats(0.1, 12.0))
+    usable = draw(st.floats(0.3, 1.0))
+    soc_min = (1.0 - usable) * capacity
+    # None means soc_min; the bounds may be passed by up to 1e-12
+    soc_init = draw(st.sampled_from(
+        [None, capacity, capacity + 1e-13, soc_min - 1e-13, 0.5 * (soc_min + capacity)]
+    ))
+    limit = st.none() | st.just(0.0) | st.floats(0.0, 4.0)  # drawn apart: asymmetric
+    return BatterySpec(
+        capacity_kwh=capacity,
+        usable_fraction=usable,
+        eta_charge=draw(st.floats(0.7, 1.0)),
+        eta_discharge=draw(st.floats(0.7, 1.0)),
+        max_charge_kw=draw(limit),
+        max_discharge_kw=draw(limit),
+        soc_init_kwh=soc_init,
+    )
+
+
+def random_rows(rng, count, n, scale):
+    rows = rng.uniform(0.0, scale, (count, n))
+    rows[rng.uniform(size=(count, n)) < 0.2] = 0.0
+    return list(rows)
+
+
+@st.composite
+def batches(draw):
+    """Rows of any length (mostly not a multiple of a summation run) and configs on them."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pv_rows = random_rows(rng, draw(st.integers(1, 3)), n, 5.0)
+    load_rows = random_rows(rng, draw(st.integers(1, 3)), n, 4.0)
+    load_rows[0][::7] = pv_rows[0][::7]  # exact ties
+    configs = draw(st.lists(
+        st.tuples(st.integers(0, len(pv_rows) - 1), st.integers(0, len(load_rows) - 1),
+                  batteries()),
+        min_size=1, max_size=8,
+    ))
+    return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1.0]))
+
+
+def bits(balance):
+    return [float(v).hex() for v in astuple(balance)]
+
+
+class TestSimulateBalances:
+    @settings(max_examples=80, deadline=None)
+    @given(batches())
+    def test_matches_reference_per_row(self, batch):
+        pv_rows, load_rows, configs, step = batch
+        balances = simulate_balances(pv_rows, load_rows, configs, step)
+        assert len(balances) == len(configs)
+        for (p, l, battery), got in zip(configs, balances):
+            ref = reference_simulate(pv_rows[p], load_rows[l], battery, step)
+            want = annual_balance(ref, step)
+            assert astuple(got) == pytest.approx(astuple(want), rel=1e-12, abs=1e-12)
+            # and bit for bit what the trace path reports
+            scalar = simulate_series(pv_rows[p], load_rows[l], battery, step)
+            assert bits(got) == bits(annual_balance(scalar, step))
+
+    def test_full_battery_clamped_like_the_trace_path(self):
+        # 1.37 + ((3.15 - 1.37) / 0.84) * 0.84 rounds above 3.15, so the clamp acts
+        battery = BatterySpec(
+            3.15, usable_fraction=1.0, eta_charge=0.84, max_charge_kw=10.0, soc_init_kwh=1.37
+        )
+        pv, load = np.array([5.0, 5.0, 0.0]), np.array([0.0, 0.0, 4.0])
+        got = simulate_balances([pv], [load], [(0, 0, battery)], 1.0)[0]
+        assert bits(got) == bits(annual_balance(simulate_series(pv, load, battery, 1.0), 1.0))
+
+    def test_row_alone_equals_row_in_batch(self):
+        load = synthesize_load_profile(7500.0).values
+        pvs = [synthesize_pv_profile(kwp, 1464.85).values for kwp in (3.0, 8.0)]
+        battery = BatterySpec(capacity_kwh=3.0)
+        alone = simulate_balances(pvs[:1], [load], [(0, 0, battery)], 1.0)[0]
+        others = [(1, 0, BatterySpec(capacity_kwh=c)) for c in (0.0, 4.0, 16.0)]
+        for position in range(len(others) + 1):
+            configs = others[:position] + [(0, 0, battery)] + others[position:]
+            batched = simulate_balances(pvs, [load], configs, 1.0)[position]
+            assert bits(batched) == bits(alone)
+
+    def test_unequal_row_lengths_rejected(self):
+        with pytest.raises(UnalignedProfilesError):
+            simulate_balances([np.ones(4)], [np.ones(5)], [(0, 0, BatterySpec(1.0))], 1.0)
+
+    def test_no_configs(self):
+        assert simulate_balances([np.ones(4)], [np.ones(4)], [], 1.0) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("side", ["pv", "load"])
+class TestBadSeriesRejected:
+    def series(self, side, bad):
+        good, broken = [1.0, 1.0, 1.0], [bad, 2.0, 0.5]
+        return (broken, good) if side == "pv" else (good, broken)
+
+    def test_simulate_series(self, side, bad):
+        pv, load = self.series(side, bad)
+        with pytest.raises(ValueError, match=side):
+            simulate_series(pv, load, BatterySpec(2.0), 1.0)
+
+    def test_simulate_balances(self, side, bad):
+        pv, load = self.series(side, bad)
+        with pytest.raises(ValueError, match=side):
+            simulate_balances(
+                [np.asarray(pv)], [np.asarray(load)], [(0, 0, BatterySpec(2.0))], 1.0
+            )
 
 
 class TestTraceCsv:

@@ -245,13 +245,11 @@ class TestProfileInvariants:
 
     def test_synthesis_is_deterministic(self):
         a = synthesize_load_profile(4500.0)
-        profiles._synthesize_load.cache_clear()
         b = synthesize_load_profile(4500.0)
         assert a is not b
         assert np.array_equal(a.values, b.values)
 
         c = synthesize_pv_profile(3.0, 1368.45)
-        profiles._synthesize_pv.cache_clear()
         d = synthesize_pv_profile(3.0, 1368.45)
         assert c is not d
         assert np.array_equal(c.values, d.values)

@@ -28,9 +28,11 @@ from storparity import (
 from storparity.sweep import (
     BOX_CSV_HEADER,
     RESULTS_CSV_HEADER,
+    ProfileSource,
     box_stats_to_csv,
     parity_share_table,
     parity_shares_to_csv,
+    scenario_balance,
 )
 
 COUNTRIES = ["Cyprus", "France", "Greece", "Italy", "Portugal", "Spain"]
@@ -191,14 +193,25 @@ class TestRunSweep:
         parallel = run_sweep(grid, country_data, default_econ, parallel=2)
         assert results_to_csv(serial) == results_to_csv(parallel)
 
-    def test_programming_errors_propagate(self, country_data, default_econ, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, evaluate",
+        [
+            # simulate is the one-scenario path; the sweep dispatches through the kernel
+            ("simulate", lambda grid, data, econ: run_scenario(grid[0], data["Cyprus"], econ)),
+            ("simulate_balances", run_sweep),
+        ],
+        ids=["simulate", "simulate_balances"],
+    )
+    def test_programming_errors_propagate(
+        self, country_data, default_econ, monkeypatch, name, evaluate
+    ):
         def broken(*args, **kwargs):
             raise TypeError("bug inside dispatch")
 
-        monkeypatch.setattr(sweep_module, "simulate", broken)
+        monkeypatch.setattr(sweep_module, name, broken)
         grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1.0], bess_prices=[150.0])
         with pytest.raises(TypeError, match="bug inside dispatch"):
-            run_sweep(grid, country_data, default_econ)
+            evaluate(grid, country_data, default_econ)
 
     def test_failures_collected_not_fatal(self, country_data, default_econ):
         grid = build_grid(["Cyprus", "Ruritania"], prosumer_types=["A"],
@@ -209,6 +222,34 @@ class TestRunSweep:
         assert all(r.scenario.country == "Cyprus" for r in results)
         assert len(failures) == 5
         assert all("Ruritania" in message for _, message in failures)
+
+    def test_default_grid_balances_match_one_scenario_path_exactly(self, country_data):
+        # every batched dispatch of the default grid against simulate's trace path
+        firsts = {}
+        for scenario in build_grid(list(country_data)):
+            firsts.setdefault(scenario.key[:4], scenario)  # all but the BESS price
+        assert len(firsts) == 306
+        batched = sweep_module._dispatch_keys(
+            ProfileSource(), {}, country_data, list(firsts.values())
+        )
+        for scenario, balance in zip(firsts.values(), batched):
+            assert balance == scenario_balance(scenario, country_data[scenario.country])
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_key_failures_stay_per_key(self, country_data, default_econ, parallel):
+        # soc_init 1 kWh does not fit the 0.5 kWh batteries (1 kWp at ratio 0.5)
+        kwargs = {"soc_init_kwh": 1.0}
+        grid = build_grid(["Cyprus", "Spain"], prosumer_types=["A"], ratios=[0.5, 1.0])
+        failures = []
+        results = run_sweep(grid, country_data, default_econ, battery_kwargs=kwargs,
+                            parallel=parallel, failures=failures)
+        failed = [s for s, _ in failures]
+        assert failed == [s for s in grid if s.bess_kwh < 1.0] and len(failed) == 4
+        assert all("soc_init_kwh" in message for _, message in failures)
+        assert [r.scenario for r in results] == [s for s in grid if s.bess_kwh >= 1.0]
+        for r in results:  # the batch agrees exactly with the one-scenario path
+            data = country_data[r.scenario.country]
+            assert r == run_scenario(r.scenario, data, default_econ, battery_kwargs=kwargs)
 
 
 class TestParityShare:
@@ -372,3 +413,19 @@ class TestResultsCsv:
         assert len(lines) == 1 + 18
         france_pooled = [l for l in lines if l.startswith("France,pooled")]
         assert france_pooled and france_pooled[0].split(",")[2] == "0.000000"
+
+    def test_axis_values_round_trip_and_group_by_value(self, country_data, default_econ):
+        # {:g} keeps 6 significant digits: both prices would read 123.457
+        prices = [123.4567, 123.4568]
+        grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1 / 3], bess_prices=prices)
+        results = run_sweep(grid, country_data, default_econ)
+        parsed = parse_results_csv(results_to_csv(results))
+        assert [r.scenario for r in parsed] == [r.scenario for r in results]
+        lines = parity_shares_to_csv(results).strip().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["123.4567", "123.4568", "pooled"]
+        assert [line.split(",")[4] for line in lines] == ["5", "5", "10"]
+
+    def test_default_axis_labels_keep_short_form(self):
+        assert [sweep_module._fmt_axis(x) for x in (0.5, 1.0, 2.0, 500.0, 150.0)] == [
+            "0.5", "1", "2", "500", "150",
+        ]
