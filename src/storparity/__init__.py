@@ -39,8 +39,10 @@ from .finance import (
     CountryData,
     EconomicParams,
     FinancialResult,
+    FinancialResults,
     capex,
     financial_result,
+    financial_results,
     grid_parity,
     lcoe,
     lcou,

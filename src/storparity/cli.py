@@ -9,7 +9,6 @@ the same configuration.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -22,7 +21,6 @@ from . import __version__
 # Names imported below that cli itself does not call stay importable from
 # it: the benchmark's span recorder (perfbench/spans.py) wraps them here.
 from .dispatch import BatterySpec, annual_balance, simulate, write_trace_csv
-from .errors import StorParityError
 from .finance import CountryData, EconomicParams, load_country_data
 from .profiles import (
     ProfileKind,
@@ -43,7 +41,9 @@ from .sweep import (
     PV_RANGE_KWP,
     ProfileSource,
     Scenario,
+    _fmt_axis,
     best_pv_size,
+    best_pv_sizes,
     box_stats_by_country_price,
     box_stats_to_csv,
     build_grid,
@@ -360,8 +360,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     print(
         f"scenario : {scenario.country} type {scenario.prosumer_type}, "
-        f"{scenario.pv_kwp} kWp PV, {scenario.bess_kwh:g} kWh BESS @ "
-        f"{scenario.bess_price_eur_per_kwh:g} EUR/kWh"
+        f"{scenario.pv_kwp} kWp PV, {_fmt_axis(scenario.bess_kwh)} kWh BESS @ "
+        f"{_fmt_axis(scenario.bess_price_eur_per_kwh)} EUR/kWh"
     )
     print(f"SCR      : {result.scr:.6f}")
     print(f"SSR      : {result.ssr:.6f}")
@@ -449,15 +449,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     shares = parity_share_table(results)
     quartiles = box_stats_by_country_price(results)
 
-    best_rows = []
-    axes = ("country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh")
-    seen = [sorted({getattr(r.scenario, axis) for r in results}) for axis in axes]
-    for country, ptype, ratio, price in itertools.product(*seen):
-        try:
-            size = best_pv_size(results, country, ptype, ratio, price)
-        except StorParityError:
-            continue
-        best_rows.append((country, ptype, ratio, price, size))
+    best_rows = best_pv_sizes(results)
 
     print("== Grid-parity shares (% of scenarios with LCOU below retail) ==")
     for country, price_label, share in shares:
@@ -468,14 +460,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"  {'country':<10} {'price':<8} {'min':>8} {'q1':>8} {'median':>8} {'q3':>8} {'max':>8}")
     for country, price, stats in quartiles:
         print(
-            f"  {country:<10} {price:<8g} {stats.minimum:8.4f} {stats.q1:8.4f} "
+            f"  {country:<10} {_fmt_axis(price):<8} {stats.minimum:8.4f} {stats.q1:8.4f} "
             f"{stats.median:8.4f} {stats.q3:8.4f} {stats.maximum:8.4f}"
         )
     print()
     print("== Best PV size (kWp) minimizing LCOU ==")
     print(f"  {'country':<10} {'type':<5} {'ratio':<6} {'price':<8} {'kWp':>4}")
     for country, ptype, ratio, price, size in best_rows:
-        print(f"  {country:<10} {ptype:<5} {ratio:<6g} {price:<8g} {size:>4}")
+        print(f"  {country:<10} {ptype:<5} {_fmt_axis(ratio):<6} {_fmt_axis(price):<8} {size:>4}")
 
     summary = {
         "parity_shares": [

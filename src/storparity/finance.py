@@ -211,6 +211,81 @@ def grid_parity(lcou_eur_per_kwh: float, retail_price_eur_per_kwh: float) -> boo
     return lcou_eur_per_kwh < retail_price_eur_per_kwh
 
 
+@dataclass(frozen=True)
+class FinancialResults:
+    """Outcomes of evaluating n systems at once, one array entry per system.
+
+    errors maps the index of each system that cannot be evaluated to the
+    exception it raises on its own; its array entries are meaningless.
+    """
+
+    capex_eur: np.ndarray
+    lcoe_eur_per_kwh: np.ndarray
+    lcou_eur_per_kwh: np.ndarray
+    npv_eur: np.ndarray
+    grid_parity: np.ndarray
+    errors: dict[int, Exception]
+
+
+def financial_results(
+    pv_kwp: Sequence[float],
+    bess_kwh: Sequence[float],
+    bess_price_eur_per_kwh: Sequence[float],
+    vat_rate: Sequence[float],
+    annual_energy_kwh: Sequence[float],
+    scr: Sequence[float],
+    retail_price_eur_per_kwh: Sequence[float],
+    econ: EconomicParams,
+) -> FinancialResults:
+    """Evaluate n systems end to end, each with its own BESS price and VAT.
+
+    econ supplies the PV price, maintenance, discounting, horizon and
+    degradation; its BESS price and VAT are not used. Each system's values
+    are bit for bit those of capex, lcoe, lcou and npv for it alone: the
+    same floating-point operations in the same order, with each per-year
+    sum taken as a row sum of a (systems x horizon) array. A system that
+    one of those checks rejects gets the same exception, in the same order
+    of checks, in errors; the others are unaffected.
+    """
+    pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail = (
+        np.asarray(v, dtype=float)
+        for v in (pv_kwp, bess_kwh, bess_price_eur_per_kwh, vat_rate, annual_energy_kwh, scr,
+                  retail_price_eur_per_kwh)
+    )
+    factors = discount_factors(econ)
+    with np.errstate(all="ignore"):  # the values of rejected systems are discarded
+        capex_eur = (pv_kwp * econ.pv_price_eur_per_kwp + bess_kwh * bess_price) * (1.0 + vat)
+        maintenance = econ.maintenance_rate * capex_eur / (1.0 + vat)
+        lifetime_cost = capex_eur + maintenance * float(factors.sum())
+        produced = degraded_energy(energy[:, None], econ)
+        self_consumed = produced * scr[:, None]
+        produced_sum = (produced * factors).sum(axis=1)
+        self_consumed_sum = (self_consumed * factors).sum(axis=1)
+        lcoe_value = lifetime_cost / produced_sum
+        lcou_value = lifetime_cost / self_consumed_sum
+        yearly = retail[:, None] * self_consumed - maintenance[:, None]
+        npv_value = -capex_eur + (yearly * factors).sum(axis=1)
+    checks = (  # capex, lcoe (its division by a float 0), lcou, then grid_parity
+        ((pv_kwp < 0.0) | (bess_kwh < 0.0), lambda i: ValueError("system sizes must be >= 0")),
+        (energy <= 0.0, lambda i: ZeroEnergyError(
+            f"annual energy must be positive, got {float(energy[i])}")),
+        (produced_sum == 0.0, lambda i: ZeroDivisionError("float division by zero")),
+        ((scr < 0.0) | (scr > 1.0), lambda i: ValueError("SCR values must lie in [0, 1]")),
+        (self_consumed_sum <= 0.0, lambda i: ZeroSelfConsumptionError(
+            "no self-consumed energy over the horizon")),
+        ((lcou_value <= 0.0) | (retail <= 0.0), lambda i: ValueError(
+            "grid parity needs positive LCOU and retail price")),
+    )
+    errors: dict[int, Exception] = {}
+    for failed, error in checks:
+        for i in np.flatnonzero(failed).tolist():
+            if i not in errors:
+                errors[i] = error(i)
+    return FinancialResults(
+        capex_eur, lcoe_value, lcou_value, npv_value, lcou_value < retail, errors
+    )
+
+
 def financial_result(
     pv_kwp: float,
     bess_kwh: float,
@@ -219,18 +294,22 @@ def financial_result(
     scr: float,
     retail_price_eur_per_kwh: float,
 ) -> FinancialResult:
-    """Evaluate one system end to end with a representative-year SCR."""
-    capex_eur = capex(pv_kwp, bess_kwh, econ)
-    lcoe_value = lcoe(capex_eur, econ, annual_energy_kwh)
-    lcou_value = lcou(capex_eur, econ, annual_energy_kwh, scr)
-    self_consumed = degraded_energy(annual_energy_kwh, econ) * scr
-    npv_value = npv(capex_eur, econ, self_consumed, retail_price_eur_per_kwh)
+    """Evaluate one system end to end with a representative-year SCR.
+
+    The one-system case of financial_results, at econ's BESS price and VAT.
+    """
+    batch = financial_results(
+        [pv_kwp], [bess_kwh], [econ.bess_price_eur_per_kwh], [econ.vat],
+        [annual_energy_kwh], [scr], [retail_price_eur_per_kwh], econ,
+    )
+    if batch.errors:
+        raise batch.errors[0]
     return FinancialResult(
-        capex_eur=capex_eur,
-        lcoe_eur_per_kwh=lcoe_value,
-        lcou_eur_per_kwh=lcou_value,
-        npv_eur=npv_value,
-        grid_parity=grid_parity(lcou_value, retail_price_eur_per_kwh),
+        capex_eur=float(batch.capex_eur[0]),
+        lcoe_eur_per_kwh=float(batch.lcoe_eur_per_kwh[0]),
+        lcou_eur_per_kwh=float(batch.lcou_eur_per_kwh[0]),
+        npv_eur=float(batch.npv_eur[0]),
+        grid_parity=bool(batch.grid_parity[0]),
     )
 
 

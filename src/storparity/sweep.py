@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +21,15 @@ from .dispatch import (
     simulate_balances,
 )
 from .errors import EmptyAxisError, EmptySelectionError, check_finite
-from .finance import CountryData, EconomicParams, capex, degraded_energy, financial_result
+# financial_result is not called here: perfbench/spans.py wraps this name.
+from .finance import (
+    CountryData,
+    EconomicParams,
+    capex,
+    degraded_energy,
+    financial_result,
+    financial_results,
+)
 from .profiles import (
     ProfileShapes,
     TimeSeriesProfile,
@@ -237,31 +247,12 @@ def result_from_balance(
 ) -> ScenarioResult:
     """Attach the financial evaluation to an already-computed balance.
 
-    The scenario's BESS price always overrides econ's; the country VAT is
-    used unless econ carries an explicit override.
+    The one-scenario case of the sweep's pricing (see _price_results).
     """
-    effective = replace(
-        econ,
-        bess_price_eur_per_kwh=scenario.bess_price_eur_per_kwh,
-        vat_rate=data.vat_rate if econ.vat_rate is None else econ.vat_rate,
-    )
-    fin = financial_result(
-        scenario.pv_kwp,
-        scenario.bess_kwh,
-        effective,
-        balance.e_produced,
-        balance.scr,
-        data.retail_price_eur_per_kwh,
-    )
-    return ScenarioResult(
-        scenario=scenario,
-        scr=balance.scr,
-        ssr=balance.ssr,
-        lcoe=fin.lcoe_eur_per_kwh,
-        lcou=fin.lcou_eur_per_kwh,
-        npv=fin.npv_eur,
-        grid_parity=fin.grid_parity,
-    )
+    (outcome,) = _price_results([(scenario, data, balance)], econ)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_scenario(
@@ -352,7 +343,8 @@ def run_sweep(
     Scenarios sharing a dispatch key (country yield, prosumer type, PV size,
     BESS capacity) are dispatched once, all keys in one batched kernel call,
     or one contiguous slice of keys per worker of a ``parallel``-worker
-    process pool, with identical output. A scenario's ValueError
+    process pool, with identical output. Every dispatched scenario is then
+    priced in one financial_results call. A scenario's ValueError
     (StorParityError included) is logged, appended to the optional
     ``failures`` list as a (scenario, message) pair, and the scenario is
     left out of the results; other exceptions propagate.
@@ -374,23 +366,63 @@ def run_sweep(
         outcomes = work(keys)
     balances = dict(zip(firsts, outcomes))
 
+    dispatched = [  # per scenario: its balance, or why it failed
+        balances[_dispatch_key(s, data[s.country])] if s.country in data
+        else f"KeyError: country {s.country!r} not in data"
+        for s in grid
+    ]
+    priced = iter(_price_results(
+        [(s, data[s.country], b) for s, b in zip(grid, dispatched) if not isinstance(b, str)],
+        econ,
+    ))
+
     results: list[ScenarioResult] = []
-    for scenario in grid:
-        country = data.get(scenario.country)
-        if country is None:
-            outcome = f"KeyError: country {scenario.country!r} not in data"
-        else:
-            outcome = balances[_dispatch_key(scenario, country)]
+    for scenario, outcome in zip(grid, dispatched):
         if not isinstance(outcome, str):
-            try:
-                results.append(result_from_balance(scenario, country, econ, outcome))
+            outcome = next(priced)
+            if isinstance(outcome, ScenarioResult):
+                results.append(outcome)
                 continue
-            except ValueError as exc:
-                outcome = _failure(exc)
+            if not isinstance(outcome, ValueError):
+                raise outcome  # not a scenario failure, as in result_from_balance
+            outcome = _failure(outcome)
         log.warning("scenario %s failed: %s", scenario.key, outcome)
         if failures is not None:
             failures.append((scenario, outcome))
     return results
+
+
+def _price_results(
+    rows: Sequence[tuple[Scenario, CountryData, EnergyBalance]], econ: EconomicParams
+) -> list[ScenarioResult | Exception]:
+    """Price every (scenario, country, balance) row in one batch: its result, or its error.
+
+    The scenario's BESS price always overrides econ's; the country VAT is
+    used unless econ carries an explicit override. A row's result or error
+    does not depend on the other rows.
+    """
+    if not rows:
+        return []
+    columns = zip(*[
+        (
+            scenario.pv_kwp,
+            scenario.bess_kwh,
+            scenario.bess_price_eur_per_kwh,
+            data.vat_rate if econ.vat_rate is None else econ.vat_rate,
+            balance.e_produced,
+            balance.scr,
+            data.retail_price_eur_per_kwh,
+        )
+        for scenario, data, balance in rows
+    ])
+    fin = financial_results(*columns, econ)
+    priced = zip(rows, fin.lcoe_eur_per_kwh.tolist(), fin.lcou_eur_per_kwh.tolist(),
+                 fin.npv_eur.tolist(), fin.grid_parity.tolist())
+    return [
+        fin.errors[i] if i in fin.errors
+        else ScenarioResult(scenario, balance.scr, balance.ssr, lcoe, lcou, npv, parity)
+        for i, ((scenario, _, balance), lcoe, lcou, npv, parity) in enumerate(priced)
+    ]
 
 
 def parity_share(
@@ -441,8 +473,21 @@ def best_pv_size(
         raise EmptySelectionError(
             f"no results for {country}/{prosumer_type}/ratio {ratio}/price {bess_price}"
         )
-    best = min(selected, key=lambda r: (r.lcou, r.scenario.pv_kwp))
-    return best.scenario.pv_kwp
+    return min(selected, key=_lcou_then_size).scenario.pv_kwp
+
+
+def _lcou_then_size(result: ScenarioResult) -> tuple[float, int]:
+    return result.lcou, result.scenario.pv_kwp
+
+
+def best_pv_sizes(
+    results: Sequence[ScenarioResult],
+) -> list[tuple[str, str, float, float, int]]:
+    """best_pv_size of each (country, type, ratio, BESS price) in the results, sorted."""
+    cells = _group_by(
+        results, "country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh"
+    )
+    return [(*key, min(cells[key], key=_lcou_then_size).scenario.pv_kwp) for key in sorted(cells)]
 
 
 def _fmt_axis(x: float) -> str:
@@ -503,30 +548,24 @@ def parse_results_csv(text: str) -> list[ScenarioResult]:
     return results
 
 
-def _countries_in(results: Sequence[ScenarioResult]) -> list[str]:
-    return _dedupe(sorted(r.scenario.country for r in results))
+def _group_by(results: Sequence[ScenarioResult], *axes: str) -> dict[tuple, list[ScenarioResult]]:
+    """The results per distinct value of the named scenario fields, in one pass.
 
-
-def _prices_in(results: Sequence[ScenarioResult]) -> list[float]:
-    return _dedupe(sorted(r.scenario.bess_price_eur_per_kwh for r in results))
+    Each group keeps the order of the results.
+    """
+    key = attrgetter(*axes)
+    groups: dict[tuple, list[ScenarioResult]] = {}
+    for r in results:
+        groups.setdefault(key(r.scenario), []).append(r)
+    return groups
 
 
 def box_stats_by_country_price(
     results: Sequence[ScenarioResult],
 ) -> list[tuple[str, float, BoxStats]]:
     """LCOU five-number summary per (country, BESS price), sorted."""
-    rows = []
-    for country in _countries_in(results):
-        for price in _prices_in(results):
-            values = [
-                r.lcou
-                for r in results
-                if r.scenario.country == country
-                and r.scenario.bess_price_eur_per_kwh == price
-            ]
-            if values:
-                rows.append((country, price, box_stats(values)))
-    return rows
+    cells = _group_by(results, "country", "bess_price_eur_per_kwh")
+    return [(*key, box_stats([r.lcou for r in cells[key]])) for key in sorted(cells)]
 
 
 def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
@@ -541,14 +580,12 @@ def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
 
 def _parity_groups(results: Sequence[ScenarioResult]):
     """(country, BESS price, its results) per country and price, then (country, None, all)."""
-    prices = _prices_in(results)
-    for country in _countries_in(results):
-        in_country = [r for r in results if r.scenario.country == country]
-        for price in prices:
-            selected = [r for r in in_country if r.scenario.bess_price_eur_per_kwh == price]
-            if selected:
-                yield country, price, selected
-        yield country, None, in_country
+    cells = _group_by(results, "country", "bess_price_eur_per_kwh")
+    for country, keys in groupby(sorted(cells), key=itemgetter(0)):
+        keys = list(keys)
+        for key in keys:
+            yield country, key[1], cells[key]
+        yield country, None, [r for key in keys for r in cells[key]]
 
 
 def _price_label(price: float | None) -> str:

@@ -71,6 +71,12 @@ class TestSimulate:
         assert manifest["econ"]["discount_rate"] == 0.07
         assert manifest["scenario"]["pv_kwp"] == 3
 
+    def test_scenario_line_shows_exact_values(self, tmp_path, capsys):
+        # {:g} printed 0.3 kWh for 3 kWp x 0.1 and 123.457 EUR/kWh
+        assert main(simulate_args(tmp_path, ratio="0.1", **{"bess-price": "123.4567"})) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith("3 kWp PV, 0.30000000000000004 kWh BESS @ 123.4567 EUR/kWh")
+
     def test_trace_file_written(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code = main(simulate_args(tmp_path, **{"trace": str(trace_path)}))
@@ -353,6 +359,22 @@ class TestReport:
         assert france[0]["share_percent"] == 0.0
         assert summary["lcou_quartiles"]
         assert summary["best_pv_size_kwp"]
+
+    def test_close_prices_get_distinct_labels(self, tmp_path, two_country_csv, capsys):
+        # {:g} printed both prices as 123.457 in the summary and best-size tables
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--out", str(out), "--countries", str(two_country_csv), "--parallel", "1",
+            "--types", "A", "--ratios", "1", "--bess-prices", "123.4567,123.4568",
+        ]) == 0
+        assert main(["report", str(out / "results.csv"), "--out", str(tmp_path / "rep")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        five_number = [line.split()[:2] for line in lines if line.startswith("  Cyprus ") and
+                       len(line.split()) == 7]
+        best_size = [line.split()[1:4] for line in lines if line.startswith("  Cyprus ") and
+                     len(line.split()) == 5]
+        assert five_number == [["Cyprus", "123.4567"], ["Cyprus", "123.4568"]]
+        assert best_size == [["A", "1", "123.4567"], ["A", "1", "123.4568"]]
 
     def test_empty_results_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

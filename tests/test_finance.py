@@ -1,5 +1,9 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _reference import reference_lcoe, reference_lcou, reference_npv
 from storparity import (
@@ -9,6 +13,7 @@ from storparity import (
     ZeroSelfConsumptionError,
     capex,
     financial_result,
+    financial_results,
     grid_parity,
     lcoe,
     lcou,
@@ -16,7 +21,7 @@ from storparity import (
     npv,
     parse_country_csv,
 )
-from storparity.finance import annual_maintenance_cost
+from storparity.finance import annual_maintenance_cost, degraded_energy
 
 
 def econ(**kwargs):
@@ -228,6 +233,118 @@ class TestFinancialResult:
         assert result.capex_eur == pytest.approx(capex(3.0, 3.0, e), rel=1e-12)
         assert result.lcou_eur_per_kwh >= result.lcoe_eur_per_kwh
         assert result.grid_parity == (result.npv_eur > 0.0)
+
+
+def one_at_a_time(pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail, base):
+    """One system through the per-system formulas: its five values, or the exception."""
+    e = replace(base, bess_price_eur_per_kwh=bess_price, vat_rate=vat)
+    try:
+        cap = capex(pv_kwp, bess_kwh, e)
+        lcoe_value = lcoe(cap, e, energy)
+        lcou_value = lcou(cap, e, energy, scr)
+        npv_value = npv(cap, e, degraded_energy(energy, e) * scr, retail)
+        return cap, lcoe_value, lcou_value, npv_value, grid_parity(lcou_value, retail)
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+
+
+def assert_batch_matches_one_at_a_time(rows, base):
+    """Each row of financial_results is bit for bit (or raises as) the row priced alone."""
+    batch = financial_results(*zip(*rows), base)
+    assert set(batch.errors) <= set(range(len(rows)))
+    for i, row in enumerate(rows):
+        expected = one_at_a_time(*row, base)
+        if isinstance(expected, Exception):
+            got = batch.errors[i]
+            assert (type(got), str(got)) == (type(expected), str(expected))
+            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                financial_result(*row[:2], replace(base, bess_price_eur_per_kwh=row[2],
+                                                   vat_rate=row[3]), *row[4:])
+            continue
+        assert i not in batch.errors
+        got = (batch.capex_eur[i], batch.lcoe_eur_per_kwh[i], batch.lcou_eur_per_kwh[i],
+               batch.npv_eur[i], batch.grid_parity[i])
+        assert [float(v).hex() for v in got[:4]] == [float(v).hex() for v in expected[:4]]
+        assert bool(got[4]) is expected[4]
+    return batch
+
+
+class TestFinancialResults:
+    def test_failing_rows_fail_alone_in_check_order(self):
+        base = econ(discount_rate=0.07, maintenance_rate=0.01)
+        ok = (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, 0.1927)
+        rows = [
+            ok,
+            (-1.0, 3.0, 150.0, 0.19, 0.0, 2.0, 0.1927),   # negative size, before the rest
+            (3.0, 3.0, 150.0, 0.19, 0.0, 0.8, 0.1927),    # no production
+            (3.0, 3.0, 150.0, 0.19, 0.0, 2.0, 0.1927),    # no production, before the SCR
+            (3.0, 3.0, 150.0, 0.19, 4394.55, 1.5, 0.1927),  # SCR above 1
+            (3.0, 3.0, 150.0, 0.19, 4394.55, -0.1, 0.1927),  # SCR below 0
+            (3.0, 3.0, 150.0, 0.19, 4394.55, 0.0, 0.1927),  # nothing self-consumed
+            (0.0, 0.0, 150.0, 0.19, 4394.55, 0.8, 0.1927),  # LCOU 0
+            (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, 0.0),   # no retail price
+            ok,
+        ]
+        batch = assert_batch_matches_one_at_a_time(rows, base)
+        assert [type(batch.errors.get(i)).__name__ for i in range(len(rows))] == [
+            "NoneType", "ValueError", "ZeroEnergyError", "ZeroEnergyError", "ValueError",
+            "ValueError", "ZeroSelfConsumptionError", "ValueError", "ValueError", "NoneType",
+        ]
+        assert str(batch.errors[2]) == "annual energy must be positive, got 0.0"
+        # a discounted production that underflows to 0 fails lcoe's float division
+        tiny = (3.0, 3.0, 150.0, 0.19, 5e-324, 0.8, 0.1927)
+        batch = assert_batch_matches_one_at_a_time([ok, tiny], econ(discount_rate=1.5))
+        assert list(batch.errors) == [1] and isinstance(batch.errors[1], ZeroDivisionError)
+
+    def test_empty_batch(self):
+        batch = financial_results([], [], [], [], [], [], [], econ())
+        assert batch.lcou_eur_per_kwh.shape == (0,) and batch.errors == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        discount=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        horizon=st.integers(1, 40),
+        degradation=st.floats(0.0, 0.05),
+        maintenance=st.floats(0.0, 0.05),
+        vat_override=st.one_of(st.none(), st.floats(0.0, 0.3)),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 12),          # PV kWp
+                st.floats(0.0, 3.0),         # ratio kWh/kWp
+                st.floats(0.0, 1000.0),      # BESS price
+                st.floats(0.0, 0.3),         # country VAT
+                st.floats(1.0, 20000.0),     # annual production
+                st.floats(0.0, 1.0),         # SCR
+                st.floats(0.01, 0.5),        # retail price
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_rows_match_oracles(
+        self, discount, horizon, degradation, maintenance, vat_override, rows
+    ):
+        base = econ(discount_rate=discount, horizon_years=horizon, pv_degradation_rate=degradation,
+                    maintenance_rate=maintenance, vat_rate=vat_override)
+        rows = [
+            (kwp, kwp * ratio, price, vat if vat_override is None else vat_override, *rest)
+            for kwp, ratio, price, vat, *rest in rows
+        ]
+        batch = assert_batch_matches_one_at_a_time(rows, base)
+        for i, (_, _, _, vat, energy, scr, retail) in enumerate(rows):
+            if i in batch.errors:
+                continue
+            e = replace(base, vat_rate=vat)
+            cap = float(batch.capex_eur[i])
+            used = [energy * scr * (1.0 - degradation) ** n for n in range(horizon)]
+            npv_value = float(batch.npv_eur[i])
+            assert float(batch.lcoe_eur_per_kwh[i]) == pytest.approx(
+                reference_lcoe(cap, e, energy), rel=1e-12)
+            assert float(batch.lcou_eur_per_kwh[i]) == pytest.approx(
+                reference_lcou(cap, e, energy, [scr] * horizon), rel=1e-12)
+            assert npv_value == pytest.approx(
+                reference_npv(cap, e, used, retail), rel=1e-12, abs=1e-9 * cap)
+            if abs(npv_value) > 1e-9 * (cap + retail * sum(used)):
+                assert bool(batch.grid_parity[i]) == (npv_value > 0.0)
 
 
 class TestCountryData:

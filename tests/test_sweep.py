@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +14,16 @@ from storparity import (
     EmptyAxisError,
     EmptySelectionError,
     PV_RANGE_KWP,
+    ProfileKind,
     Scenario,
     ScenarioResult,
+    TimeSeriesProfile,
     best_pv_size,
     box_stats,
     box_stats_by_country_price,
     build_grid,
     capex,
+    financial_result,
     parity_share,
     parse_results_csv,
     results_to_csv,
@@ -27,11 +32,14 @@ from storparity import (
 )
 from storparity.sweep import (
     BOX_CSV_HEADER,
+    PARITY_CSV_HEADER,
     RESULTS_CSV_HEADER,
     ProfileSource,
+    best_pv_sizes,
     box_stats_to_csv,
     parity_share_table,
     parity_shares_to_csv,
+    result_from_balance,
     scenario_balance,
 )
 
@@ -235,6 +243,70 @@ class TestRunSweep:
         for scenario, balance in zip(firsts.values(), batched):
             assert balance == scenario_balance(scenario, country_data[scenario.country])
 
+    @pytest.mark.parametrize(
+        "axes",
+        [{}, {"prosumer_types": ["B"], "ratios": [1.0], "bess_prices": range(100, 700, 10)}],
+        ids=["default-grid", "60-prices"],
+    )
+    def test_batch_pricing_matches_one_scenario_path_bit_for_bit(
+        self, country_data, default_econ, axes
+    ):
+        grid = build_grid(list(country_data), **axes)
+        firsts = {}
+        for scenario in grid:
+            firsts.setdefault(scenario.key[:4], scenario)  # all but the BESS price
+        balances = dict(zip(firsts, sweep_module._dispatch_keys(
+            ProfileSource(), {}, country_data, list(firsts.values()))))
+        results = run_sweep(grid, country_data, default_econ)
+        assert len(results) == len(grid) in (612, 2160)
+        for scenario, result in zip(grid, results):
+            data, balance = country_data[scenario.country], balances[scenario.key[:4]]
+            econ = replace(default_econ, bess_price_eur_per_kwh=scenario.bess_price_eur_per_kwh,
+                           vat_rate=data.vat_rate)
+            fin = financial_result(scenario.pv_kwp, scenario.bess_kwh, econ, balance.e_produced,
+                                   balance.scr, data.retail_price_eur_per_kwh)
+            alone = ScenarioResult(scenario, balance.scr, balance.ssr, fin.lcoe_eur_per_kwh,
+                                   fin.lcou_eur_per_kwh, fin.npv_eur, fin.grid_parity)
+            assert repr(result) == repr(alone)  # repr keeps every bit of a float
+            assert repr(result_from_balance(scenario, data, default_econ, balance)) == repr(alone)
+
+    def test_pricing_failures_stay_per_scenario(self, country_data, default_econ):
+        hour = np.arange(8760) % 24
+        load = TimeSeriesProfile(1.0, np.where(hour < 12, 0.0, 1.0), ProfileKind.LOAD)
+        night_pv = TimeSeriesProfile(1.0, np.where(hour < 12, 2.0, 0.0), ProfileKind.PV)
+        zero_pv = TimeSeriesProfile(1.0, np.zeros(8760), ProfileKind.PV)
+        grid = build_grid(["Cyprus", "Ruritania", "Spain"], prosumer_types=["A"],
+                          ratios=[0.0, 1.0], bess_prices=[150.0])
+        # night_pv runs only while there is no load: without a battery nothing is self-consumed
+        for pv, failing in ((night_pv, "ZeroSelfConsumptionError"), (zero_pv, "ZeroEnergyError")):
+            source = ProfileSource(load=load, pv=pv, rescale=False)
+            failures = []
+            results = run_sweep(grid, country_data, default_econ, source, failures=failures)
+            expected_results, expected_failures = [], []
+            for scenario in grid:
+                if scenario.country not in country_data:
+                    message = f"KeyError: country {scenario.country!r} not in data"
+                    expected_failures.append((scenario, message))
+                    continue
+                try:
+                    expected_results.append(run_scenario(
+                        scenario, country_data[scenario.country], default_econ, source))
+                except ValueError as exc:
+                    expected_failures.append((scenario, f"{type(exc).__name__}: {exc}"))
+            assert failures == expected_failures
+            assert [repr(r) for r in results] == [repr(r) for r in expected_results]
+            assert {m.split(":")[0] for _, m in failures} == {"KeyError", failing}
+            assert len(results) == (0 if pv is zero_pv else 10)  # the batteries of 1 kWh/kWp
+        # so little energy that its discounted sum underflows to 0: not a scenario failure
+        one_hour = np.where(np.arange(8760) == 12, 5e-324, 0.0)
+        tiny_pv = TimeSeriesProfile(1.0, one_hour, ProfileKind.PV)
+        source = ProfileSource(load=load, pv=tiny_pv, rescale=False)
+        steep = EconomicParams(discount_rate=1.5)
+        with pytest.raises(ZeroDivisionError):
+            run_sweep(grid, country_data, steep, source)
+        with pytest.raises(ZeroDivisionError):  # as the one-scenario path raises it
+            run_scenario(grid[0], country_data["Cyprus"], steep, source)
+
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_key_failures_stay_per_key(self, country_data, default_econ, parallel):
         # soc_init 1 kWh does not fit the 0.5 kWh batteries (1 kWp at ratio 0.5)
@@ -311,6 +383,17 @@ class TestBoxStats:
         with pytest.raises(EmptySelectionError):
             box_stats([])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_by_country_price_matches_per_cell_filter(self, seed):
+        results = _random_results(seed)
+        expected = []
+        for country, price in _cells(results, "country", "bess_price_eur_per_kwh"):
+            values = [r.lcou for r in results if r.scenario.country == country
+                      and r.scenario.bess_price_eur_per_kwh == price]
+            if values:
+                expected.append((country, price, box_stats(values)))
+        assert box_stats_by_country_price(results) == expected
+
     def test_by_country_price_rows(self, full_sweep):
         _, results, _ = full_sweep
         rows = box_stats_by_country_price(results)
@@ -319,11 +402,30 @@ class TestBoxStats:
             assert stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
 
 
-def _mk_result(country, ptype, kwp, ratio, price, lcou_value):
+def _mk_result(country, ptype, kwp, ratio, price, lcou_value, parity=False):
     return ScenarioResult(
         scenario=Scenario(country, ptype, kwp, ratio, price),
-        scr=0.5, ssr=0.5, lcoe=lcou_value / 2, lcou=lcou_value, npv=0.0, grid_parity=False,
+        scr=0.5, ssr=0.5, lcoe=lcou_value / 2, lcou=lcou_value, npv=0.0, grid_parity=parity,
     )
+
+
+def _random_results(seed):
+    """Up to 200 results in random order, with LCOU ties and repeated prices and scenarios."""
+    rng = np.random.default_rng(seed)
+    return [
+        _mk_result(
+            str(rng.choice(["Cyprus", "Italy", "Spain"])), str(rng.choice(["A", "B", "C"])),
+            int(rng.integers(1, 7)), float(rng.choice([0.5, 1.0])),
+            float(rng.choice([150.0, 500.0, 123.4567])), float(rng.choice([0.1, 0.2, 0.3])),
+            bool(rng.integers(2)),
+        )
+        for _ in range(int(rng.integers(1, 200)))
+    ]
+
+
+def _cells(results, *axes):
+    """Every combination of the values the results take on the axes, sorted."""
+    return itertools.product(*(sorted({getattr(r.scenario, a) for r in results}) for a in axes))
 
 
 class TestBestPvSize:
@@ -349,6 +451,18 @@ class TestBestPvSize:
     def test_empty_selection_rejected(self):
         with pytest.raises(EmptySelectionError):
             best_pv_size([], "Cyprus", "A", 1.0, 150.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_pass_rows_match_best_pv_size_per_cell(self, seed):
+        results = _random_results(seed)
+        expected = []
+        for cell in _cells(results, "country", "prosumer_type", "ratio_kwh_per_kwp",
+                           "bess_price_eur_per_kwh"):
+            try:
+                expected.append((*cell, best_pv_size(results, *cell)))
+            except EmptySelectionError:
+                continue
+        assert best_pv_sizes(results) == expected
 
 
 class TestSweepInvariants:
@@ -413,6 +527,24 @@ class TestResultsCsv:
         assert len(lines) == 1 + 18
         france_pooled = [l for l in lines if l.startswith("France,pooled")]
         assert france_pooled and france_pooled[0].split(",")[2] == "0.000000"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parity_csv_matches_per_cell_filter(self, seed):
+        results = _random_results(seed)
+        expected = [PARITY_CSV_HEADER]
+        for country, in _cells(results, "country"):
+            for price, in _cells(results, "bess_price_eur_per_kwh"):
+                cell = [r for r in results if r.scenario.country == country
+                        and r.scenario.bess_price_eur_per_kwh == price]
+                if cell:
+                    expected.append(
+                        f"{country},{sweep_module._fmt_axis(price)},"
+                        f"{parity_share(results, country, price):.6f},"
+                        f"{sum(r.grid_parity for r in cell)},{len(cell)}")
+            pooled = [r for r in results if r.scenario.country == country]
+            expected.append(f"{country},pooled,{parity_share(results, country):.6f},"
+                            f"{sum(r.grid_parity for r in pooled)},{len(pooled)}")
+        assert parity_shares_to_csv(results) == "\n".join(expected) + "\n"
 
     def test_axis_values_round_trip_and_group_by_value(self, country_data, default_econ):
         # {:g} keeps 6 significant digits: both prices would read 123.457
