@@ -1,9 +1,10 @@
 """Command-line interface: single-scenario simulation, sweeps and reports.
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage or
-configuration errors. Every run writes a ``run-manifest.json`` echoing all
-parameters actually used, so results are reproducible byte for byte from
-the same configuration.
+configuration errors, an input file that cannot be read or an output that
+cannot be written; main prints those as one ``error:`` line. Every run
+writes a ``run-manifest.json`` echoing all parameters actually used, so
+results are reproducible byte for byte from the same configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,10 +26,8 @@ from .dispatch import BatterySpec, annual_balance, simulate, write_trace_csv
 from .finance import CountryData, EconomicParams, load_country_data
 from .profiles import (
     ProfileKind,
-    ProfileShapes,
     TimeSeriesProfile,
     align,
-    default_shapes,
     parse_profile_csv,
     scale_to_annual,
     synthesize_load_profile,
@@ -53,7 +53,6 @@ from .sweep import (
     result_from_balance,
     results_to_csv,
     run_sweep,
-    scenario_balance,
     scenario_dispatch,
 )
 
@@ -66,7 +65,8 @@ MANIFEST_NAME = "run-manifest.json"
 
 
 class ConfigError(Exception):
-    """Bad flags, bad config file, or missing/unknown referenced data."""
+    """Bad flags, bad config file, missing/unknown/unreadable referenced data,
+    or an output that cannot be written."""
 
 
 def _items(text: str) -> list[str]:
@@ -198,11 +198,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of a file the user named; one that cannot be read is a ConfigError."""
+    try:
+        return path.read_text("utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(directory: Path):
+    """Create directory for a block that writes into it; an OSError there is a ConfigError."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:  # a file in the way, no permission, a full disk
+        raise ConfigError(f"cannot write to {directory}: {exc}") from exc
+
+
 def _load_config_file(path: Path) -> dict:
     try:
-        raw = json.loads(path.read_text("utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raw = json.loads(_read_text(path, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -223,11 +241,10 @@ def _load_config_file(path: Path) -> dict:
 
 
 def _read_profile(path: Path, kind: ProfileKind) -> TimeSeriesProfile:
+    text = _read_text(path, "profile CSV")
     try:
-        return parse_profile_csv(path.read_text("utf-8"), kind=kind)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"profile CSV not found: {path}") from exc
-    except ValueError as exc:  # StorParityError, a short year, undecodable bytes
+        return parse_profile_csv(text, kind=kind)
+    except ValueError as exc:  # StorParityError, a short year
         raise ConfigError(f"profile CSV {path}: {exc}") from exc
 
 
@@ -244,7 +261,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         countries = load_country_data(countries_path)
     except FileNotFoundError as exc:
         raise ConfigError(f"country CSV not found: {countries_path}") from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a directory, undecodable bytes, bad rows
         raise ConfigError(f"country CSV {source}: {exc}") from exc
 
     econ_kwargs = {k: v for k, v in values.items() if OPTIONS[k].target == "econ"}
@@ -322,10 +339,10 @@ def _write_manifest(cfg: RunConfig, command: str, extra: dict) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = _resolve(args)
+    if args.country not in cfg.countries:
+        raise ConfigError(f"country '{args.country}' not found in {cfg.countries_source}")
     try:
-        cfg = _resolve(args)
-        if args.country not in cfg.countries:
-            raise ConfigError(f"country '{args.country}' not found in {cfg.countries_source}")
         scenario = Scenario(
             country=args.country,
             prosumer_type=args.prosumer_type,
@@ -333,15 +350,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ratio_kwh_per_kwp=args.ratio,
             bess_price_eur_per_kwh=args.bess_price,
         )
-        if not scenario.in_standard_range() and not args.allow_out_of_range:
-            lo, hi = PV_RANGE_KWP[scenario.prosumer_type]
-            raise ConfigError(
-                f"pv_kwp {scenario.pv_kwp} outside the standard range {lo}..{hi} for "
-                f"type {scenario.prosumer_type}; pass --allow-out-of-range to override"
-            )
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
+    if not scenario.in_standard_range() and not args.allow_out_of_range:
+        lo, hi = PV_RANGE_KWP[scenario.prosumer_type]
+        raise ConfigError(
+            f"pv_kwp {scenario.pv_kwp} outside the standard range {lo}..{hi} for "
+            f"type {scenario.prosumer_type}; pass --allow-out-of-range to override"
+        )
 
     country = cfg.countries[scenario.country]
     try:
@@ -351,12 +367,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "scenario_result.csv").write_text(results_to_csv([result]), encoding="utf-8")
+    with _writing(cfg.out_dir):
+        result_csv = results_to_csv([result])
+        (cfg.out_dir / "scenario_result.csv").write_text(result_csv, encoding="utf-8")
+        _write_manifest(cfg, "simulate", {"scenario": asdict(scenario)})
     if args.trace is not None:
-        args.trace.parent.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(trace, args.trace)
-    _write_manifest(cfg, "simulate", {"scenario": asdict(scenario)})
+        with _writing(args.trace.parent):
+            write_trace_csv(trace, args.trace)
 
     print(
         f"scenario : {scenario.country} type {scenario.prosumer_type}, "
@@ -376,27 +393,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = _resolve(args)
+    axes = {
+        "countries": cfg.values.get("countries", list(cfg.countries)),
+        "prosumer_types": cfg.values.get("prosumer_types", list(PROSUMER_TYPES)),
+        "ratios": cfg.values.get("ratios", list(DEFAULT_RATIOS)),
+        "bess_prices": cfg.values.get("bess_prices", list(DEFAULT_BESS_PRICES)),
+    }
+    for name in axes["countries"]:
+        if name not in cfg.countries:
+            raise ConfigError(f"country '{name}' not found in {cfg.countries_source}")
+    for t in axes["prosumer_types"]:
+        if t not in PROSUMER_TYPES:
+            raise ConfigError(f"unknown prosumer type '{t}' (expected one of {PROSUMER_TYPES})")
+    parallel = cfg.values.get("parallel", os.cpu_count() or 1)
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     try:
-        cfg = _resolve(args)
-        axes = {
-            "countries": cfg.values.get("countries", list(cfg.countries)),
-            "prosumer_types": cfg.values.get("prosumer_types", list(PROSUMER_TYPES)),
-            "ratios": cfg.values.get("ratios", list(DEFAULT_RATIOS)),
-            "bess_prices": cfg.values.get("bess_prices", list(DEFAULT_BESS_PRICES)),
-        }
-        for name in axes["countries"]:
-            if name not in cfg.countries:
-                raise ConfigError(f"country '{name}' not found in {cfg.countries_source}")
-        for t in axes["prosumer_types"]:
-            if t not in PROSUMER_TYPES:
-                raise ConfigError(f"unknown prosumer type '{t}' (expected one of {PROSUMER_TYPES})")
-        parallel = cfg.values.get("parallel", os.cpu_count() or 1)
-        if parallel < 1:
-            raise ConfigError(f"parallel must be >= 1, got {parallel}")
         grid = build_grid(*axes.values())
-    except (ConfigError, ValueError) as exc:  # ValueError: a Scenario out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # an empty axis, a Scenario out of range
+        raise ConfigError(exc) from exc
 
     failures: list = []
     results = run_sweep(
@@ -409,14 +425,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures=failures,
     )
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "results.csv").write_text(results_to_csv(results), encoding="utf-8")
-    if results:
-        (cfg.out_dir / "parity_shares.csv").write_text(
-            parity_shares_to_csv(results), encoding="utf-8"
-        )
-        (cfg.out_dir / "box_stats.csv").write_text(box_stats_to_csv(results), encoding="utf-8")
-    _write_manifest(cfg, "sweep", {"axes": axes})
+    with _writing(cfg.out_dir):
+        (cfg.out_dir / "results.csv").write_text(results_to_csv(results), encoding="utf-8")
+        if results:
+            (cfg.out_dir / "parity_shares.csv").write_text(
+                parity_shares_to_csv(results), encoding="utf-8"
+            )
+            (cfg.out_dir / "box_stats.csv").write_text(
+                box_stats_to_csv(results), encoding="utf-8"
+            )
+        _write_manifest(cfg, "sweep", {"axes": axes})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")
     if results:
@@ -431,20 +449,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.config:  # type-checked, though no setting changes a report
+        _load_config_file(args.config)
+    text = _read_text(args.results_csv, "results CSV")
     try:
-        if args.config:  # type-checked, though no setting changes a report
-            _load_config_file(args.config)
-        try:
-            text = args.results_csv.read_text("utf-8")
-        except FileNotFoundError as exc:
-            raise ConfigError(f"results CSV not found: {args.results_csv}") from exc
-        try:
-            results = parse_results_csv(text)
-        except ValueError as exc:
-            raise ConfigError(f"results CSV {args.results_csv}: {exc}") from exc
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        results = parse_results_csv(text)
+    except ValueError as exc:
+        raise ConfigError(f"results CSV {args.results_csv}: {exc}") from exc
 
     shares = parity_share_table(results)
     quartiles = box_stats_by_country_price(results)
@@ -497,10 +508,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         ],
     }
     out_dir = args.out or Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with _writing(out_dir):
+        (out_dir / "report_summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return 0
 
 
@@ -511,7 +522,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"simulate": cmd_simulate, "sweep": cmd_sweep, "report": cmd_report}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

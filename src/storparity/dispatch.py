@@ -44,7 +44,9 @@ class BatterySpec:
 
     capacity_kwh of 0 is legal and means "no storage". Fields left as None
     take their defaults: power limits at 0.5C, initial state of charge at
-    the minimum state of charge implied by usable_fraction.
+    the minimum state of charge implied by usable_fraction. A soc_init_kwh
+    up to 1e-12 outside [soc_min, capacity] is clamped to the nearer bound;
+    one further out is rejected.
     """
 
     capacity_kwh: float
@@ -78,6 +80,8 @@ class BatterySpec:
                 f"soc_init_kwh must lie in [{self.soc_min_kwh}, {self.capacity_kwh}], "
                 f"got {self.soc_init_kwh}"
             )
+        clamped = min(max(self.soc_init_kwh, self.soc_min_kwh), self.capacity_kwh)
+        object.__setattr__(self, "soc_init_kwh", clamped)
 
     @property
     def soc_min_kwh(self) -> float:
@@ -163,94 +167,88 @@ def simulate(
     return simulate_series(pv.values, load.values, battery, pv.step_hours)
 
 
-def _check_power(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} power values must be finite")
-    if (values < 0.0).any():
-        raise NegativePowerError(f"{name} power values must be non-negative")
+def _check_series(pv_rows, load_rows, step_hours: float) -> None:
+    """Reject a non-positive step, rows of unequal length and NaN, inf or negative power."""
+    if step_hours <= 0.0:
+        raise ValueError(f"step_hours must be positive, got {step_hours}")
+    rows = [*pv_rows, *load_rows]
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise UnalignedProfilesError(f"series lengths differ ({len(row)} vs {len(rows[0])})")
+    for name, side in (("pv", pv_rows), ("load", load_rows)):
+        for row in side:
+            if not np.isfinite(row).all():
+                raise ValueError(f"{name} power values must be finite")
+            if (row < 0.0).any():
+                raise NegativePowerError(f"{name} power values must be non-negative")
+
+
+def _offers(pv, load, dt: float, charge_cap_e, discharge_cap_e):
+    """Per step: the surplus and deficit energy, and what the battery is offered and asked for.
+
+    offered is the surplus within the charge limit, wanted the deficit within
+    the discharge limit.
+    """
+    surplus_e = (pv - load) * dt  # (load - pv) * dt is its exact negation
+    deficit_e = np.maximum(-surplus_e, 0.0)
+    np.maximum(surplus_e, 0.0, out=surplus_e)
+    offered = np.minimum(surplus_e, charge_cap_e)
+    wanted = np.minimum(deficit_e, discharge_cap_e)
+    return surplus_e, deficit_e, offered, wanted
 
 
 def simulate_series(
     pv_kw, load_kw, battery: BatterySpec, step_hours: float
 ) -> DispatchTrace:
-    """Dispatch over raw power series of any length (same rule as simulate)."""
+    """Dispatch over raw power series of any length (same rule as simulate).
+
+    Each step runs the batched kernel's rule on Python floats: charge what is
+    offered within the headroom, clamp at capacity, deliver what is wanted
+    within the available energy, clamp at soc_min. A tie keeps the second
+    value, as np.minimum and np.maximum do, so every array is bit for bit
+    what the kernel computes for the same row.
+    """
     pv = np.array(pv_kw, dtype=float)
     load = np.array(load_kw, dtype=float)
-    if len(pv) != len(load):
-        raise UnalignedProfilesError(
-            f"series lengths differ ({len(pv)} vs {len(load)})"
-        )
-    if step_hours <= 0.0:
-        raise ValueError(f"step_hours must be positive, got {step_hours}")
-    _check_power("pv", pv)
-    _check_power("load", load)
-    pv_vals = pv.tolist()
-    load_vals = load.tolist()
+    _check_series([pv], [load], step_hours)
     dt = step_hours
-    n = len(pv_vals)
-
     cap = battery.capacity_kwh
     soc_min = battery.soc_min_kwh
     eta_c = battery.eta_charge
     eta_d = battery.eta_discharge
-    charge_cap_e = battery.max_charge_kw * dt
-    discharge_cap_e = battery.max_discharge_kw * dt
+    surplus_e, deficit_e, offered, wanted = _offers(
+        pv, load, dt, battery.max_charge_kw * dt, battery.max_discharge_kw * dt
+    )
     soc = battery.soc_init_kwh
+    accepted, delivered, soc_series = [], [], []
+    for off, want in zip(offered.tolist(), wanted.tolist()):
+        headroom = (cap - soc) / eta_c
+        acc = off if off < headroom else headroom
+        soc += acc * eta_c
+        soc = soc if soc < cap else cap
+        available = (soc - soc_min) * eta_d
+        dlv = want if want < available else available
+        soc -= dlv / eta_d
+        soc = soc if soc > soc_min else soc_min
+        accepted.append(acc)
+        delivered.append(dlv)
+        soc_series.append(soc)
 
-    direct = [0.0] * n
-    charge = [0.0] * n
-    delivered = [0.0] * n
-    imported = [0.0] * n
-    curtailed = [0.0] * n
-    soc_series = [0.0] * n
-
-    for i in range(n):
-        p = pv_vals[i]
-        l = load_vals[i]
-        if p > l:
-            direct[i] = l
-            surplus_e = (p - l) * dt
-            accepted = surplus_e
-            if charge_cap_e < accepted:
-                accepted = charge_cap_e
-            headroom = (cap - soc) / eta_c
-            if headroom < accepted:
-                accepted = headroom
-            if accepted < 0.0:
-                accepted = 0.0
-            soc += accepted * eta_c
-            if soc > cap:
-                soc = cap
-            charge[i] = accepted / dt
-            curtailed[i] = (surplus_e - accepted) / dt
-        else:
-            direct[i] = p
-            if l > p:
-                deficit_e = (l - p) * dt
-                deliver = deficit_e
-                if discharge_cap_e < deliver:
-                    deliver = discharge_cap_e
-                available = (soc - soc_min) * eta_d
-                if available < deliver:
-                    deliver = available
-                if deliver < 0.0:
-                    deliver = 0.0
-                soc -= deliver / eta_d
-                if soc < soc_min:
-                    soc = soc_min
-                delivered[i] = deliver / dt
-                imported[i] = (deficit_e - deliver) / dt
-        soc_series[i] = soc
-
+    charged = np.array(accepted, dtype=float)
+    discharged = np.array(delivered, dtype=float)
+    curtailed = np.subtract(surplus_e, charged, out=surplus_e)
+    imported = np.subtract(deficit_e, discharged, out=deficit_e)
+    for energy in (charged, discharged, curtailed, imported):
+        energy /= dt  # in place: new arrays here raised a long trace's peak RSS
     return DispatchTrace(
         p_pv=pv,
         p_load=load,
-        p_direct=np.asarray(direct),
-        p_charge=np.asarray(charge),
-        p_discharge_delivered=np.asarray(delivered),
-        p_import=np.asarray(imported),
-        p_curtail=np.asarray(curtailed),
-        soc_kwh=np.asarray(soc_series),
+        p_direct=np.minimum(load, pv),
+        p_charge=charged,
+        p_discharge_delivered=discharged,
+        p_import=imported,
+        p_curtail=curtailed,
+        soc_kwh=np.array(soc_series, dtype=float),
     )
 
 
@@ -296,38 +294,17 @@ def simulate_balances(
     ``annual_balance(simulate_series(...), step_hours)`` bit for bit and does
     not depend on which other configs share the call.
     """
-    if step_hours <= 0.0:
-        raise ValueError(f"step_hours must be positive, got {step_hours}")
-    n = len(pv_rows[0]) if len(pv_rows) else 0
-    for name, rows in (("pv", pv_rows), ("load", load_rows)):
-        for row in rows:
-            if len(row) != n:
-                raise UnalignedProfilesError(f"series lengths differ ({len(row)} vs {n})")
-            _check_power(name, row)
-    balances: list = [None] * len(configs)
-    batch = []
-    for i, (p, l, battery) in enumerate(configs):
-        if battery.soc_min_kwh <= battery.soc_init_kwh <= battery.capacity_kwh:
-            batch.append(i)
-        else:  # soc_init within 1e-12 outside its bounds: the batch needs it inside
-            trace = simulate_series(pv_rows[p], load_rows[l], battery, step_hours)
-            balances[i] = annual_balance(trace, step_hours)
-    if batch:
-        batched = _batched_balances(pv_rows, load_rows, [configs[i] for i in batch], step_hours)
-        for i, balance in zip(batch, batched):
-            balances[i] = balance
-    return balances
+    _check_series(pv_rows, load_rows, step_hours)
+    return _batched_balances(pv_rows, load_rows, configs, step_hours) if configs else []
 
 
 def _batched_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBalance]:
-    """simulate_balances for configs whose soc_init lies in [soc_min, capacity].
+    """simulate_balances on checked rows and at least one config.
 
-    The time loop steps every config side by side with the floating-point
-    operations of simulate_series. Both branches run on every row: a row
-    without surplus has 0 to charge, a row without deficit 0 to discharge,
-    and because soc stays in [soc_min, capacity] the other branch's update
-    and clamp leave its soc unchanged. The flows are summed over the runs of
-    steps of numpy's pairwise sum, and the run sums combined in its order.
+    The time loop steps every config side by side with simulate_series' rule
+    and floating-point operations, one numpy call per operation. The flows
+    are summed over the runs of steps of numpy's pairwise sum, and the run
+    sums combined in its order.
     """
     n = len(pv_rows[0])
     k = len(configs)
@@ -354,11 +331,9 @@ def _batched_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         pv = np.stack([row[start:stop] for row in pv_rows], axis=1)[:, pv_index]
         load = np.stack([row[start:stop] for row in load_rows], axis=1)[:, load_index]
         start = stop
-        surplus_e = (pv - load) * dt  # (load - pv) * dt is its exact negation
-        deficit_e = high(-surplus_e, 0.0)
-        high(surplus_e, 0.0, out=surplus_e)
-        offered = low(surplus_e, charge_cap_e)
-        wanted = low(deficit_e, discharge_cap_e)
+        surplus_e, deficit_e, offered, wanted = _offers(
+            pv, load, dt, charge_cap_e, discharge_cap_e
+        )
         flows = np.empty((size, 4, k))
         accepted, delivered = flows[:, 0], flows[:, 1]
         for acc, dlv, off, want in zip(accepted, delivered, offered, wanted):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -25,8 +26,6 @@ from .errors import EmptyAxisError, EmptySelectionError, check_finite
 from .finance import (
     CountryData,
     EconomicParams,
-    capex,
-    degraded_energy,
     financial_result,
     financial_results,
 )
@@ -57,6 +56,7 @@ RESULTS_CSV_HEADER = (
     "country,prosumer_type,pv_kwp,ratio_kwh_per_kwp,bess_price_eur_per_kwh,"
     "scr,ssr,lcoe,lcou,npv,grid_parity"
 )
+_METRIC_COLUMNS = RESULTS_CSV_HEADER.split(",")[5:10]
 BOX_CSV_HEADER = "country,bess_price,min,q1,median,q3,max"
 PARITY_CSV_HEADER = "country,bess_price,share_percent,parity_count,scenario_count"
 
@@ -529,9 +529,13 @@ def parse_results_csv(text: str) -> list[ScenarioResult]:
                 ratio_kwh_per_kwp=float(parts[3]),
                 bess_price_eur_per_kwh=float(parts[4]),
             )
-            scr, ssr, lcoe_v, lcou_v, npv_v = (float(p) for p in parts[5:10])
+            metrics = [float(p) for p in parts[5:10]]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        for name, value in zip(_METRIC_COLUMNS, metrics):
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: {name} must be finite, got {value}")
+        scr, ssr, lcoe_v, lcou_v, npv_v = metrics
         if parts[10] not in ("true", "false"):
             raise ValueError(f"line {lineno}: grid_parity must be true/false, got {parts[10]!r}")
         results.append(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import storparity
 from storparity.cli import main
 from storparity.sweep import RESULTS_CSV_HEADER
 
@@ -334,6 +335,53 @@ def test_bad_values_exit_2_with_one_line_message(tmp_path, capsys, config, flags
         assert err.count("\n") == 1
 
 
+ONE_RESULT_CSV = RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n"
+COMMAND_ARGV = {
+    "simulate": [
+        "simulate", "--country", "Cyprus", "--type", "A", "--pv-kwp", "3", "--ratio", "1",
+        "--bess-price", "150",
+    ],
+    "sweep": ["sweep", "--types", "A", "--ratios", "1", "--bess-prices", "150", "--parallel", "1"],
+    "report": ["report"],
+}
+
+
+@pytest.mark.parametrize("command, args", [
+    ("report", ["{results}", "--config", "{latin1}"]),
+    ("report", ["{latin1}"]),
+    ("report", ["{dir}"]),
+    ("report", ["{results}", "--config", "{dir}"]),
+    ("sweep", ["--config", "{dir}"]),
+    ("simulate", ["--config", "{latin1}"]),
+    ("simulate", ["--countries", "{dir}"]),
+    ("sweep", ["--countries", "{dir}"]),
+    ("sweep", ["--countries", "{latin1}"]),
+    ("simulate", ["--load-profile", "{dir}"]),
+    ("sweep", ["--pv-profile", "{dir}"]),
+    ("sweep", ["--load-profile", "{latin1}"]),
+    ("simulate", ["--out", "{file}"]),
+    ("sweep", ["--out", "{file}"]),
+    ("report", ["{results}", "--out", "{file}"]),
+    ("simulate", ["--trace", "{file}/trace.csv"]),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_unreadable_inputs_and_unwritable_outputs_exit_2(tmp_path, capsys, command, args):
+    paths = {
+        "latin1": tmp_path / "latin1.txt",  # not UTF-8
+        "dir": tmp_path / "a-directory",
+        "file": tmp_path / "a-file",
+        "results": tmp_path / "results.csv",
+    }
+    paths["latin1"].write_bytes("caf\u00e9".encode("latin-1"))
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    paths["results"].write_text(ONE_RESULT_CSV)
+    argv = [*COMMAND_ARGV[command], "--out", str(tmp_path / "out"), *args]
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestReport:
     def make_results(self, tmp_path, two_country_csv):
         out = tmp_path / "sweep"
@@ -410,6 +458,19 @@ class TestReport:
         )
 
 
+    @pytest.mark.parametrize("column", range(5, 10))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_exits_2(self, tmp_path, capsys, column, value):
+        cells = ONE_RESULT_CSV.splitlines()[1].split(",")
+        cells[column] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text(RESULTS_CSV_HEADER + "\n" + ",".join(cells) + "\n")
+        out = tmp_path / "rep"
+        assert main(["report", str(bad), "--out", str(out)]) == 2
+        name = RESULTS_CSV_HEADER.split(",")[column]
+        assert f"line 2: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_profiles_and_countries_are_not_read(self, tmp_path, capsys):
         fixture = tmp_path / "one.csv"
         fixture.write_text(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n")
@@ -442,9 +503,10 @@ class TestParserBasics:
         capsys.readouterr()
 
     def test_module_entry_point(self):
+        # run from the directory holding the package, so no install or PYTHONPATH is needed
         result = subprocess.run(
             [sys.executable, "-m", "storparity.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=Path(storparity.__file__).parents[1],
         )
         assert result.returncode == 0
         assert "storparity" in result.stdout

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -46,6 +46,13 @@ class TestBatterySpec:
         assert spec.max_discharge_kw == 2.0
         assert spec.soc_min_kwh == pytest.approx(0.4)
         assert spec.soc_init_kwh == pytest.approx(spec.soc_min_kwh)
+
+    @pytest.mark.parametrize("soc_init, want", [
+        (4.0 + 1e-13, 4.0), (2.0 - 1e-13, 2.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0),
+    ])
+    def test_soc_init_within_tolerance_clamped(self, soc_init, want):
+        spec = BatterySpec(capacity_kwh=4.0, usable_fraction=0.5, soc_init_kwh=soc_init)
+        assert spec.soc_init_kwh == want
 
     def test_zero_capacity_is_legal(self):
         spec = BatterySpec(capacity_kwh=0.0)
@@ -250,9 +257,9 @@ def batteries(draw):
     usable = draw(st.floats(0.3, 1.0))
     soc_min = (1.0 - usable) * capacity
     # None means soc_min; the bounds may be passed by up to 1e-12
-    soc_init = draw(st.sampled_from(
-        [None, capacity, capacity + 1e-13, soc_min - 1e-13, 0.5 * (soc_min + capacity)]
-    ))
+    soc_init = draw(st.sampled_from([
+        None, soc_min, capacity, capacity + 1e-13, soc_min - 1e-13, 0.5 * (soc_min + capacity)
+    ]))
     limit = st.none() | st.just(0.0) | st.floats(0.0, 4.0)  # drawn apart: asymmetric
     return BatterySpec(
         capacity_kwh=capacity,
@@ -268,27 +275,68 @@ def batteries(draw):
 def random_rows(rng, count, n, scale):
     rows = rng.uniform(0.0, scale, (count, n))
     rows[rng.uniform(size=(count, n)) < 0.2] = 0.0
+    rows[rng.uniform(size=(count, n)) < 0.1] = -0.0
     return list(rows)
 
 
 @st.composite
 def batches(draw):
-    """Rows of any length (mostly not a multiple of a summation run) and configs on them."""
-    n = draw(st.integers(1, 300))
+    """Rows of any length (mostly not a multiple of a summation run) and configs on them.
+
+    The rows hold 0.0, -0.0 and, between every pv and load row, exact ties.
+    """
+    n = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pv_rows = random_rows(rng, draw(st.integers(1, 3)), n, 5.0)
     load_rows = random_rows(rng, draw(st.integers(1, 3)), n, 4.0)
-    load_rows[0][::7] = pv_rows[0][::7]  # exact ties
+    for i, load in enumerate(load_rows):
+        pv = pv_rows[i % len(pv_rows)]
+        load[i::7] = pv[i::7]
     configs = draw(st.lists(
         st.tuples(st.integers(0, len(pv_rows) - 1), st.integers(0, len(load_rows) - 1),
                   batteries()),
         min_size=1, max_size=8,
     ))
-    return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1.0]))
+    return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1 / 3, 1.0]))
 
 
 def bits(balance):
     return [float(v).hex() for v in astuple(balance)]
+
+
+def trace_bits(trace):
+    """Each array's bytes, with -0.0 read as 0.0.
+
+    The reference's Python max() keeps -0.0 in max(-0.0 - 0.0, 0.0) where
+    np.maximum returns 0.0, so only the sign of a zero may differ.
+    """
+    return {f.name: (getattr(trace, f.name) + 0.0).tobytes() for f in fields(trace)}
+
+
+class TestTraceMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(batches())
+    def test_every_array_bit_for_bit(self, batch):
+        pv_rows, load_rows, configs, step = batch
+        for p, l, battery in configs:
+            got = simulate_series(pv_rows[p], load_rows[l], battery, step)
+            want = reference_simulate(pv_rows[p], load_rows[l], battery, step)
+            assert trace_bits(got) == trace_bits(want)
+            assert np.all(battery.soc_min_kwh <= got.soc_kwh)
+            assert np.all(got.soc_kwh <= battery.capacity_kwh)
+
+    @pytest.mark.parametrize("battery, pv", [
+        # a start 1e-13 above capacity was kept, so the trace sat above it
+        (BatterySpec(4.0, soc_init_kwh=4.0 + 1e-13), [1.0, 1.0]),
+        # a start 1e-13 below soc_min, and no charging to lift it
+        (BatterySpec(4.0, usable_fraction=0.5, soc_init_kwh=2.0 - 1e-13, max_charge_kw=0.0),
+         [2.0, 2.0]),
+    ])
+    def test_soc_init_within_tolerance_keeps_soc_in_bounds(self, battery, pv):
+        trace = simulate_series(pv, [1.0, 1.0], battery, 1.0)
+        assert np.all(battery.soc_min_kwh <= trace.soc_kwh)
+        assert np.all(trace.soc_kwh <= battery.capacity_kwh)
+        assert trace_bits(trace) == trace_bits(reference_simulate(pv, [1.0, 1.0], battery, 1.0))
 
 
 class TestSimulateBalances:
