@@ -210,12 +210,17 @@ def _read_text(path: Path, what: str) -> str:
 
 @contextmanager
 def _writing(directory: Path):
-    """Create directory for a block that writes into it; an OSError there is a ConfigError."""
+    """A block that writes into directory; an OSError there is a ConfigError."""
     try:
-        directory.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as exc:  # a file in the way, no permission, a full disk
         raise ConfigError(f"cannot write to {directory}: {exc}") from exc
+
+
+def _make_dir(directory: Path) -> None:
+    """Create an output directory, before the work whose results go there."""
+    with _writing(directory):
+        directory.mkdir(parents=True, exist_ok=True)
 
 
 def _load_config_file(path: Path) -> dict:
@@ -265,8 +270,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"country CSV {source}: {exc}") from exc
 
     econ_kwargs = {k: v for k, v in values.items() if OPTIONS[k].target == "econ"}
-    if getattr(args, "bess_price", None) is not None:
-        econ_kwargs["bess_price_eur_per_kwh"] = args.bess_price
     try:
         econ = EconomicParams(**econ_kwargs)
     except ValueError as exc:
@@ -359,6 +362,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"type {scenario.prosumer_type}; pass --allow-out-of-range to override"
         )
 
+    _make_dir(cfg.out_dir)
+    if args.trace is not None:
+        _make_dir(args.trace.parent)
     country = cfg.countries[scenario.country]
     try:
         trace, balance = scenario_dispatch(scenario, country, cfg.profiles, cfg.battery_kwargs)
@@ -414,6 +420,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # an empty axis, a Scenario out of range
         raise ConfigError(exc) from exc
 
+    _make_dir(cfg.out_dir)
     failures: list = []
     results = run_sweep(
         grid,
@@ -508,6 +515,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         ],
     }
     out_dir = args.out or Path(".")
+    _make_dir(out_dir)
     with _writing(out_dir):
         (out_dir / "report_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -24,6 +24,7 @@ from .errors import (
     check_finite,
 )
 from .profiles import TimeSeriesProfile
+from .table import write_rows
 
 #: Default round-trip efficiency, split symmetrically between charge and
 #: discharge. Configurable per BatterySpec.
@@ -420,14 +421,12 @@ def scr_no_storage(pv: TimeSeriesProfile, load: TimeSeriesProfile) -> float:
 
 def trace_to_csv(trace: DispatchTrace) -> str:
     """Serialize a trace to the documented CSV schema."""
-    lines = [TRACE_CSV_HEADER]
-    for i in range(len(trace)):
-        lines.append(
-            f"{i},{trace.p_pv[i]:.6f},{trace.p_load[i]:.6f},{trace.p_direct[i]:.6f},"
-            f"{trace.p_charge[i]:.6f},{trace.p_discharge_delivered[i]:.6f},"
-            f"{trace.p_import[i]:.6f},{trace.p_curtail[i]:.6f},{trace.soc_kwh[i]:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    return write_rows(TRACE_CSV_HEADER, (
+        f"{i},{trace.p_pv[i]:.6f},{trace.p_load[i]:.6f},{trace.p_direct[i]:.6f},"
+        f"{trace.p_charge[i]:.6f},{trace.p_discharge_delivered[i]:.6f},"
+        f"{trace.p_import[i]:.6f},{trace.p_curtail[i]:.6f},{trace.soc_kwh[i]:.6f}"
+        for i in range(len(trace))
+    ))
 
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

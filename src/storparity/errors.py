@@ -21,7 +21,7 @@ class StorParityError(ValueError):
 
 
 class MalformedRowError(StorParityError):
-    """A profile CSV document violates the expected schema."""
+    """A CSV document (profile, country table or results) violates its schema."""
 
 
 class NonUniformStepError(StorParityError):

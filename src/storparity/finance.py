@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZeroEnergyError, ZeroSelfConsumptionError, check_finite
+from .table import read_rows
 
 DEFAULT_PV_PRICE_EUR_PER_KWP = 1300.0
 BESS_PRICE_CURRENT_EUR_PER_KWH = 500.0
@@ -315,27 +316,14 @@ def financial_result(
 
 def parse_country_csv(text: str) -> dict[str, CountryData]:
     """Parse the country table, keeping the row order of the document."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip().lstrip("﻿") != COUNTRY_CSV_HEADER:
-        raise ValueError(f"country CSV must start with header '{COUNTRY_CSV_HEADER}'")
     countries: dict[str, CountryData] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        name = parts[0]
+    for lineno, (name, *numbers) in read_rows(text, COUNTRY_CSV_HEADER, "country CSV"):
         if name in countries:
             raise ValueError(f"line {lineno}: duplicate country '{name}'")
         try:
-            retail, yield_, vat = (float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad numeric field") from exc
-        countries[name] = CountryData(
-            name=name,
-            retail_price_eur_per_kwh=retail,
-            annual_yield_kwh_per_kwp=yield_,
-            vat_rate=vat,
-        )
+            countries[name] = CountryData(name, *(float(x) for x in numbers))
+        except ValueError as exc:  # a bad number, or a value CountryData rejects
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if not countries:
         raise ValueError("country CSV has no data rows")
     return countries

@@ -10,6 +10,7 @@ operation conserves its target energy to well below 1e-6 relative.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable
@@ -23,6 +24,7 @@ from .errors import (
     NegativePowerError,
     NonUniformStepError,
 )
+from .table import read_rows
 
 HOURS_PER_YEAR = 8760.0
 DAYS_PER_YEAR = 365
@@ -264,26 +266,9 @@ def parse_profile_csv(text: str, kind: ProfileKind = ProfileKind.LOAD) -> TimeSe
     gaps and duplicates are rejected. The step is inferred from the first
     two rows.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise MalformedRowError("empty profile document")
-    header = lines[0].strip().lstrip("﻿")
-    if header != PROFILE_CSV_HEADER:
-        raise MalformedRowError(
-            f"expected header '{PROFILE_CSV_HEADER}', got '{header}'"
-        )
-    if len(lines) < 3:
-        raise MalformedRowError("need at least two data rows to infer the step")
-
-    times: list[datetime] = []
     powers: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise MalformedRowError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-        ts_text, power_text = parts[0].strip(), parts[1].strip()
+    previous = step_seconds = None
+    for lineno, (ts_text, power_text) in read_rows(text, PROFILE_CSV_HEADER, "profile CSV"):
         try:
             ts = datetime.fromisoformat(ts_text)
         except ValueError as exc:
@@ -292,24 +277,29 @@ def parse_profile_csv(text: str, kind: ProfileKind = ProfileKind.LOAD) -> TimeSe
             power = float(power_text)
         except ValueError as exc:
             raise MalformedRowError(f"line {lineno}: bad power '{power_text}'") from exc
-        if not np.isfinite(power):
+        if not math.isfinite(power):
             raise MalformedRowError(f"line {lineno}: power must be finite")
         if power < 0.0:
             raise NegativePowerError(f"line {lineno}: negative power {power}")
-        times.append(ts)
+        if previous is not None:
+            try:
+                delta = (ts - previous).total_seconds()
+            except TypeError as exc:  # a naive and an offset-aware datetime
+                raise MalformedRowError(
+                    f"line {lineno}: timestamp with a UTC offset next to one without"
+                ) from exc
+            if delta <= 0.0:
+                raise NonUniformStepError(f"line {lineno}: timestamps not strictly increasing")
+            if step_seconds is None:
+                step_seconds = delta
+            elif abs(delta - step_seconds) > 1e-6:
+                raise NonUniformStepError(
+                    f"line {lineno}: step {delta} s differs from inferred {step_seconds} s"
+                )
+        previous = ts
         powers.append(power)
-
-    step_seconds = (times[1] - times[0]).total_seconds()
-    if step_seconds <= 0.0:
-        raise NonUniformStepError("timestamps must be strictly increasing")
-    for i in range(1, len(times)):
-        delta = (times[i] - times[i - 1]).total_seconds()
-        if delta <= 0.0:
-            raise NonUniformStepError(f"row {i + 2}: timestamps not strictly increasing")
-        if abs(delta - step_seconds) > 1e-6:
-            raise NonUniformStepError(
-                f"row {i + 2}: step {delta} s differs from inferred {step_seconds} s"
-            )
+    if step_seconds is None:
+        raise MalformedRowError("need at least two data rows to infer the step")
     return TimeSeriesProfile(
         step_hours=step_seconds / 3600.0, values=np.asarray(powers), kind=kind
     )

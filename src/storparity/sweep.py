@@ -38,6 +38,7 @@ from .profiles import (
     synthesize_load_profile,
     synthesize_pv_profile,
 )
+from .table import read_rows, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -497,58 +498,33 @@ def _fmt_axis(x: float) -> str:
 
 
 def results_to_csv(results: Sequence[ScenarioResult]) -> str:
-    lines = [RESULTS_CSV_HEADER]
-    for r in results:
-        s = r.scenario
-        lines.append(
-            f"{s.country},{s.prosumer_type},{s.pv_kwp},"
-            f"{_fmt_axis(s.ratio_kwh_per_kwp)},{_fmt_axis(s.bess_price_eur_per_kwh)},"
-            f"{r.scr:.6f},{r.ssr:.6f},{r.lcoe:.6f},{r.lcou:.6f},{r.npv:.6f},"
-            f"{'true' if r.grid_parity else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+    return write_rows(RESULTS_CSV_HEADER, (
+        f"{s.country},{s.prosumer_type},{s.pv_kwp},"
+        f"{_fmt_axis(s.ratio_kwh_per_kwp)},{_fmt_axis(s.bess_price_eur_per_kwh)},"
+        f"{r.scr:.6f},{r.ssr:.6f},{r.lcoe:.6f},{r.lcou:.6f},{r.npv:.6f},"
+        f"{'true' if r.grid_parity else 'false'}"
+        for r in results for s in [r.scenario]
+    ))
 
 
 def parse_results_csv(text: str) -> list[ScenarioResult]:
     """Read back a results CSV; raises ValueError on schema violations."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != RESULTS_CSV_HEADER:
-        raise ValueError(f"results CSV must start with header '{RESULTS_CSV_HEADER}'")
-    if len(lines) < 2:
-        raise ValueError("results CSV has no data rows")
     results = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"line {lineno}: expected 11 fields, got {len(parts)}")
+    rows = read_rows(text, RESULTS_CSV_HEADER, "results CSV")
+    for lineno, (country, ptype, kwp, ratio, price, *metrics, parity) in rows:
         try:
-            scenario = Scenario(
-                country=parts[0],
-                prosumer_type=parts[1],
-                pv_kwp=int(parts[2]),
-                ratio_kwh_per_kwp=float(parts[3]),
-                bess_price_eur_per_kwh=float(parts[4]),
-            )
-            metrics = [float(p) for p in parts[5:10]]
+            scenario = Scenario(country, ptype, int(kwp), float(ratio), float(price))
+            metrics = [float(m) for m in metrics]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         for name, value in zip(_METRIC_COLUMNS, metrics):
             if not math.isfinite(value):
                 raise ValueError(f"line {lineno}: {name} must be finite, got {value}")
-        scr, ssr, lcoe_v, lcou_v, npv_v = metrics
-        if parts[10] not in ("true", "false"):
-            raise ValueError(f"line {lineno}: grid_parity must be true/false, got {parts[10]!r}")
-        results.append(
-            ScenarioResult(
-                scenario=scenario,
-                scr=scr,
-                ssr=ssr,
-                lcoe=lcoe_v,
-                lcou=lcou_v,
-                npv=npv_v,
-                grid_parity=parts[10] == "true",
-            )
-        )
+        if parity not in ("true", "false"):
+            raise ValueError(f"line {lineno}: grid_parity must be true/false, got {parity!r}")
+        results.append(ScenarioResult(scenario, *metrics, parity == "true"))
+    if not results:
+        raise ValueError("results CSV has no data rows")
     return results
 
 
@@ -573,13 +549,11 @@ def box_stats_by_country_price(
 
 
 def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
-    lines = [BOX_CSV_HEADER]
-    for country, price, stats in box_stats_by_country_price(results):
-        lines.append(
-            f"{country},{_fmt_axis(price)},{stats.minimum:.6f},{stats.q1:.6f},"
-            f"{stats.median:.6f},{stats.q3:.6f},{stats.maximum:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    return write_rows(BOX_CSV_HEADER, (
+        f"{country},{_fmt_axis(price)},{stats.minimum:.6f},{stats.q1:.6f},"
+        f"{stats.median:.6f},{stats.q3:.6f},{stats.maximum:.6f}"
+        for country, price, stats in box_stats_by_country_price(results)
+    ))
 
 
 def _parity_groups(results: Sequence[ScenarioResult]):
@@ -610,10 +584,8 @@ def parity_share_table(
 
 
 def parity_shares_to_csv(results: Sequence[ScenarioResult]) -> str:
-    lines = [PARITY_CSV_HEADER]
-    for country, price, selected in _parity_groups(results):
-        count = sum(1 for r in selected if r.grid_parity)
-        lines.append(
-            f"{country},{_price_label(price)},{parity_share(selected):.6f},{count},{len(selected)}"
-        )
-    return "\n".join(lines) + "\n"
+    return write_rows(PARITY_CSV_HEADER, (
+        f"{country},{_price_label(price)},{parity_share(selected):.6f},"
+        f"{sum(1 for r in selected if r.grid_parity)},{len(selected)}"
+        for country, price, selected in _parity_groups(results)
+    ))

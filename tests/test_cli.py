@@ -10,7 +10,7 @@ import pytest
 
 import storparity
 from storparity.cli import main
-from storparity.sweep import RESULTS_CSV_HEADER
+from storparity.sweep import RESULTS_CSV_HEADER, run_sweep
 
 TWO_COUNTRY_CSV = (
     "country,retail_eur_per_kwh,annual_yield_kwh_per_kwp,vat_rate\n"
@@ -140,6 +140,17 @@ class TestSimulate:
         profile.write_text("\n".join(rows) + "\n")
         argv = simulate_args(tmp_path, **{"load-profile": str(profile)})
         assert main(argv) == 0
+
+    def test_mixed_naive_and_offset_timestamps_exit_2(self, tmp_path, capsys):
+        profile = hourly_profile_csv(tmp_path / "mixed.csv", evening_load)
+        lines = profile.read_text().splitlines()
+        lines[6] = "2019-01-01T05:00+00:00,0.4000"
+        profile.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(simulate_args(out, **{"load-profile": str(profile)})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "line 7: timestamp with a UTC offset" in err
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -364,7 +375,16 @@ COMMAND_ARGV = {
     ("report", ["{results}", "--out", "{file}"]),
     ("simulate", ["--trace", "{file}/trace.csv"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
-def test_unreadable_inputs_and_unwritable_outputs_exit_2(tmp_path, capsys, command, args):
+def test_unreadable_inputs_and_unwritable_outputs_exit_2(
+    tmp_path, capsys, monkeypatch, command, args
+):
+    calls = []
+
+    def run_sweep_spy(*sweep_args, **kwargs):
+        calls.append(sweep_args)
+        return run_sweep(*sweep_args, **kwargs)
+
+    monkeypatch.setattr("storparity.cli.run_sweep", run_sweep_spy)
     paths = {
         "latin1": tmp_path / "latin1.txt",  # not UTF-8
         "dir": tmp_path / "a-directory",
@@ -380,6 +400,8 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # outputs are checked before the work: no sweep ran, no result was written
+    assert calls == [] and list(tmp_path.glob("out/*")) == []
 
 
 class TestReport:

@@ -379,6 +379,18 @@ class TestCountryData:
         with pytest.raises(ValueError):
             parse_country_csv(text)
 
+    def test_bom_and_blank_lines_ignored_and_errors_name_the_physical_line(self):
+        text = (
+            "\ufeffcountry,retail_eur_per_kwh,annual_yield_kwh_per_kwp,vat_rate\r\n"
+            "\r\n"
+            " Cyprus , 0.19 ,1464.85,0.19\r\n"
+        )
+        assert parse_country_csv(text)["Cyprus"].retail_price_eur_per_kwh == 0.19
+        with pytest.raises(ValueError, match="^line 4: could not convert"):
+            parse_country_csv(text + "France,oops,981.08,0.20\n")
+        with pytest.raises(ValueError, match="^line 4: France: retail price must be positive"):
+            parse_country_csv(text + "France,0,981.08,0.20\n")
+
     def test_invalid_country_values_rejected(self):
         with pytest.raises(ValueError):
             CountryData(name="X", retail_price_eur_per_kwh=0.0,

@@ -80,6 +80,26 @@ class TestParseProfileCsv:
         with pytest.raises(MalformedRowError):
             parse_profile_csv(text)
 
+    def test_bom_and_blank_lines_ignored(self):
+        lines = make_csv(8760, 1.0, 1.0).splitlines()
+        lines[3:3] = ["", "  "]
+        text = "\ufeff\n" + "\r\n".join(lines) + "\n\n"
+        profile = parse_profile_csv(text)
+        assert np.array_equal(profile.values, parse_profile_csv(make_csv(8760, 1.0, 1.0)).values)
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("2019-01-01T05:00+00:00,1.0", MalformedRowError, "line 8: timestamp with a UTC offset"),
+        ("2019-01-01T06:00,1.0", NonUniformStepError, "line 8: step 7200.0 s differs"),
+        ("2019-01-01T03:00,1.0", NonUniformStepError, "line 8: timestamps not strictly"),
+        ("2019-01-01T05:00,1.0,2", MalformedRowError, "line 8: expected 2 fields, got 3"),
+    ])
+    def test_errors_name_the_physical_line(self, row, error, message):
+        lines = make_csv(24, 1.0, 1.0).splitlines()
+        lines[1:1] = [""]  # blank physical line 2: the row of 05:00 is on line 8
+        lines[7] = row
+        with pytest.raises(error, match=message):
+            parse_profile_csv("\n".join(lines))
+
     def test_kind_is_settable(self):
         profile = parse_profile_csv(make_csv(8760, 1.0, 1.0), kind=ProfileKind.PV)
         assert profile.kind is ProfileKind.PV

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import storparity.sweep as sweep_module
 from _reference import reference_lcou, reference_quartiles
 from storparity import (
+    PROSUMER_TYPES,
     BatterySpec,
     CountryData,
     EconomicParams,
@@ -513,6 +515,34 @@ class TestResultsCsv:
             parse_results_csv(RESULTS_CSV_HEADER + "\n")
         with pytest.raises(ValueError):
             parse_results_csv(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.1,0.1,10,maybe\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_a_fixed_point(self, data):
+        axis = st.sampled_from([1 / 3, 123.4567, 1e-7, 0.0, 150.0]) | st.floats(0.0, 1e6)
+        grid = build_grid(
+            data.draw(st.lists(st.sampled_from(COUNTRIES), min_size=1, max_size=2)),
+            data.draw(st.lists(st.sampled_from(PROSUMER_TYPES), min_size=1, max_size=2)),
+            data.draw(st.lists(axis, min_size=1, max_size=3)),
+            data.draw(st.lists(axis, min_size=1, max_size=2)),
+        )
+        metric = st.floats(-1e7, 1e7)
+        rows = data.draw(st.lists(
+            st.tuples(metric, metric, metric, metric, metric, st.booleans()),
+            min_size=len(grid), max_size=len(grid),
+        ))
+        text = results_to_csv([ScenarioResult(s, *row) for s, row in zip(grid, rows)])
+        mangled = "\ufeff" + text.replace("\n", "\r\n\r\n")
+        for parsed in (parse_results_csv(text), parse_results_csv(mangled)):
+            assert results_to_csv(parsed) == text
+            assert [r.scenario for r in parsed] == grid  # the axes read back losslessly
+
+    def test_bom_and_blank_lines_ignored_and_errors_name_the_physical_line(self):
+        row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
+        text = "\ufeff" + RESULTS_CSV_HEADER + "\r\n\r\n" + row + "\r\n  \r\n"
+        assert parse_results_csv(text) == parse_results_csv(RESULTS_CSV_HEADER + "\n" + row)
+        with pytest.raises(ValueError, match="^line 5: pv_kwp must be an integer >= 1"):
+            parse_results_csv(text + row.replace("A,1,", "A,0,"))
 
     def test_box_csv_schema(self, full_sweep):
         _, results, _ = full_sweep
