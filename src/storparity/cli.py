@@ -28,6 +28,7 @@ from .profiles import (
     ProfileKind,
     TimeSeriesProfile,
     align,
+    default_shapes,
     parse_profile_csv,
     scale_to_annual,
     synthesize_load_profile,
@@ -101,7 +102,7 @@ PATH = Kind("path string", Path, lambda value: Path(_of_type(str)(value)))
 NAMES = Kind("list of strings", _items, _list_of(_of_type(str)))
 NUMBERS = Kind("list of numbers", number_list, _list_of(lambda v: float(_of_type(int, float)(v))))
 
-SHARED, SWEEP, PROFILE = ("simulate", "sweep", "report"), ("sweep",), ("simulate", "sweep")
+SHARED, SWEEP = ("simulate", "sweep"), ("sweep",)
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,10 @@ OPTIONS = {
         Option("prosumer_types", "--types", NAMES, "run", SWEEP, "prosumer types, e.g. A,B"),
         Option("ratios", "--ratios", NUMBERS, "run", SWEEP, "kWh/kWp ratios, e.g. 0.5,1,2"),
         Option("bess_prices", "--bess-prices", NUMBERS, "run", SWEEP, "EUR/kWh, e.g. 500,150"),
-        Option("load_profile_csv", "--load-profile", PATH, "run", PROFILE,
-               "measured load CSV; sweep rescales it to each type's annual energy"),
-        Option("pv_profile_csv", "--pv-profile", PATH, "run", PROFILE,
-               "measured PV CSV; sweep rescales it to kWp times country yield"),
+        Option("load_profile_csv", "--load-profile", PATH, "run", help="measured load CSV; "
+               "sweep rescales it to each type's annual energy"),
+        Option("pv_profile_csv", "--pv-profile", PATH, "run", help="measured PV CSV; "
+               "sweep rescales it to kWp times country yield"),
         Option("parallel", "--parallel", INTEGER, "run", SWEEP, "workers (default: CPU count)"),
     )
 }
@@ -210,17 +211,22 @@ def _read_text(path: Path, what: str) -> str:
 
 @contextmanager
 def _writing(directory: Path):
-    """A block that writes into directory; an OSError there is a ConfigError."""
+    """A block that writes into directory, created first; an OSError there is a ConfigError."""
     try:
+        directory.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as exc:  # a file in the way, no permission, a full disk
         raise ConfigError(f"cannot write to {directory}: {exc}") from exc
 
 
-def _make_dir(directory: Path) -> None:
-    """Create an output directory, before the work whose results go there."""
-    with _writing(directory):
-        directory.mkdir(parents=True, exist_ok=True)
+def _check_dir(directory: Path) -> None:
+    """Fail before the work, creating nothing, if directory could not be created.
+
+    That is when its nearest existing ancestor is not a directory.
+    """
+    existing = next((p for p in (directory, *directory.parents) if p.exists()), directory)
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write to {directory}: {existing} is not a directory")
 
 
 def _load_config_file(path: Path) -> dict:
@@ -326,7 +332,7 @@ def _write_manifest(cfg: RunConfig, command: str, extra: dict) -> None:
             "soc_init": "soc_min",
         },
         # tuples become lists and the frozenset of weekend days a sorted list
-        "shapes": asdict(cfg.profiles.shapes),
+        "shapes": asdict(default_shapes()),
         "grid": {
             "annual_load_kwh": ANNUAL_LOAD_KWH,
             "pv_ranges_kwp": {t: list(PV_RANGE_KWP[t]) for t in PROSUMER_TYPES},
@@ -362,9 +368,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"type {scenario.prosumer_type}; pass --allow-out-of-range to override"
         )
 
-    _make_dir(cfg.out_dir)
+    _check_dir(cfg.out_dir)
     if args.trace is not None:
-        _make_dir(args.trace.parent)
+        _check_dir(args.trace.parent)
     country = cfg.countries[scenario.country]
     try:
         trace, balance = scenario_dispatch(scenario, country, cfg.profiles, cfg.battery_kwargs)
@@ -420,7 +426,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # an empty axis, a Scenario out of range
         raise ConfigError(exc) from exc
 
-    _make_dir(cfg.out_dir)
+    _check_dir(cfg.out_dir)
     failures: list = []
     results = run_sweep(
         grid,
@@ -515,7 +521,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         ],
     }
     out_dir = args.out or Path(".")
-    _make_dir(out_dir)
     with _writing(out_dir):
         (out_dir / "report_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

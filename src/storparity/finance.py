@@ -149,10 +149,10 @@ def _lifetime_cost(capex_eur: float, econ: EconomicParams, factors: np.ndarray) 
 
 def lcoe(capex_eur: float, econ: EconomicParams, annual_energy_kwh: float) -> float:
     """Levelized cost of the produced electricity, in EUR/kWh."""
-    if annual_energy_kwh <= 0.0:
-        raise ZeroEnergyError(f"annual energy must be positive, got {annual_energy_kwh}")
     factors = discount_factors(econ)
     denominator = float(np.sum(degraded_energy(annual_energy_kwh, econ) * factors))
+    if not denominator > 0.0:
+        raise ZeroEnergyError("no energy produced over the horizon")
     return _lifetime_cost(capex_eur, econ, factors) / denominator
 
 
@@ -225,7 +225,7 @@ class FinancialResults:
     lcou_eur_per_kwh: np.ndarray
     npv_eur: np.ndarray
     grid_parity: np.ndarray
-    errors: dict[int, Exception]
+    errors: dict[int, ValueError]
 
 
 def financial_results(
@@ -266,18 +266,16 @@ def financial_results(
         lcou_value = lifetime_cost / self_consumed_sum
         yearly = retail[:, None] * self_consumed - maintenance[:, None]
         npv_value = -capex_eur + (yearly * factors).sum(axis=1)
-    checks = (  # capex, lcoe (its division by a float 0), lcou, then grid_parity
+    checks = (  # capex, lcoe, lcou, then grid_parity
         ((pv_kwp < 0.0) | (bess_kwh < 0.0), lambda i: ValueError("system sizes must be >= 0")),
-        (energy <= 0.0, lambda i: ZeroEnergyError(
-            f"annual energy must be positive, got {float(energy[i])}")),
-        (produced_sum == 0.0, lambda i: ZeroDivisionError("float division by zero")),
+        (~(produced_sum > 0.0), lambda i: ZeroEnergyError("no energy produced over the horizon")),
         ((scr < 0.0) | (scr > 1.0), lambda i: ValueError("SCR values must lie in [0, 1]")),
         (self_consumed_sum <= 0.0, lambda i: ZeroSelfConsumptionError(
             "no self-consumed energy over the horizon")),
         ((lcou_value <= 0.0) | (retail <= 0.0), lambda i: ValueError(
             "grid parity needs positive LCOU and retail price")),
     )
-    errors: dict[int, Exception] = {}
+    errors: dict[int, ValueError] = {}
     for failed, error in checks:
         for i in np.flatnonzero(failed).tolist():
             if i not in errors:

@@ -88,10 +88,6 @@ class TimeSeriesProfile:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def steps_per_day(self) -> int:
-        return int(round(24.0 / self.step_hours))
-
 
 def _check_weights(name: str, weights: Iterable[float], arity: int) -> tuple[float, ...]:
     w = tuple(float(x) for x in weights)
@@ -181,10 +177,6 @@ class ProfileShapes:
 
     load: LoadShapeParams
     pv: PvShapeParams
-
-    @property
-    def step_hours(self) -> float:
-        return self.load.step_hours
 
 
 def _normalized(raw: Iterable[float]) -> tuple[float, ...]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -30,10 +30,8 @@ from .finance import (
     financial_results,
 )
 from .profiles import (
-    ProfileShapes,
     TimeSeriesProfile,
     align,
-    default_shapes,
     scale_to_annual,
     synthesize_load_profile,
     synthesize_pv_profile,
@@ -183,13 +181,12 @@ def build_grid(
 class ProfileSource:
     """Where each scenario's PV and load years come from.
 
-    A series without a measured template is synthesized from the shapes. A
-    template is rescaled to the scenario's annual energy (the type's
-    consumption, or kWp times the country yield) when ``rescale`` is set,
-    and used as-is otherwise.
+    A series without a measured template is synthesized from the shipped
+    shapes. A template is rescaled to the scenario's annual energy (the
+    type's consumption, or kWp times the country yield) when ``rescale`` is
+    set, and used as-is otherwise.
     """
 
-    shapes: ProfileShapes = field(default_factory=default_shapes)
     load: TimeSeriesProfile | None = None
     pv: TimeSeriesProfile | None = None
     rescale: bool = True
@@ -197,7 +194,7 @@ class ProfileSource:
     def load_profile(self, scenario: Scenario) -> TimeSeriesProfile:
         """The scenario's load year; every load of one source has the same step."""
         if self.load is None:
-            return synthesize_load_profile(scenario.annual_load_kwh, self.shapes.load)
+            return synthesize_load_profile(scenario.annual_load_kwh)
         return scale_to_annual(self.load, scenario.annual_load_kwh) if self.rescale else self.load
 
     def pv_profile(
@@ -206,15 +203,8 @@ class ProfileSource:
         """The scenario's PV year: synthesized at step_hours, or from the template."""
         kwp, annual_yield = scenario.pv_kwp, data.annual_yield_kwh_per_kwp
         if self.pv is None:
-            return synthesize_pv_profile(kwp, annual_yield, self.shapes.pv, step_hours)
+            return synthesize_pv_profile(kwp, annual_yield, step_hours=step_hours)
         return scale_to_annual(self.pv, kwp * annual_yield) if self.rescale else self.pv
-
-    def profiles(
-        self, scenario: Scenario, data: CountryData
-    ) -> tuple[TimeSeriesProfile, TimeSeriesProfile]:
-        """The scenario's (pv, load) pair, aligned onto one step."""
-        load = self.load_profile(scenario)
-        return align(self.pv_profile(scenario, data, load.step_hours), load)
 
 
 def scenario_dispatch(
@@ -223,21 +213,13 @@ def scenario_dispatch(
     source: ProfileSource | None = None,
     battery_kwargs: Mapping | None = None,
 ) -> tuple[DispatchTrace, EnergyBalance]:
-    """Build and dispatch one scenario's profiles: the trace and its annual balance."""
-    pv, load = (source if source is not None else ProfileSource()).profiles(scenario, data)
+    """Build, align and dispatch one scenario's profiles: the trace and its annual balance."""
+    source = source if source is not None else ProfileSource()
+    load = source.load_profile(scenario)
+    pv, load = align(source.pv_profile(scenario, data, load.step_hours), load)
     battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **(battery_kwargs or {}))
     trace = simulate(pv, load, battery)
     return trace, annual_balance(trace, load.step_hours)
-
-
-def scenario_balance(
-    scenario: Scenario,
-    data: CountryData,
-    source: ProfileSource | None = None,
-    battery_kwargs: Mapping | None = None,
-) -> EnergyBalance:
-    """Synthesize or rescale, align and dispatch one scenario: its annual balance."""
-    return scenario_dispatch(scenario, data, source, battery_kwargs)[1]
 
 
 def result_from_balance(
@@ -265,7 +247,7 @@ def run_scenario(
     battery_kwargs: Mapping | None = None,
 ) -> ScenarioResult:
     """Full pipeline for one scenario: profiles, dispatch, finance."""
-    balance = scenario_balance(scenario, data, source, battery_kwargs)
+    balance = scenario_dispatch(scenario, data, source, battery_kwargs)[1]
     return result_from_balance(scenario, data, econ, balance)
 
 
@@ -346,9 +328,9 @@ def run_sweep(
     or one contiguous slice of keys per worker of a ``parallel``-worker
     process pool, with identical output. Every dispatched scenario is then
     priced in one financial_results call. A scenario's ValueError
-    (StorParityError included) is logged, appended to the optional
-    ``failures`` list as a (scenario, message) pair, and the scenario is
-    left out of the results; other exceptions propagate.
+    (StorParityError included) leaves it out of the results: the failure is
+    appended to ``failures`` as a (scenario, message) pair when that list is
+    given, and logged otherwise. Other exceptions propagate.
     """
     firsts: dict[tuple, Scenario] = {}
     for scenario in grid:
@@ -384,23 +366,23 @@ def run_sweep(
             if isinstance(outcome, ScenarioResult):
                 results.append(outcome)
                 continue
-            if not isinstance(outcome, ValueError):
-                raise outcome  # not a scenario failure, as in result_from_balance
             outcome = _failure(outcome)
-        log.warning("scenario %s failed: %s", scenario.key, outcome)
-        if failures is not None:
+        if failures is None:
+            log.warning("scenario %s failed: %s", scenario.key, outcome)
+        else:
             failures.append((scenario, outcome))
     return results
 
 
 def _price_results(
     rows: Sequence[tuple[Scenario, CountryData, EnergyBalance]], econ: EconomicParams
-) -> list[ScenarioResult | Exception]:
+) -> list[ScenarioResult | ValueError]:
     """Price every (scenario, country, balance) row in one batch: its result, or its error.
 
     The scenario's BESS price always overrides econ's; the country VAT is
-    used unless econ carries an explicit override. A row's result or error
-    does not depend on the other rows.
+    used unless econ carries an explicit override. A row with a NaN or
+    infinite metric is an error, as parse_results_csv would reject it. A
+    row's result or error does not depend on the other rows.
     """
     if not rows:
         return []
@@ -419,11 +401,20 @@ def _price_results(
     fin = financial_results(*columns, econ)
     priced = zip(rows, fin.lcoe_eur_per_kwh.tolist(), fin.lcou_eur_per_kwh.tolist(),
                  fin.npv_eur.tolist(), fin.grid_parity.tolist())
-    return [
-        fin.errors[i] if i in fin.errors
-        else ScenarioResult(scenario, balance.scr, balance.ssr, lcoe, lcou, npv, parity)
-        for i, ((scenario, _, balance), lcoe, lcou, npv, parity) in enumerate(priced)
-    ]
+    outcomes: list[ScenarioResult | ValueError] = []
+    for i, ((scenario, _, balance), *values, parity) in enumerate(priced):
+        metrics = (balance.scr, balance.ssr, *values)
+        error = fin.errors.get(i) or _non_finite(metrics)
+        outcomes.append(error or ScenarioResult(scenario, *metrics, parity))
+    return outcomes
+
+
+def _non_finite(metrics: Sequence[float]) -> ValueError | None:
+    """The error naming the first results metric (scr .. npv) that is NaN or inf, if any."""
+    for name, value in zip(_METRIC_COLUMNS, metrics):
+        if not math.isfinite(value):
+            return ValueError(f"{name} must be finite, got {value}")
+    return None
 
 
 def parity_share(
@@ -517,9 +508,9 @@ def parse_results_csv(text: str) -> list[ScenarioResult]:
             metrics = [float(m) for m in metrics]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        for name, value in zip(_METRIC_COLUMNS, metrics):
-            if not math.isfinite(value):
-                raise ValueError(f"line {lineno}: {name} must be finite, got {value}")
+        error = _non_finite(metrics)
+        if error is not None:
+            raise ValueError(f"line {lineno}: {error}")
         if parity not in ("true", "false"):
             raise ValueError(f"line {lineno}: grid_parity must be true/false, got {parity!r}")
         results.append(ScenarioResult(scenario, *metrics, parity == "true"))

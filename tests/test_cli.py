@@ -1,15 +1,18 @@
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import storparity
-from storparity.cli import main
+from storparity.cli import INTEGER, NUMBER, NUMBERS, OPTIONS, main
 from storparity.sweep import RESULTS_CSV_HEADER, run_sweep
 
 TWO_COUNTRY_CSV = (
@@ -189,6 +192,30 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be finite" in err
 
+    @pytest.mark.parametrize("pv_kw, extra, message", [
+        ("0.0", [], "no energy produced over the horizon"),
+        # one 5e-324 kW hour: its discounted sum underflows to 0 at a 150% rate
+        ("5e-324", ["--discount-rate", "1.5"], "no energy produced over the horizon"),
+    ], ids=["all-zero", "underflow"])
+    def test_no_production_exits_1_and_creates_nothing(
+        self, tmp_path, capsys, pv_kw, extra, message
+    ):
+        pv = hourly_profile_csv(tmp_path / "pv.csv", lambda hour: 0.0)
+        lines = pv.read_text().splitlines()
+        lines[13] = lines[13].split(",")[0] + f",{pv_kw}"
+        pv.write_text("\n".join(lines) + "\n")
+        out, trace = tmp_path / "z", tmp_path / "t" / "x.csv"
+        argv = simulate_args(out, **{"pv-profile": str(pv), "trace": str(trace)}) + extra
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"computation error: {message}\n"
+        assert not out.exists() and not trace.parent.exists()
+
+    def test_non_finite_result_exits_1(self, tmp_path, capsys):
+        # a finite price whose CAPEX overflows: no LCOE to print
+        assert main(simulate_args(tmp_path / "out", **{"bess-price": "1e308"})) == 1
+        assert capsys.readouterr().err == "computation error: lcoe must be finite, got inf\n"
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_records_profile_from_config(self, tmp_path):
         load = hourly_profile_csv(tmp_path / "load.csv", evening_load)
         config = tmp_path / "config.json"
@@ -274,7 +301,7 @@ class TestSweep:
         assert "Narnia" in capsys.readouterr().err
 
     def test_scenario_failures_exit_1_with_partial_outputs(
-        self, tmp_path, two_country_csv, capsys
+        self, tmp_path, two_country_csv, capsys, caplog
     ):
         # an all-zero PV override cannot be rescaled, so every scenario fails
         start = datetime(2019, 1, 1)
@@ -286,7 +313,28 @@ class TestSweep:
         argv = self.sweep_argv(out, two_country_csv, ("--pv-profile", str(dead_pv)))
         assert main(argv) == 1
         assert (out / "results.csv").exists()
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        # each failure once: listed, and not also logged
+        assert err[0] == "204 scenario(s) failed:" and len(err) == 1 + 204
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("flag, value, failed", [
+        ("--bess-prices", "1e308", 8), ("--discount-rate", "1e308", 16),
+    ])
+    def test_non_finite_results_are_failures(
+        self, tmp_path, two_country_csv, capsys, flag, value, failed
+    ):
+        out = tmp_path / "out"
+        argv = self.sweep_argv(out, two_country_csv, ("--types", "A", "--ratios", "1", flag, value))
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"{failed} scenario(s) failed:" and len(err) == 1 + failed
+        assert all(re.search(r"ValueError: lco[eu] must be finite, got inf$", line)
+                   for line in err[1:])
+        for name in ("results.csv", "parity_shares.csv", "box_stats.csv"):
+            text = (out / name).read_text().lower()
+            assert "inf" not in text and "nan" not in text
+        assert main(["report", str(out / "results.csv"), "--out", str(tmp_path / "rep")]) == 0
 
 
     def test_manifest_records_profile_flag_over_config(self, tmp_path, two_country_csv):
@@ -506,6 +554,17 @@ class TestReport:
         assert (out / "report_summary.json").is_file()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [
+        "--discount-rate", "--vat", "--horizon", "--usable-fraction", "--countries",
+    ])
+    def test_flags_it_does_not_read_are_usage_errors(self, tmp_path, capsys, flag):
+        fixture = tmp_path / "one.csv"
+        fixture.write_text(ONE_RESULT_CSV)
+        assert main(["report", str(fixture), flag, "0.05", "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 0.05" in err
+        assert not (tmp_path / "rep").exists()
+
     def test_config_types_are_still_checked(self, tmp_path, capsys):
         fixture = tmp_path / "one.csv"
         fixture.write_text(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n")
@@ -548,3 +607,102 @@ def test_perfbench_span_targets_resolve(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+# in the config file, so that a drawn flag or config key is not overridden by a flag
+TINY_SWEEP = {"prosumer_types": ["A"], "ratios": [1], "bess_prices": [150], "parallel": 1}
+NUMERIC_KINDS = (NUMBER, INTEGER, NUMBERS)
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def numeric_flags(command):
+    flags = [o.flag for o in OPTIONS.values()
+             if o.flag and command in o.commands and o.kind in NUMERIC_KINDS]
+    return flags + (["--pv-kwp", "--ratio", "--bess-price"] if command == "simulate" else [])
+
+
+def wrong_json(kind):
+    """JSON values of the wrong type for a setting of this kind."""
+    wrong = [st.booleans(), st.none(), st.just({}), st.lists(st.booleans(), min_size=1)]
+    if kind in NUMERIC_KINDS:
+        wrong.append(st.text(max_size=3))
+    if kind is INTEGER:
+        wrong.append(st.floats(allow_nan=False))
+    return st.one_of(wrong)
+
+
+@pytest.fixture(scope="module")
+def hourly_profile_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("profile") / "load.csv"
+    return hourly_profile_csv(path, evening_load).read_text().splitlines()
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_non_finite_and_wrongly_typed_inputs_exit_2(
+    tmp_path, capsys, two_country_csv, hourly_profile_lines, data
+):
+    """NaN, inf or a wrong JSON type in a flag, config value or profile cell: exit 2, one line."""
+    command = data.draw(st.sampled_from(["simulate", "sweep"]))
+    argv = [*(COMMAND_ARGV["simulate"] if command == "simulate" else ["sweep"]),
+            "--countries", str(two_country_csv), "--config", str(tmp_path / "config.json")]
+    config = TINY_SWEEP if command == "sweep" else {}
+    where = data.draw(st.sampled_from(["flag", "config", "profile"]))
+    if where == "flag":
+        flag = data.draw(st.sampled_from(numeric_flags(command)))
+        argv.append(f"{flag}={data.draw(st.sampled_from(NON_FINITE))}")
+    elif where == "config":
+        key = data.draw(st.sampled_from(sorted(OPTIONS)))
+        kind = OPTIONS[key].kind
+        value = wrong_json(kind)
+        if kind in NUMERIC_KINDS and command in OPTIONS[key].commands:
+            non_finite = st.sampled_from(NON_FINITE)
+            value = value | (st.lists(non_finite, min_size=1) if kind is NUMBERS else non_finite)
+        config = {**config, key: data.draw(value)}
+    else:
+        lines = list(hourly_profile_lines)
+        row = data.draw(st.integers(1, len(lines) - 1))
+        cell = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[row] = lines[row].split(",")[0] + "," + cell
+        profile = tmp_path / "profile.csv"
+        profile.write_text("\n".join(lines) + "\n")
+        argv += [data.draw(st.sampled_from(["--load-profile", "--pv-profile"])), str(profile)]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if err.startswith("usage: "):  # argparse: its usage lines, then the message
+        assert ": error: " in err.splitlines()[-1]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+EXTREME = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e300, 1e308]), st.floats(0.0, 1e308))
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pv_price=EXTREME, bess_price=EXTREME, discount=EXTREME, ratio=EXTREME)
+def test_extreme_valid_values_write_only_finite_files(
+    tmp_path, capsys, two_country_csv, pv_price, bess_price, discount, ratio
+):
+    """Valid values up to 1e308: exit 0 or 1, no NaN or inf written, report reads results back."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    code = main([
+        "sweep", "--countries", str(two_country_csv), "--types", "A", "--parallel", "1",
+        "--ratios", repr(ratio), "--bess-prices", repr(bess_price),
+        "--pv-price", repr(pv_price), "--discount-rate", repr(discount), "--out", str(out / "s"),
+    ])
+    assert code in (0, 1)
+    for path in (out / "s").glob("*.csv"):
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text, path.name
+    rows = (out / "s" / "results.csv").read_text().splitlines()
+    if len(rows) > 1:  # report reads back every row the sweep wrote
+        assert main(["report", str(out / "s" / "results.csv"), "--out", str(out / "r")]) == 0
+        summary = (out / "r" / "report_summary.json").read_text()
+        assert "NaN" not in summary and "Infinity" not in summary
+    else:
+        assert code == 1
+    capsys.readouterr()

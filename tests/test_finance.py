@@ -244,7 +244,7 @@ def one_at_a_time(pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail, base):
         lcou_value = lcou(cap, e, energy, scr)
         npv_value = npv(cap, e, degraded_energy(energy, e) * scr, retail)
         return cap, lcoe_value, lcou_value, npv_value, grid_parity(lcou_value, retail)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return exc
 
 
@@ -290,11 +290,11 @@ class TestFinancialResults:
             "NoneType", "ValueError", "ZeroEnergyError", "ZeroEnergyError", "ValueError",
             "ValueError", "ZeroSelfConsumptionError", "ValueError", "ValueError", "NoneType",
         ]
-        assert str(batch.errors[2]) == "annual energy must be positive, got 0.0"
-        # a discounted production that underflows to 0 fails lcoe's float division
+        assert str(batch.errors[2]) == "no energy produced over the horizon"
+        # a discounted production that underflows to 0 is no production either
         tiny = (3.0, 3.0, 150.0, 0.19, 5e-324, 0.8, 0.1927)
         batch = assert_batch_matches_one_at_a_time([ok, tiny], econ(discount_rate=1.5))
-        assert list(batch.errors) == [1] and isinstance(batch.errors[1], ZeroDivisionError)
+        assert list(batch.errors) == [1] and isinstance(batch.errors[1], ZeroEnergyError)
 
     def test_empty_batch(self):
         batch = financial_results([], [], [], [], [], [], [], econ())

@@ -20,6 +20,7 @@ from storparity import (
     Scenario,
     ScenarioResult,
     TimeSeriesProfile,
+    ZeroEnergyError,
     best_pv_size,
     box_stats,
     box_stats_by_country_price,
@@ -42,7 +43,7 @@ from storparity.sweep import (
     parity_share_table,
     parity_shares_to_csv,
     result_from_balance,
-    scenario_balance,
+    scenario_dispatch,
 )
 
 COUNTRIES = ["Cyprus", "France", "Greece", "Italy", "Portugal", "Spain"]
@@ -223,7 +224,7 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="bug inside dispatch"):
             evaluate(grid, country_data, default_econ)
 
-    def test_failures_collected_not_fatal(self, country_data, default_econ):
+    def test_failures_collected_not_fatal(self, country_data, default_econ, caplog):
         grid = build_grid(["Cyprus", "Ruritania"], prosumer_types=["A"],
                           ratios=[1.0], bess_prices=[150.0])
         failures = []
@@ -232,6 +233,11 @@ class TestRunSweep:
         assert all(r.scenario.country == "Cyprus" for r in results)
         assert len(failures) == 5
         assert all("Ruritania" in message for _, message in failures)
+        # each failure is reported once: to the caller's list, else to the log
+        assert caplog.records == []
+        run_sweep(grid, country_data, default_econ)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"scenario {s.key} failed: {m}" for s, m in failures]
 
     def test_default_grid_balances_match_one_scenario_path_exactly(self, country_data):
         # every batched dispatch of the default grid against simulate's trace path
@@ -243,7 +249,7 @@ class TestRunSweep:
             ProfileSource(), {}, country_data, list(firsts.values())
         )
         for scenario, balance in zip(firsts.values(), batched):
-            assert balance == scenario_balance(scenario, country_data[scenario.country])
+            assert balance == scenario_dispatch(scenario, country_data[scenario.country])[1]
 
     @pytest.mark.parametrize(
         "axes",
@@ -299,14 +305,16 @@ class TestRunSweep:
             assert [repr(r) for r in results] == [repr(r) for r in expected_results]
             assert {m.split(":")[0] for _, m in failures} == {"KeyError", failing}
             assert len(results) == (0 if pv is zero_pv else 10)  # the batteries of 1 kWh/kWp
-        # so little energy that its discounted sum underflows to 0: not a scenario failure
+        # so little energy that its discounted sum underflows to 0: nothing produced to price
         one_hour = np.where(np.arange(8760) == 12, 5e-324, 0.0)
         tiny_pv = TimeSeriesProfile(1.0, one_hour, ProfileKind.PV)
         source = ProfileSource(load=load, pv=tiny_pv, rescale=False)
         steep = EconomicParams(discount_rate=1.5)
-        with pytest.raises(ZeroDivisionError):
-            run_sweep(grid, country_data, steep, source)
-        with pytest.raises(ZeroDivisionError):  # as the one-scenario path raises it
+        failures = []
+        assert run_sweep(grid, country_data, steep, source, failures=failures) == []
+        assert [m for s, m in failures if s.country != "Ruritania"] == [
+            "ZeroEnergyError: no energy produced over the horizon"] * 20
+        with pytest.raises(ZeroEnergyError, match="^no energy produced over the horizon$"):
             run_scenario(grid[0], country_data["Cyprus"], steep, source)
 
     @pytest.mark.parametrize("parallel", [1, 2])
