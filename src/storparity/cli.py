@@ -230,8 +230,13 @@ def _check_dir(directory: Path) -> None:
 
 
 def _load_config_file(path: Path) -> dict:
+    """The config file's settings, each type-checked; NaN and infinities fail for every key."""
+
+    def reject(constant: str):
+        raise ConfigError(f"config file {path} holds {constant}, which is not a finite number")
+
     try:
-        raw = json.loads(_read_text(path, "config file"))
+        raw = json.loads(_read_text(path, "config file"), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -439,20 +444,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     with _writing(cfg.out_dir):
+        # all three always, header-only when nothing was priced, so no file of
+        # an earlier run is left beside them
         (cfg.out_dir / "results.csv").write_text(results_to_csv(results), encoding="utf-8")
-        if results:
-            (cfg.out_dir / "parity_shares.csv").write_text(
-                parity_shares_to_csv(results), encoding="utf-8"
-            )
-            (cfg.out_dir / "box_stats.csv").write_text(
-                box_stats_to_csv(results), encoding="utf-8"
-            )
+        (cfg.out_dir / "parity_shares.csv").write_text(
+            parity_shares_to_csv(results), encoding="utf-8"
+        )
+        (cfg.out_dir / "box_stats.csv").write_text(box_stats_to_csv(results), encoding="utf-8")
         _write_manifest(cfg, "sweep", {"axes": axes})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")
-    if results:
-        for country, price_label, share in parity_share_table(results):
-            print(f"  parity share {country} @ {price_label}: {share:.1f}%")
+    for country, price_label, share in parity_share_table(results):
+        print(f"  parity share {country} @ {price_label}: {share:.1f}%")
     if failures:
         print(f"{len(failures)} scenario(s) failed:", file=sys.stderr)
         for scenario, message in failures:

@@ -184,18 +184,22 @@ def _check_series(pv_rows, load_rows, step_hours: float) -> None:
                 raise NegativePowerError(f"{name} power values must be non-negative")
 
 
-def _offers(pv, load, dt: float, charge_cap_e, discharge_cap_e):
+def _offers(pv, load, dt: float, charge_cap_e, discharge_cap_e, out):
     """Per step: the surplus and deficit energy, and what the battery is offered and asked for.
 
     offered is the surplus within the charge limit, wanted the deficit within
-    the discharge limit.
+    the discharge limit. The four are written, in that order, into the arrays
+    of out; the surplus and deficit may overwrite pv and load.
     """
-    surplus_e = (pv - load) * dt  # (load - pv) * dt is its exact negation
-    deficit_e = np.maximum(-surplus_e, 0.0)
+    surplus_e, deficit_e, offered, wanted = out
+    np.subtract(pv, load, out=surplus_e)
+    np.multiply(surplus_e, dt, out=surplus_e)  # (load - pv) * dt is its exact negation
+    np.negative(surplus_e, out=deficit_e)
+    np.maximum(deficit_e, 0.0, out=deficit_e)
     np.maximum(surplus_e, 0.0, out=surplus_e)
-    offered = np.minimum(surplus_e, charge_cap_e)
-    wanted = np.minimum(deficit_e, discharge_cap_e)
-    return surplus_e, deficit_e, offered, wanted
+    np.minimum(surplus_e, charge_cap_e, out=offered)
+    np.minimum(deficit_e, discharge_cap_e, out=wanted)
+    return out
 
 
 def simulate_series(
@@ -218,7 +222,8 @@ def simulate_series(
     eta_c = battery.eta_charge
     eta_d = battery.eta_discharge
     surplus_e, deficit_e, offered, wanted = _offers(
-        pv, load, dt, battery.max_charge_kw * dt, battery.max_discharge_kw * dt
+        pv, load, dt, battery.max_charge_kw * dt, battery.max_discharge_kw * dt,
+        [np.empty(len(pv)) for _ in range(4)],
     )
     soc = battery.soc_init_kwh
     accepted, delivered, soc_series = [], [], []
@@ -257,6 +262,9 @@ def simulate_series(
 #: of at most this many items, each summed with eight interleaved partial sums.
 _PAIRWISE_RUN = 128
 
+#: The kernel steps about this many columns (keys x chunks of time) side by side.
+_WIDTH = 256
+
 
 def _pairwise_sum(n: int, run_sum: Callable[[int], np.ndarray]) -> np.ndarray:
     """Sum n steps in numpy's pairwise order; run_sum(size) sums the next size steps."""
@@ -268,16 +276,20 @@ def _pairwise_sum(n: int, run_sum: Callable[[int], np.ndarray]) -> np.ndarray:
 
 
 def _run_sum(block: np.ndarray) -> np.ndarray:
-    """Column sums of one run, added in the order numpy adds a run's items."""
-    size = len(block)
+    """Sums over the steps of one run, a (flows, steps, columns) block, in numpy's order.
+
+    numpy adds a run's items into eight interleaved partial sums, adds those
+    pairwise and then the items left over one by one. The adds are spelled
+    out: the order of a reduction over a middle axis depends on the layout.
+    """
+    flows, size, width = block.shape
     whole = size - size % 8
-    if whole:
-        r = block[:whole].reshape(whole // 8, 8, -1).sum(axis=0)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    else:
-        total = np.zeros(block.shape[1])
-    for row in block[whole:]:
-        total += row
+    r = np.zeros((8, flows, width))
+    for i in range(0, whole, 8):
+        r += block[:, i:i + 8].transpose(1, 0, 2)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(whole, size):
+        total += block[:, i]
     return total
 
 
@@ -296,66 +308,181 @@ def simulate_balances(
     not depend on which other configs share the call.
     """
     _check_series(pv_rows, load_rows, step_hours)
-    return _batched_balances(pv_rows, load_rows, configs, step_hours) if configs else []
+    return _chunked_balances(pv_rows, load_rows, configs, step_hours) if configs else []
 
 
-def _batched_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBalance]:
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, sorted, and where each value sits among them.
+
+    Not np.unique: it imports numpy.ma, which a sweep may never need.
+    """
+    distinct = np.array(sorted(set(values.tolist())), dtype=int)
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _gather_plan(row_of_col, window_of_col) -> tuple[list[int], np.ndarray]:
+    """The rows that columns read, and where each column sits in _gather's block."""
+    used, which = _distinct(row_of_col)
+    return used.tolist(), window_of_col * len(used) + which
+
+
+def _gather(rows, plan, at, pad, out) -> None:
+    """Write into out, (steps, columns), each column's row at the steps at[:, its window].
+
+    plan is _gather_plan's. Each row used is read once per window; padded
+    steps read 0.
+    """
+    used, columns = plan
+    block = np.empty(at.shape + (len(used),))
+    for i, p in enumerate(used):
+        block[:, :, i] = rows[p][at]
+    block[pad] = 0.0
+    block.reshape(len(at), at.shape[1] * len(used)).take(columns, axis=1, out=out, mode="clip")
+
+
+def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBalance]:
     """simulate_balances on checked rows and at least one config.
 
-    The time loop steps every config side by side with simulate_series' rule
-    and floating-point operations, one numpy call per operation. The flows
-    are summed over the runs of steps of numpy's pairwise sum, and the run
-    sums combined in its order.
+    The year is cut into the runs of steps of numpy's pairwise sum, and the
+    runs into C chunks of whole runs, C about _WIDTH / k for k configs. Pass 1
+    steps every chunk of every config side by side, with simulate_series'
+    rule and floating-point operations, one numpy call per operation: chunk 0
+    from soc_init, every later chunk from soc_min. It keeps, per run and
+    config, the SOC at the run's end and the sums of the four flows. Pass 2
+    walks each config's runs in time order with the true SOC. A run that
+    started from it bit for bit is exact, and so is the rest of its chunk; any
+    other run is stepped again from the true SOC, all walking configs side by
+    side. The run sums are combined in numpy's pairwise order.
     """
     n = len(pv_rows[0])
     k = len(configs)
+    sizes: list[int] = []
+    _pairwise_sum(n, lambda size: sizes.append(size) or 0.0)
+    runs_total = len(sizes)
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    chunks = min(max(_WIDTH // k, 1), runs_total)
+    first = np.array([runs_total * c // chunks for c in range(chunks + 1)])
+    next_chunk = np.repeat(first[1:], np.diff(first))  # per run: the next chunk's first run
     pv_index = np.array([p for p, _, _ in configs])
     load_index = np.array([l for _, l, _ in configs])
 
-    cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e, soc = np.array([
+    params = np.array([
         (b.capacity_kwh, b.soc_min_kwh, b.eta_charge, b.eta_discharge,
-         b.max_charge_kw * dt, b.max_discharge_kw * dt, b.soc_init_kwh)
+         b.max_charge_kw * dt, b.max_discharge_kw * dt)
         for _, _, b in configs
-    ]).T.copy()  # one contiguous row per parameter; soc is updated in place
-    tmp = np.empty(k)
+    ]).T.copy()  # one contiguous row per parameter
+    soc_min = params[1]
+    soc_init = np.array([b.soc_init_kwh for _, _, b in configs])
     # local names: the loop below makes twelve calls per step
     sub, div, mul, add, low, high = (
         np.subtract, np.divide, np.multiply, np.add, np.minimum, np.maximum
     )
 
-    start = 0
+    def columns(key, window):
+        """What step needs of columns stepping configs key[j] through windows window[j]."""
+        return (window, params[:, key], _gather_plan(pv_index[key], window),
+                _gather_plan(load_index[key], window))
 
-    def run_sum(size: int) -> np.ndarray:
-        """Dispatch the next size steps; the column sums of their four flows."""
-        nonlocal start
-        stop = start + size
-        pv = np.stack([row[start:stop] for row in pv_rows], axis=1)[:, pv_index]
-        load = np.stack([row[start:stop] for row in load_rows], axis=1)[:, load_index]
-        start = stop
-        surplus_e, deficit_e, offered, wanted = _offers(
-            pv, load, dt, charge_cap_e, discharge_cap_e
-        )
-        flows = np.empty((size, 4, k))
-        accepted, delivered = flows[:, 0], flows[:, 1]
-        for acc, dlv, off, want in zip(accepted, delivered, offered, wanted):
+    def step(runs, cols, soc, flows) -> np.ndarray:
+        """Step each column's config through run runs[its window], from soc.
+
+        soc is updated in place; run -1 is no run, so its columns only pad.
+        flows is a (4, steps, columns) buffer of at least the longest run.
+        Returns the four flow sums of each column's run, (4, columns).
+        """
+        window, par, pv_plan, load_plan = cols
+        cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e = par
+        size = np.where(runs >= 0, sizes[runs], 0)
+        steps = int(size.max())
+        t = np.arange(steps)[:, None]
+        at = np.minimum(starts[runs] + t, n - 1)
+        pad = t >= size  # zero offers leave the SOC as it is
+        width = len(window)
+        flows = flows[:, :steps]
+        accepted, delivered, curtailed, imported = flows
+        _gather(pv_rows, pv_plan, at, pad, curtailed)
+        _gather(load_rows, load_plan, at, pad, imported)
+        # each step reads what is offered and wanted where it writes the flows
+        _offers(curtailed, imported, dt, charge_cap_e, discharge_cap_e,
+                (curtailed, imported, accepted, delivered))
+        tmp = np.empty(width)
+        for acc, dlv in zip(accepted, delivered):
             sub(cap, soc, tmp)
             div(tmp, eta_c, tmp)  # headroom
-            low(off, tmp, out=acc)
+            low(acc, tmp, out=acc)
             mul(acc, eta_c, tmp)
             add(soc, tmp, soc)
             low(soc, cap, out=soc)
             sub(soc, soc_min, tmp)
             mul(tmp, eta_d, tmp)  # available
-            low(want, tmp, out=dlv)
+            low(dlv, tmp, out=dlv)
             div(dlv, eta_d, tmp)
             sub(soc, tmp, soc)
             high(soc, soc_min, out=soc)
-        sub(surplus_e, accepted, flows[:, 2])  # curtailed
-        sub(deficit_e, delivered, flows[:, 3])  # imported
+        sub(curtailed, accepted, curtailed)  # the surplus left over
+        sub(imported, delivered, imported)  # the deficit left over
         div(flows, dt, flows)
-        return _run_sum(flows.reshape(size, 4 * k))
+        sums = np.zeros((4, width))
+        column_size = size[window]
+        for run_size in set(size.tolist()) - {0}:
+            # summed over every column, kept for the columns of this size
+            same = column_size == run_size
+            sums[:, same] = _run_sum(flows[:, :run_size])[:, same]
+        return sums
 
-    totals = (_pairwise_sum(n, run_sum) * dt).reshape(4, k).T.tolist()
+    end_soc = np.empty((runs_total, k))  # pass 1's SOC after each run
+    run_sums = np.zeros((runs_total, 4, k))
+
+    # pass 1: every chunk of every config, chunk c in columns c*k .. c*k+k-1
+    window = np.repeat(np.arange(chunks), k)
+    key = np.tile(np.arange(k), chunks)
+    cols = columns(key, window)
+    soc = np.tile(soc_min, chunks)
+    soc[:k] = soc_init
+    flows = np.empty((4, int(sizes.max()), len(key)))
+    for j in range(int(np.diff(first).max())):
+        runs = first[:-1] + j
+        runs[runs >= first[1:]] = -1
+        run = runs[window]
+        real = run >= 0
+        sums = step(runs, cols, soc, flows)
+        end_soc[run[real], key[real]] = soc[real]
+        run_sums[run[real], :, key[real]] = sums[:, real].T
+
+    # pass 2: walk each config's runs from chunk 1 on with the true SOC;
+    # pass 1 started a chunk's first run at soc_min and each other where the last ended
+    chunk_start = np.zeros(runs_total, dtype=bool)
+    chunk_start[first[:-1]] = True
+    at_run = np.full(k, first[1])  # per config: the next run to check
+    soc = end_soc[first[1] - 1].copy()
+    while True:
+        walking = np.arange(k)
+        while True:  # skip every run that started from the true SOC, and the rest of its chunk
+            walking = walking[at_run[walking] < runs_total]
+            run = at_run[walking]
+            started = np.where(chunk_start[run], soc_min[walking], end_soc[run - 1, walking])
+            exact = soc[walking].view(np.int64) == started.view(np.int64)
+            if not exact.any():
+                break
+            done = walking[exact]
+            at_run[done] = next_chunk[at_run[done]]
+            soc[done] = end_soc[at_run[done] - 1, done]
+        if not walking.size:
+            break
+        runs, window = _distinct(at_run[walking])
+        walked = soc[walking]
+        # a buffer of its own: every flow stays C-contiguous (numpy 2.4's
+        # negative writes wrong values into a strided (steps, 1) view)
+        buffer = np.empty((4, len(flows[0]), len(walking)))
+        sums = step(runs, columns(walking, window), walked, buffer)
+        run_sums[at_run[walking], :, walking] = sums.T
+        soc[walking] = walked
+        at_run[walking] += 1
+
+    sums_in_order = iter(run_sums.reshape(runs_total, 4 * k))
+    totals = _pairwise_sum(n, lambda size: next(sums_in_order))
+    totals = (totals * dt).reshape(4, k).T.tolist()
 
     produced = [float(row.sum() * dt) for row in pv_rows]
     consumed = [float(row.sum() * dt) for row in load_rows]
@@ -419,14 +546,28 @@ def scr_no_storage(pv: TimeSeriesProfile, load: TimeSeriesProfile) -> float:
     return direct / produced
 
 
+#: trace_to_csv formats this many rows at a time from Python floats.
+_TRACE_BLOCK = 4096
+
+
 def trace_to_csv(trace: DispatchTrace) -> str:
-    """Serialize a trace to the documented CSV schema."""
-    return write_rows(TRACE_CSV_HEADER, (
-        f"{i},{trace.p_pv[i]:.6f},{trace.p_load[i]:.6f},{trace.p_direct[i]:.6f},"
-        f"{trace.p_charge[i]:.6f},{trace.p_discharge_delivered[i]:.6f},"
-        f"{trace.p_import[i]:.6f},{trace.p_curtail[i]:.6f},{trace.soc_kwh[i]:.6f}"
-        for i in range(len(trace))
-    ))
+    """Serialize a trace to the documented CSV schema.
+
+    Rows are formatted a block at a time from list slices: one template per
+    row, no numpy scalar per field, and no whole column held as a list.
+    """
+    row = "%d," + ",".join(["%.6f"] * 8)
+    columns = (
+        trace.p_pv, trace.p_load, trace.p_direct, trace.p_charge,
+        trace.p_discharge_delivered, trace.p_import, trace.p_curtail, trace.soc_kwh,
+    )
+
+    def block(lo: int) -> str:
+        hi = lo + _TRACE_BLOCK
+        rows = zip(range(lo, hi), *(column[lo:hi].tolist() for column in columns))
+        return "\n".join([row % values for values in rows])
+
+    return write_rows(TRACE_CSV_HEADER, map(block, range(0, len(trace), _TRACE_BLOCK)))
 
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -341,6 +340,9 @@ def run_sweep(
     keys = list(firsts.values())
     workers = min(parallel or 1, len(keys))
     if workers > 1:
+        # imported here: a serial sweep, simulate and report never load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [len(keys) * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             slices = pool.map(work, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])])

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import storparity
 from storparity.cli import INTEGER, NUMBER, NUMBERS, OPTIONS, main
-from storparity.sweep import RESULTS_CSV_HEADER, run_sweep
+from storparity.sweep import BOX_CSV_HEADER, PARITY_CSV_HEADER, RESULTS_CSV_HEADER, run_sweep
 
 TWO_COUNTRY_CSV = (
     "country,retail_eur_per_kwh,annual_yield_kwh_per_kwp,vat_rate\n"
@@ -216,6 +216,19 @@ class TestSimulate:
         assert capsys.readouterr().err == "computation error: lcoe must be finite, got inf\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_an_unread_config_key_exits_2(
+        self, tmp_path, capsys, constant
+    ):
+        # simulate reads neither key, and -1 would pass: the constant alone fails
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"ratios": [{constant}], "bess_prices": [-1]}}')
+        out = tmp_path / "out"
+        assert main([*simulate_args(out), "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"holds {constant}" in err[0]
+        assert not out.exists()
+
     def test_manifest_records_profile_from_config(self, tmp_path):
         load = hourly_profile_csv(tmp_path / "load.csv", evening_load)
         config = tmp_path / "config.json"
@@ -317,6 +330,23 @@ class TestSweep:
         # each failure once: listed, and not also logged
         assert err[0] == "204 scenario(s) failed:" and len(err) == 1 + 204
         assert caplog.records == []
+
+    def test_failing_sweep_leaves_no_summary_of_an_earlier_run(
+        self, tmp_path, two_country_csv, capsys
+    ):
+        out = tmp_path / "out"
+        argv = self.sweep_argv(
+            out, two_country_csv, ("--types", "A", "--ratios", "1", "--bess-prices", "150")
+        )
+        assert main(argv) == 0
+        assert len((out / "box_stats.csv").read_text().splitlines()) == 3
+        capsys.readouterr()
+        dead_pv = hourly_profile_csv(tmp_path / "pv.csv", lambda hour: 0.0)
+        assert main([*argv, "--pv-profile", str(dead_pv)]) == 1
+        assert (out / "results.csv").read_text() == RESULTS_CSV_HEADER + "\n"
+        assert (out / "parity_shares.csv").read_text() == PARITY_CSV_HEADER + "\n"
+        assert (out / "box_stats.csv").read_text() == BOX_CSV_HEADER + "\n"
+        assert "parity share" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value, failed", [
         ("--bess-prices", "1e308", 8), ("--discount-rate", "1e308", 16),
@@ -565,6 +595,18 @@ class TestReport:
         assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 0.05" in err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_constant_exits_2(self, tmp_path, capsys, constant):
+        fixture = tmp_path / "one.csv"
+        fixture.write_text(ONE_RESULT_CSV)
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"ratios": [{constant}], "bess_prices": [-1]}}')
+        out = tmp_path / "rep"
+        assert main(["report", str(fixture), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"holds {constant}" in err[0]
+        assert not out.exists()
+
     def test_config_types_are_still_checked(self, tmp_path, capsys):
         fixture = tmp_path / "one.csv"
         fixture.write_text(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n")
@@ -591,6 +633,15 @@ class TestParserBasics:
         )
         assert result.returncode == 0
         assert "storparity" in result.stdout
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a sweep with --parallel above 1 imports it
+    code = "import sys, storparity.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(storparity.__file__).parents[1]
+    )
+    assert result.returncode == 0
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):

@@ -21,7 +21,12 @@ from storparity import (
     synthesize_pv_profile,
     trace_to_csv,
 )
-from storparity.dispatch import TRACE_CSV_HEADER, simulate_balances
+from storparity.dispatch import (
+    _WIDTH,
+    TRACE_CSV_HEADER,
+    DispatchTrace,
+    simulate_balances,
+)
 
 SQRT_RT = math.sqrt(0.9)
 
@@ -300,6 +305,27 @@ def batches(draw):
     return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1 / 3, 1.0]))
 
 
+#: A battery that never fills or empties on long_batches() rows (at most
+#: 5 kW for 2000 h): pass 1's guess for a chunk's start is never right, and
+#: no run resynchronizes.
+NEVER_CLAMPS = BatterySpec(1e5, usable_fraction=1.0, soc_init_kwh=5e4)
+
+
+@st.composite
+def long_batches(draw):
+    """Rows of up to 2000 steps, cut into runs that are not all multiples of 8, and 1-8 configs."""
+    n = draw(st.sampled_from([129, 1000, 1001]) | st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pv_rows = random_rows(rng, draw(st.integers(1, 2)), n, 5.0)
+    load_rows = random_rows(rng, draw(st.integers(1, 2)), n, 4.0)
+    configs = draw(st.lists(
+        st.tuples(st.integers(0, len(pv_rows) - 1), st.integers(0, len(load_rows) - 1),
+                  batteries() | st.just(NEVER_CLAMPS)),
+        min_size=1, max_size=8,
+    ))
+    return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1.0]))
+
+
 def bits(balance):
     return [float(v).hex() for v in astuple(balance)]
 
@@ -354,6 +380,38 @@ class TestSimulateBalances:
             scalar = simulate_series(pv_rows[p], load_rows[l], battery, step)
             assert bits(got) == bits(annual_balance(scalar, step))
 
+    @settings(max_examples=25, deadline=None)
+    @given(long_batches())
+    def test_long_rows_match_the_trace_path_bit_for_bit(self, batch):
+        # up to 2000 steps: up to 32 runs, cut into up to 32 chunks
+        pv_rows, load_rows, configs, step = batch
+        balances = simulate_balances(pv_rows, load_rows, configs, step)
+        for (p, l, battery), got in zip(configs, balances):
+            scalar = simulate_series(pv_rows[p], load_rows[l], battery, step)
+            assert bits(got) == bits(annual_balance(scalar, step))
+            reference = reference_simulate(pv_rows[p], load_rows[l], battery, step)
+            want = annual_balance(reference, step)
+            assert astuple(got) == pytest.approx(astuple(want), rel=1e-12, abs=1e-12)
+
+    def test_repair_walk_crosses_whole_chunks(self):
+        # 1001 steps make 9 runs; 64 configs step 4 chunks of 2 or 3 runs side by
+        # side. No battery here fills or empties, so no chunk after the first
+        # starts where pass 1 guessed and pass 2 steps every later run again.
+        rng = np.random.default_rng(11)
+        pv, load = rng.uniform(0.0, 2.0, 1001), rng.uniform(0.0, 2.0, 1001)
+        configs = [
+            (0, 0, BatterySpec(1e4, usable_fraction=1.0, soc_init_kwh=3e3 + 50.0 * i,
+                               max_charge_kw=0.5 + i / 64, max_discharge_kw=1.5 - i / 64))
+            for i in range(64)
+        ]
+        assert _WIDTH // len(configs) == 4
+        balances = simulate_balances([pv], [load], configs, 1.0)
+        for (_, _, battery), got in zip(configs, balances):
+            trace = simulate_series(pv, load, battery, 1.0)
+            assert battery.soc_min_kwh < trace.soc_kwh.min()
+            assert trace.soc_kwh.max() < battery.capacity_kwh
+            assert bits(got) == bits(annual_balance(trace, 1.0))
+
     def test_full_battery_clamped_like_the_trace_path(self):
         # 1.37 + ((3.15 - 1.37) / 0.84) * 0.84 rounds above 3.15, so the clamp acts
         battery = BatterySpec(
@@ -373,6 +431,12 @@ class TestSimulateBalances:
             configs = others[:position] + [(0, 0, battery)] + others[position:]
             batched = simulate_balances(pvs, [load], configs, 1.0)[position]
             assert bits(batched) == bits(alone)
+        # alone, every run is a chunk; among 256 configs, the whole year is one
+        many = [(1, 0, BatterySpec(capacity_kwh=c / 16)) for c in range(_WIDTH)]
+        for position in (0, 100, _WIDTH):
+            configs = many[:position] + [(0, 0, battery)] + many[position:]
+            batched = simulate_balances(pvs, [load], configs, 1.0)
+            assert bits(batched[position]) == bits(alone)
 
     def test_unequal_row_lengths_rejected(self):
         with pytest.raises(UnalignedProfilesError):
@@ -403,6 +467,18 @@ class TestBadSeriesRejected:
 
 
 class TestTraceCsv:
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+    def test_bytes_equal_one_format_per_field(self, n):
+        rng = np.random.default_rng(n)
+        arrays = rng.uniform(0.0, 1e4, (8, n)) * 10.0 ** rng.integers(-9, 3, (8, n))
+        arrays[:, ::5] = 0.0
+        arrays[:, 1::7] = -0.0
+        trace = DispatchTrace(*arrays)
+        rows = [TRACE_CSV_HEADER] + [
+            f"{i}," + ",".join(f"{array[i]:.6f}" for array in arrays) for i in range(n)
+        ]
+        assert trace_to_csv(trace) == "\n".join(rows) + "\n"
+
     def test_header_and_roundtrip_values(self):
         trace = simulate_series([2.0, 0.0], [1.0, 1.0], lossless_battery(), 1.0)
         text = trace_to_csv(trace)
