@@ -13,7 +13,6 @@ from storparity import (
     EconomicParams,
     align,
     annual_balance,
-    capex,
     financial_result,
     load_country_data,
     scr_no_storage,
@@ -55,10 +54,9 @@ print("  soc kWh", np.array2string(trace.soc_kwh[day], precision=2))
 
 # --- 3. From energy flows to money ---------------------------------------
 econ = EconomicParams(bess_price_eur_per_kwh=150.0, vat_rate=cyprus.vat_rate)
-total = capex(3.0, 3.0, econ)
 result = financial_result(3.0, 3.0, econ, balance.e_produced, balance.scr,
                           cyprus.retail_price_eur_per_kwh)
-print(f"\nCAPEX incl. VAT : {total:8.2f} EUR")
+print(f"\nCAPEX incl. VAT : {result.capex_eur:8.2f} EUR")
 print(f"LCOE            : {result.lcoe_eur_per_kwh:8.4f} EUR/kWh (all produced energy)")
 print(f"LCOU            : {result.lcou_eur_per_kwh:8.4f} EUR/kWh (self-consumed energy only)")
 print(f"NPV             : {result.npv_eur:8.2f} EUR over {econ.horizon_years} years")

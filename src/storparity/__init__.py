@@ -40,14 +40,9 @@ from .finance import (
     EconomicParams,
     FinancialResult,
     FinancialResults,
-    capex,
     financial_result,
     financial_results,
-    grid_parity,
-    lcoe,
-    lcou,
     load_country_data,
-    npv,
     parse_country_csv,
 )
 from .profiles import (

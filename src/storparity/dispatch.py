@@ -169,11 +169,13 @@ def simulate(
 
 
 def _check_series(pv_rows, load_rows, step_hours: float) -> None:
-    """Reject a non-positive step, rows of unequal length and NaN, inf or negative power."""
-    if step_hours <= 0.0:
-        raise ValueError(f"step_hours must be positive, got {step_hours}")
+    """Reject a step not positive and finite, rows not 1-D or of unequal length, bad power."""
+    if not 0.0 < step_hours < math.inf:
+        raise ValueError(f"step_hours must be positive and finite, got {step_hours}")
     rows = [*pv_rows, *load_rows]
     for row in rows:
+        if np.ndim(row) != 1:
+            raise UnalignedProfilesError(f"series must be 1-D, got shape {np.shape(row)}")
         if len(row) != len(rows[0]):
             raise UnalignedProfilesError(f"series lengths differ ({len(row)} vs {len(rows[0])})")
     for name, side in (("pv", pv_rows), ("load", load_rows)):
@@ -308,6 +310,12 @@ def simulate_balances(
     not depend on which other configs share the call.
     """
     _check_series(pv_rows, load_rows, step_hours)
+    for p, l, _ in configs:
+        if not (0 <= p < len(pv_rows) and 0 <= l < len(load_rows)):
+            raise ValueError(
+                f"config rows ({p}, {l}) out of range for {len(pv_rows)} pv "
+                f"and {len(load_rows)} load rows"
+            )
     return _chunked_balances(pv_rows, load_rows, configs, step_hours) if configs else []
 
 

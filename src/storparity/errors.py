@@ -9,9 +9,10 @@ def check_finite(instance) -> None:
     """Raise ValueError naming the first numeric dataclass field that is NaN or inf.
 
     Constructors call it first: a range check such as ``x < 0`` lets NaN through.
+    A field that __post_init__ has yet to set is skipped.
     """
     for f in fields(instance):
-        value = getattr(instance, f.name)
+        value = getattr(instance, f.name, None)
         if isinstance(value, Real) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 

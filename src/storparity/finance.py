@@ -1,20 +1,24 @@
 """Discounted cash-flow evaluation: CAPEX, LCOE, LCOU, NPV, grid parity.
 
-Levelized cost of electricity divides lifetime discounted costs by
-lifetime discounted production:
+financial_results prices many systems at once and financial_result one;
+nothing else computes these values. CAPEX is the PV and battery sizes at
+their unit prices, plus VAT. Levelized cost of electricity divides lifetime
+discounted costs by lifetime discounted production:
 
     LCOE = (CAPEX + sum C_n / (1+r)^n) / (sum E_n / (1+r)^n),  n = 1..N
 
 Levelized cost of use keeps the same cost side but counts only the energy
-actually used on site:
+used on site, at the representative year's self-consumption rate SCR:
 
-    LCOU = (CAPEX + sum C_n / (1+r)^n) / (sum E_n * SCR_n / (1+r)^n)
+    LCOU = (CAPEX + sum C_n / (1+r)^n) / (sum E_n * SCR / (1+r)^n)
 
 with E_n the annual production (optionally degraded year over year), C_n a
 flat yearly maintenance cost derived from the pre-VAT CAPEX, r the
 discount rate and N the horizon. Grid parity of the hybrid system means
-LCOU strictly below the retail electricity price, which is equivalent to a
-positive NPV of the avoided-cost cash flows under the same assumptions.
+LCOU strictly below the retail price p, which is equivalent to a positive
+net present value of the avoided imports:
+
+    NPV = -CAPEX + sum (p * E_n * SCR - C_n) / (1+r)^n
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ COUNTRY_CSV_HEADER = "country,retail_eur_per_kwh,annual_yield_kwh_per_kwp,vat_ra
 class EconomicParams:
     """Unit prices and discounting assumptions for one evaluation.
 
-    vat_rate of None means "use the country's VAT" in pipeline code; the
-    plain finance operations below treat None as zero VAT. maintenance_rate
-    is a fraction of the pre-VAT CAPEX per year. No battery replacement is
+    vat_rate of None means "use the country's VAT" in pipeline code;
+    financial_result treats None as zero VAT. maintenance_rate is a
+    fraction of the pre-VAT CAPEX per year. No battery replacement is
     modeled within the horizon (battery service life exceeds it).
     """
 
@@ -118,19 +122,6 @@ class FinancialResult:
     grid_parity: bool
 
 
-def capex(pv_kwp: float, bess_kwh: float, econ: EconomicParams) -> float:
-    """Upfront cost of the hybrid system including VAT, no subsidies."""
-    if pv_kwp < 0.0 or bess_kwh < 0.0:
-        raise ValueError("system sizes must be >= 0")
-    pre_vat = pv_kwp * econ.pv_price_eur_per_kwp + bess_kwh * econ.bess_price_eur_per_kwh
-    return pre_vat * (1.0 + econ.vat)
-
-
-def annual_maintenance_cost(capex_eur: float, econ: EconomicParams) -> float:
-    """Yearly maintenance C_n, a fraction of the pre-VAT CAPEX."""
-    return econ.maintenance_rate * capex_eur / (1.0 + econ.vat)
-
-
 def discount_factors(econ: EconomicParams) -> np.ndarray:
     """(1+r)^-n for n = 1..N."""
     n = np.arange(1, econ.horizon_years + 1, dtype=float)
@@ -141,75 +132,6 @@ def degraded_energy(annual_energy_kwh: float, econ: EconomicParams) -> np.ndarra
     """E_n = E * (1 - deg)^(n-1) for n = 1..N."""
     n = np.arange(econ.horizon_years, dtype=float)
     return annual_energy_kwh * (1.0 - econ.pv_degradation_rate) ** n
-
-
-def _lifetime_cost(capex_eur: float, econ: EconomicParams, factors: np.ndarray) -> float:
-    return capex_eur + annual_maintenance_cost(capex_eur, econ) * float(factors.sum())
-
-
-def lcoe(capex_eur: float, econ: EconomicParams, annual_energy_kwh: float) -> float:
-    """Levelized cost of the produced electricity, in EUR/kWh."""
-    factors = discount_factors(econ)
-    denominator = float(np.sum(degraded_energy(annual_energy_kwh, econ) * factors))
-    if not denominator > 0.0:
-        raise ZeroEnergyError("no energy produced over the horizon")
-    return _lifetime_cost(capex_eur, econ, factors) / denominator
-
-
-def _as_year_series(values, econ: EconomicParams, what: str) -> np.ndarray:
-    if np.isscalar(values):
-        return np.full(econ.horizon_years, float(values))
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (econ.horizon_years,):
-        raise ValueError(
-            f"{what} must be a scalar or a sequence of length {econ.horizon_years}, "
-            f"got shape {arr.shape}"
-        )
-    return arr
-
-
-def lcou(
-    capex_eur: float,
-    econ: EconomicParams,
-    annual_energy_kwh: float,
-    scr_per_year: float | Sequence[float],
-) -> float:
-    """Levelized cost of the self-consumed electricity, in EUR/kWh.
-
-    scr_per_year may be a scalar (replicated over the horizon, the
-    representative-year case) or one value per year.
-    """
-    scr = _as_year_series(scr_per_year, econ, "scr_per_year")
-    if np.any(scr < 0.0) or np.any(scr > 1.0):
-        raise ValueError("SCR values must lie in [0, 1]")
-    if annual_energy_kwh < 0.0:
-        raise ZeroEnergyError(f"annual energy must be >= 0, got {annual_energy_kwh}")
-    factors = discount_factors(econ)
-    denominator = float(np.sum(degraded_energy(annual_energy_kwh, econ) * scr * factors))
-    if denominator <= 0.0:
-        raise ZeroSelfConsumptionError("no self-consumed energy over the horizon")
-    return _lifetime_cost(capex_eur, econ, factors) / denominator
-
-
-def npv(
-    capex_eur: float,
-    econ: EconomicParams,
-    annual_self_consumed_kwh: float | Sequence[float],
-    retail_price_eur_per_kwh: float,
-) -> float:
-    """Net present value of avoided imports at the flat retail tariff."""
-    self_consumed = _as_year_series(annual_self_consumed_kwh, econ, "annual_self_consumed_kwh")
-    factors = discount_factors(econ)
-    maintenance = annual_maintenance_cost(capex_eur, econ)
-    yearly = retail_price_eur_per_kwh * self_consumed - maintenance
-    return float(-capex_eur + np.sum(yearly * factors))
-
-
-def grid_parity(lcou_eur_per_kwh: float, retail_price_eur_per_kwh: float) -> bool:
-    """True when the LCOU falls strictly below the retail price."""
-    if lcou_eur_per_kwh <= 0.0 or retail_price_eur_per_kwh <= 0.0:
-        raise ValueError("grid parity needs positive LCOU and retail price")
-    return lcou_eur_per_kwh < retail_price_eur_per_kwh
 
 
 @dataclass(frozen=True)
@@ -240,19 +162,23 @@ def financial_results(
 ) -> FinancialResults:
     """Evaluate n systems end to end, each with its own BESS price and VAT.
 
-    econ supplies the PV price, maintenance, discounting, horizon and
-    degradation; its BESS price and VAT are not used. Each system's values
-    are bit for bit those of capex, lcoe, lcou and npv for it alone: the
-    same floating-point operations in the same order, with each per-year
-    sum taken as a row sum of a (systems x horizon) array. A system that
-    one of those checks rejects gets the same exception, in the same order
-    of checks, in errors; the others are unaffected.
+    Each argument but econ is a 1-D column, one entry per system; econ
+    supplies the rest, its BESS price and VAT unused. Each per-year sum is a
+    row sum of a (systems x horizon) array, so no row depends on another. A
+    system that cannot be priced gets in errors the exception of the first
+    check it fails, in this order: a size below 0 or NaN, no discounted
+    production, an SCR outside [0, 1] or NaN, nothing self-consumed, then an
+    LCOU or retail price that is not positive.
     """
-    pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail = (
+    columns = [
         np.asarray(v, dtype=float)
         for v in (pv_kwp, bess_kwh, bess_price_eur_per_kwh, vat_rate, annual_energy_kwh, scr,
                   retail_price_eur_per_kwh)
-    )
+    ]
+    if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        shapes = ", ".join(str(c.shape) for c in columns)
+        raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
+    pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail = columns
     factors = discount_factors(econ)
     with np.errstate(all="ignore"):  # the values of rejected systems are discarded
         capex_eur = (pv_kwp * econ.pv_price_eur_per_kwp + bess_kwh * bess_price) * (1.0 + vat)
@@ -266,20 +192,19 @@ def financial_results(
         lcou_value = lifetime_cost / self_consumed_sum
         yearly = retail[:, None] * self_consumed - maintenance[:, None]
         npv_value = -capex_eur + (yearly * factors).sum(axis=1)
-    checks = (  # capex, lcoe, lcou, then grid_parity
-        ((pv_kwp < 0.0) | (bess_kwh < 0.0), lambda i: ValueError("system sizes must be >= 0")),
-        (~(produced_sum > 0.0), lambda i: ZeroEnergyError("no energy produced over the horizon")),
-        ((scr < 0.0) | (scr > 1.0), lambda i: ValueError("SCR values must lie in [0, 1]")),
-        (self_consumed_sum <= 0.0, lambda i: ZeroSelfConsumptionError(
-            "no self-consumed energy over the horizon")),
-        ((lcou_value <= 0.0) | (retail <= 0.0), lambda i: ValueError(
-            "grid parity needs positive LCOU and retail price")),
+    checks = (  # the first check a system fails names its error
+        (~((pv_kwp >= 0.0) & (bess_kwh >= 0.0)), ValueError, "system sizes must be >= 0"),
+        (~(produced_sum > 0.0), ZeroEnergyError, "no energy produced over the horizon"),
+        (~((scr >= 0.0) & (scr <= 1.0)), ValueError, "SCR values must lie in [0, 1]"),
+        (self_consumed_sum <= 0.0, ZeroSelfConsumptionError,
+         "no self-consumed energy over the horizon"),
+        ((lcou_value <= 0.0) | ~(retail > 0.0), ValueError,
+         "grid parity needs positive LCOU and retail price"),
     )
     errors: dict[int, ValueError] = {}
-    for failed, error in checks:
+    for failed, kind, message in checks:
         for i in np.flatnonzero(failed).tolist():
-            if i not in errors:
-                errors[i] = error(i)
+            errors.setdefault(i, kind(message))
     return FinancialResults(
         capex_eur, lcoe_value, lcou_value, npv_value, lcou_value < retail, errors
     )

@@ -23,6 +23,7 @@ from .errors import (
     MalformedRowError,
     NegativePowerError,
     NonUniformStepError,
+    check_finite,
 )
 from .table import read_rows
 
@@ -66,6 +67,7 @@ class TimeSeriesProfile:
     year_energy_kwh: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.step_hours <= 0.0:
             raise ValueError(f"step_hours must be positive, got {self.step_hours}")
         values = np.array(self.values, dtype=float)

@@ -6,6 +6,7 @@ asserts at the stated tolerance.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,8 @@ from storparity import (
     BatterySpec,
     EconomicParams,
     align,
-    capex,
-    lcoe,
-    lcou,
+    financial_result,
     load_country_data,
-    npv,
     simulate,
     simulate_series,
     synthesize_load_profile,
@@ -76,12 +74,12 @@ def test_criterion_1_lcou_npv_identity(full_sweep, country_data):
         energy = float(rng.uniform(100.0, 20000.0))
         scr = float(rng.uniform(0.02, 1.0))
         price = float(rng.uniform(0.05, 0.40))
-        lcou_value = lcou(cap, econ, energy, scr)
-        self_consumed = (
-            energy * scr * (1.0 - econ.pv_degradation_rate) ** np.arange(econ.horizon_years)
+        # 1 kWp and no battery at a PV price of cap: a pre-VAT CAPEX of cap
+        result = financial_result(
+            1.0, 0.0, replace(econ, pv_price_eur_per_kwp=cap), energy, scr, price
         )
-        npv_value = npv(cap, econ, self_consumed, price)
-        if abs(lcou_value - price) > 1e-9 * price and (lcou_value < price) != (npv_value > 0.0):
+        on_boundary = abs(result.lcou_eur_per_kwh - price) <= 1e-9 * price
+        if not on_boundary and result.grid_parity != (result.npv_eur > 0.0):
             mismatches += 1
 
     elapsed = sweep_elapsed + (time.perf_counter() - start)
@@ -95,18 +93,21 @@ def test_criterion_1_lcou_npv_identity(full_sweep, country_data):
 
 def test_criterion_2_closed_form_checks():
     flat = EconomicParams(
-        vat_rate=0.0, maintenance_rate=0.0, discount_rate=0.0, horizon_years=20
+        bess_price_eur_per_kwh=150.0, vat_rate=0.0, maintenance_rate=0.0, discount_rate=0.0,
+        horizon_years=20,
     )
-    ok = lcoe(1300.0, flat, 1000.0) == 1300.0 / (20 * 1000.0)
-    ok = ok and lcou(1300.0, flat, 1000.0, 0.5) == 1300.0 / (20 * 1000.0 * 0.5)
-    ok = ok and lcou(4350.0, flat, 1250.0, 1.0) == 4350.0 / (20 * 1250.0)
+    pv_only = financial_result(1.0, 0.0, flat, 1000.0, 0.5, 0.2)
+    ok = pv_only.lcoe_eur_per_kwh == 1300.0 / (20 * 1000.0)
+    ok = ok and pv_only.lcou_eur_per_kwh == 1300.0 / (20 * 1000.0 * 0.5)
+    hybrid = financial_result(3.0, 3.0, flat, 1250.0, 1.0, 0.2)
+    ok = ok and hybrid.capex_eur == 4350.0
+    ok = ok and hybrid.lcou_eur_per_kwh == 4350.0 / (20 * 1250.0)
 
-    rich = EconomicParams(
-        vat_rate=0.19, maintenance_rate=0.01, discount_rate=0.07,
-        horizon_years=20, pv_degradation_rate=0.005,
-    )
-    lcoe_value = lcoe(5176.5, rich, 4394.55)
-    lcou_value = lcou(5176.5, rich, 4394.55, 1.0)
+    rich = replace(flat, vat_rate=0.19, maintenance_rate=0.01, discount_rate=0.07,
+                   pv_degradation_rate=0.005)
+    result = financial_result(3.0, 3.0, rich, 4394.55, 1.0, 0.2)
+    lcoe_value, lcou_value = result.lcoe_eur_per_kwh, result.lcou_eur_per_kwh
+    ok = ok and result.capex_eur == 5176.5
     ok = ok and abs(lcou_value - lcoe_value) <= 1e-12 * lcoe_value
     _criterion(
         2,

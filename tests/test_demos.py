@@ -1,4 +1,4 @@
-"""Each demo script runs to completion against the package in this tree."""
+"""Each demo script runs to completion, warnings as errors, against the package in this tree."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_exits_0(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert result.returncode == 0, result.stderr

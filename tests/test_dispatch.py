@@ -445,6 +445,15 @@ class TestSimulateBalances:
     def test_no_configs(self):
         assert simulate_balances([np.ones(4)], [np.ones(4)], [], 1.0) == []
 
+    def test_config_rows_out_of_range_or_not_1d_rejected(self):
+        pvs, loads, battery = [np.ones(4), np.ones(4)], [np.ones(4)], BatterySpec(1.0)
+        for p, l in ((-1, 0), (2, 0), (0, -1), (0, 1)):
+            with pytest.raises(ValueError, match=rf"^config rows \({p}, {l}\) out of range "
+                                                 r"for 2 pv and 1 load rows$"):
+                simulate_balances(pvs, loads, [(0, 0, battery), (p, l, battery)], 1.0)
+        with pytest.raises(UnalignedProfilesError, match=r"^series must be 1-D, got shape \(2, 4\)$"):
+            simulate_balances([np.ones((2, 4))], loads, [(0, 0, battery)], 1.0)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("side", ["pv", "load"])
@@ -464,6 +473,16 @@ class TestBadSeriesRejected:
             simulate_balances(
                 [np.asarray(pv)], [np.asarray(load)], [(0, 0, BatterySpec(2.0))], 1.0
             )
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0])
+def test_step_not_positive_and_finite_rejected(step):
+    pv, load = np.ones(3), np.ones(3)
+    message = f"^step_hours must be positive and finite, got {step}$"
+    with pytest.raises(ValueError, match=message):
+        simulate_series(pv, load, BatterySpec(2.0), step)
+    with pytest.raises(ValueError, match=message):
+        simulate_balances([pv], [load], [(0, 0, BatterySpec(2.0))], step)
 
 
 class TestTraceCsv:

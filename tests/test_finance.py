@@ -11,17 +11,11 @@ from storparity import (
     EconomicParams,
     ZeroEnergyError,
     ZeroSelfConsumptionError,
-    capex,
     financial_result,
     financial_results,
-    grid_parity,
-    lcoe,
-    lcou,
     load_country_data,
-    npv,
     parse_country_csv,
 )
-from storparity.finance import annual_maintenance_cost, degraded_energy
 
 
 def econ(**kwargs):
@@ -38,44 +32,54 @@ def econ(**kwargs):
     return EconomicParams(**defaults)
 
 
+def priced(cap, e, energy, scr=1.0, retail=1.0):
+    """financial_result for 1 kWp and no battery at a PV price of cap (pre-VAT CAPEX)."""
+    return financial_result(1.0, 0.0, replace(e, pv_price_eur_per_kwp=cap), energy, scr, retail)
+
+
 class TestCapex:
     def test_no_vat(self):
-        assert capex(3.0, 3.0, econ()) == pytest.approx(4350.0)
+        assert financial_result(3.0, 3.0, econ(), 1000.0, 1.0, 0.2).capex_eur == pytest.approx(
+            4350.0)
 
     def test_with_vat(self):
         # 1 kWp at 1300 with 19% VAT
-        assert capex(1.0, 0.0, econ(vat_rate=0.19)) == pytest.approx(1547.0)
+        assert financial_result(1.0, 0.0, econ(vat_rate=0.19), 1000.0, 1.0, 0.2).capex_eur == (
+            pytest.approx(1547.0))
 
     def test_zero_system(self):
-        assert capex(0.0, 0.0, econ()) == 0.0
+        batch = financial_results([0.0], [0.0], [150.0], [0.0], [1000.0], [1.0], [0.2], econ())
+        assert batch.capex_eur[0] == 0.0
+        assert str(batch.errors[0]) == "grid parity needs positive LCOU and retail price"
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            capex(-1.0, 0.0, econ())
+        with pytest.raises(ValueError, match="^system sizes must be >= 0$"):
+            financial_result(-1.0, 0.0, econ(), 1000.0, 1.0, 0.2)
 
     def test_maintenance_uses_pre_vat_capex(self):
+        # 1547 EUR incl. VAT, 13 EUR a year (1% of 1300) for 20 years, undiscounted
         e = econ(vat_rate=0.19, maintenance_rate=0.01)
-        total = capex(1.0, 0.0, e)
-        assert annual_maintenance_cost(total, e) == pytest.approx(13.0)
+        result = financial_result(1.0, 0.0, e, 1000.0, 1.0, 0.2)
+        assert result.lcoe_eur_per_kwh == pytest.approx((1547.0 + 20 * 13.0) / 20000.0)
 
 
 class TestLcoe:
     def test_zero_rate_no_maintenance_closed_form(self):
-        assert lcoe(1300.0, econ(), 1000.0) == 1300.0 / 20000.0
+        assert priced(1300.0, econ(), 1000.0).lcoe_eur_per_kwh == 1300.0 / 20000.0
 
     def test_single_year_discounting(self):
         e = econ(discount_rate=0.05, horizon_years=1)
-        assert lcoe(1000.0, e, 1000.0) == pytest.approx(1.05, rel=1e-12)
+        assert priced(1000.0, e, 1000.0).lcoe_eur_per_kwh == pytest.approx(1.05, rel=1e-12)
 
     def test_constant_maintenance_closed_form_at_zero_rate(self):
         e = econ(maintenance_rate=0.02)
         annual_cost = 0.02 * 5000.0
         expected = (5000.0 + 20 * annual_cost) / (20 * 1000.0)
-        assert lcoe(5000.0, e, 1000.0) == pytest.approx(expected, rel=1e-12)
+        assert priced(5000.0, e, 1000.0).lcoe_eur_per_kwh == pytest.approx(expected, rel=1e-12)
 
     def test_zero_energy_rejected(self):
         with pytest.raises(ZeroEnergyError):
-            lcoe(1000.0, econ(), 0.0)
+            priced(1000.0, econ(), 0.0)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(11)
@@ -89,38 +93,35 @@ class TestLcoe:
             )
             cap = float(rng.uniform(100.0, 20000.0))
             energy = float(rng.uniform(100.0, 20000.0))
-            assert lcoe(cap, e, energy) == pytest.approx(
-                reference_lcoe(cap, e, energy), rel=1e-12
+            result = priced(cap, e, energy)
+            assert result.lcoe_eur_per_kwh == pytest.approx(
+                reference_lcoe(result.capex_eur, e, energy), rel=1e-12
             )
 
 
 class TestLcou:
     def test_scr_one_reduces_to_lcoe(self):
         e = econ(discount_rate=0.07, maintenance_rate=0.01, pv_degradation_rate=0.005)
-        assert lcou(4350.0, e, 4394.55, 1.0) == lcoe(4350.0, e, 4394.55)
+        result = priced(4350.0, e, 4394.55, 1.0)
+        assert result.lcou_eur_per_kwh == result.lcoe_eur_per_kwh
 
     def test_half_scr_doubles_lcoe_at_zero_rate(self):
-        e = econ()
-        assert lcou(4350.0, e, 1000.0, 0.5) == pytest.approx(
-            2.0 * lcoe(4350.0, e, 1000.0), rel=1e-12
-        )
-
-    def test_accepts_per_year_sequence(self):
-        e = econ(horizon_years=3)
-        by_year = lcou(1000.0, e, 1000.0, [0.5, 0.5, 0.5])
-        assert by_year == pytest.approx(lcou(1000.0, e, 1000.0, 0.5), rel=1e-12)
+        result = priced(4350.0, econ(), 1000.0, 0.5)
+        assert result.lcou_eur_per_kwh == pytest.approx(2.0 * result.lcoe_eur_per_kwh, rel=1e-12)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            lcou(1000.0, econ(), 1000.0, [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^columns must be 1-D and of one length, got shapes "
+                                             r"\(1,\), \(1,\), \(1,\), \(1,\), \(1,\), \(2,\)"):
+            financial_results([3.0], [3.0], [150.0], [0.0], [1000.0], [0.5, 0.5], [0.2], econ())
 
     def test_out_of_range_scr_rejected(self):
-        with pytest.raises(ValueError):
-            lcou(1000.0, econ(), 1000.0, 1.2)
+        for scr in (1.2, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^SCR values must lie in \[0, 1\]$"):
+                priced(1000.0, econ(), 1000.0, scr)
 
     def test_zero_self_consumption_rejected(self):
         with pytest.raises(ZeroSelfConsumptionError):
-            lcou(1000.0, econ(), 1000.0, 0.0)
+            priced(1000.0, econ(), 1000.0, 0.0)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(12)
@@ -133,9 +134,10 @@ class TestLcou:
             )
             cap = float(rng.uniform(100.0, 20000.0))
             energy = float(rng.uniform(100.0, 20000.0))
-            scr = rng.uniform(0.05, 1.0, e.horizon_years)
-            assert lcou(cap, e, energy, scr) == pytest.approx(
-                reference_lcou(cap, e, energy, list(scr)), rel=1e-12
+            scr = float(rng.uniform(0.05, 1.0))
+            result = priced(cap, e, energy, scr)
+            assert result.lcou_eur_per_kwh == pytest.approx(
+                reference_lcou(result.capex_eur, e, energy, [scr] * e.horizon_years), rel=1e-12
             )
 
     def test_lcou_never_below_lcoe(self):
@@ -149,32 +151,33 @@ class TestLcou:
             cap = float(rng.uniform(500.0, 10000.0))
             energy = float(rng.uniform(500.0, 10000.0))
             scr = float(rng.uniform(0.05, 1.0))
-            assert lcou(cap, e, energy, scr) >= lcoe(cap, e, energy) - 1e-15
+            result = priced(cap, e, energy, scr)
+            assert result.lcou_eur_per_kwh >= result.lcoe_eur_per_kwh - 1e-15
 
     def test_strictly_decreasing_in_bess_price(self):
         for price_low, price_high in ((150.0, 500.0), (100.0, 101.0)):
-            low = capex(3.0, 3.0, econ(bess_price_eur_per_kwh=price_low))
-            high = capex(3.0, 3.0, econ(bess_price_eur_per_kwh=price_high))
-            e = econ(discount_rate=0.07, maintenance_rate=0.01)
-            assert lcou(low, e, 4000.0, 0.8) < lcou(high, e, 4000.0, 0.8)
+            low, high = (
+                financial_result(3.0, 3.0, econ(bess_price_eur_per_kwh=price, discount_rate=0.07,
+                                                maintenance_rate=0.01), 4000.0, 0.8, 0.2)
+                for price in (price_low, price_high)
+            )
+            assert low.lcou_eur_per_kwh < high.lcou_eur_per_kwh
 
     def test_uniform_scaling_invariance(self):
         e = econ(discount_rate=0.07, maintenance_rate=0.01)
-        base = lcou(4350.0, e, 4000.0, 0.8)
+        base = priced(4350.0, e, 4000.0, 0.8).lcou_eur_per_kwh
         for k in (3.0, 0.25, 17.5):
-            scaled = lcou(4350.0 * k, e, 4000.0 * k, 0.8)
+            scaled = priced(4350.0 * k, e, 4000.0 * k, 0.8).lcou_eur_per_kwh
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
 class TestNpvAndParity:
     def test_undiscounted_savings(self):
-        e = econ()
-        # 100 EUR/year avoided for 20 years with no costs
-        assert npv(0.0, e, 1000.0, 0.1) == pytest.approx(2000.0, rel=1e-12)
+        # 100 EUR/year avoided for 20 years, less a CAPEX of 1000 and no other costs
+        assert priced(1000.0, econ(), 1000.0, 1.0, 0.1).npv_eur == pytest.approx(1000.0, rel=1e-12)
 
     def test_break_even(self):
-        e = econ()
-        assert npv(2000.0, e, 1000.0, 0.1) == pytest.approx(0.0, abs=1e-9)
+        assert priced(2000.0, econ(), 1000.0, 1.0, 0.1).npv_eur == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(14)
@@ -184,24 +187,31 @@ class TestNpvAndParity:
                 maintenance_rate=float(rng.uniform(0.0, 0.05)),
                 discount_rate=float(rng.uniform(0.0, 0.15)),
                 horizon_years=int(rng.integers(1, 31)),
+                pv_degradation_rate=float(rng.uniform(0.0, 0.01)),
             )
             cap = float(rng.uniform(100.0, 20000.0))
-            self_consumed = rng.uniform(0.0, 8000.0, e.horizon_years)
+            energy = float(rng.uniform(100.0, 20000.0))
+            scr = float(rng.uniform(0.05, 1.0))
             price = float(rng.uniform(0.05, 0.40))
-            assert npv(cap, e, self_consumed, price) == pytest.approx(
-                reference_npv(cap, e, list(self_consumed), price), rel=1e-12, abs=1e-9
+            result = priced(cap, e, energy, scr, price)
+            used = [energy * scr * (1.0 - e.pv_degradation_rate) ** n
+                    for n in range(e.horizon_years)]
+            assert result.npv_eur == pytest.approx(
+                reference_npv(result.capex_eur, e, used, price), rel=1e-12, abs=1e-9
             )
 
     def test_parity_strict_inequality(self):
-        assert grid_parity(0.107, 0.19270) is True
-        assert grid_parity(0.19270, 0.19270) is False
-        assert grid_parity(0.205, 0.16814) is False
+        # LCOU = 1300 / 20000 = 0.065 EUR/kWh
+        assert priced(1300.0, econ(), 1000.0, 1.0, 0.19270).grid_parity is True
+        assert priced(1300.0, econ(), 1000.0, 1.0, 0.065).grid_parity is False
+        assert priced(1300.0, econ(), 1000.0, 1.0, 0.05).grid_parity is False
 
     def test_parity_requires_positive_inputs(self):
-        with pytest.raises(ValueError):
-            grid_parity(0.0, 0.2)
-        with pytest.raises(ValueError):
-            grid_parity(0.1, 0.0)
+        message = "^grid parity needs positive LCOU and retail price$"
+        with pytest.raises(ValueError, match=message):
+            financial_result(0.0, 0.0, econ(), 1000.0, 1.0, 0.2)
+        with pytest.raises(ValueError, match=message):
+            priced(1300.0, econ(), 1000.0, 1.0, 0.0)
 
     def test_parity_iff_positive_npv_randomized(self):
         rng = np.random.default_rng(15)
@@ -217,33 +227,25 @@ class TestNpvAndParity:
             energy = float(rng.uniform(100.0, 20000.0))
             scr = float(rng.uniform(0.05, 1.0))
             price = float(rng.uniform(0.05, 0.40))
-            lcou_value = lcou(cap, e, energy, scr)
-            self_consumed = energy * scr * (1.0 - e.pv_degradation_rate) ** np.arange(
-                e.horizon_years
-            )
-            npv_value = npv(cap, e, self_consumed, price)
-            if abs(lcou_value - price) > 1e-9 * price:
-                assert grid_parity(lcou_value, price) == (npv_value > 0.0)
+            result = priced(cap, e, energy, scr, price)
+            if abs(result.lcou_eur_per_kwh - price) > 1e-9 * price:
+                assert result.grid_parity == (result.npv_eur > 0.0)
 
 
 class TestFinancialResult:
     def test_composition_consistent(self):
         e = econ(discount_rate=0.07, maintenance_rate=0.01, vat_rate=0.19)
         result = financial_result(3.0, 3.0, e, 4394.55, 0.8, 0.19270)
-        assert result.capex_eur == pytest.approx(capex(3.0, 3.0, e), rel=1e-12)
+        assert result.capex_eur == pytest.approx(4350.0 * 1.19, rel=1e-12)
         assert result.lcou_eur_per_kwh >= result.lcoe_eur_per_kwh
         assert result.grid_parity == (result.npv_eur > 0.0)
 
 
 def one_at_a_time(pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail, base):
-    """One system through the per-system formulas: its five values, or the exception."""
+    """One system passed alone through financial_result: its result, or the exception."""
     e = replace(base, bess_price_eur_per_kwh=bess_price, vat_rate=vat)
     try:
-        cap = capex(pv_kwp, bess_kwh, e)
-        lcoe_value = lcoe(cap, e, energy)
-        lcou_value = lcou(cap, e, energy, scr)
-        npv_value = npv(cap, e, degraded_energy(energy, e) * scr, retail)
-        return cap, lcoe_value, lcou_value, npv_value, grid_parity(lcou_value, retail)
+        return financial_result(pv_kwp, bess_kwh, e, energy, scr, retail)
     except ValueError as exc:
         return exc
 
@@ -257,15 +259,14 @@ def assert_batch_matches_one_at_a_time(rows, base):
         if isinstance(expected, Exception):
             got = batch.errors[i]
             assert (type(got), str(got)) == (type(expected), str(expected))
-            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
-                financial_result(*row[:2], replace(base, bess_price_eur_per_kwh=row[2],
-                                                   vat_rate=row[3]), *row[4:])
             continue
         assert i not in batch.errors
         got = (batch.capex_eur[i], batch.lcoe_eur_per_kwh[i], batch.lcou_eur_per_kwh[i],
-               batch.npv_eur[i], batch.grid_parity[i])
-        assert [float(v).hex() for v in got[:4]] == [float(v).hex() for v in expected[:4]]
-        assert bool(got[4]) is expected[4]
+               batch.npv_eur[i])
+        want = (expected.capex_eur, expected.lcoe_eur_per_kwh, expected.lcou_eur_per_kwh,
+                expected.npv_eur)
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+        assert bool(batch.grid_parity[i]) is expected.grid_parity
     return batch
 
 
@@ -273,6 +274,7 @@ class TestFinancialResults:
     def test_failing_rows_fail_alone_in_check_order(self):
         base = econ(discount_rate=0.07, maintenance_rate=0.01)
         ok = (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, 0.1927)
+        nan = float("nan")
         rows = [
             ok,
             (-1.0, 3.0, 150.0, 0.19, 0.0, 2.0, 0.1927),   # negative size, before the rest
@@ -283,18 +285,33 @@ class TestFinancialResults:
             (3.0, 3.0, 150.0, 0.19, 4394.55, 0.0, 0.1927),  # nothing self-consumed
             (0.0, 0.0, 150.0, 0.19, 4394.55, 0.8, 0.1927),  # LCOU 0
             (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, 0.0),   # no retail price
+            (3.0, 3.0, 150.0, 0.19, 4394.55, nan, 0.1927),  # NaN SCR
+            (3.0, nan, 150.0, 0.19, 4394.55, nan, 0.1927),  # NaN size, before the SCR
+            (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, nan),   # NaN retail price
             ok,
         ]
         batch = assert_batch_matches_one_at_a_time(rows, base)
         assert [type(batch.errors.get(i)).__name__ for i in range(len(rows))] == [
             "NoneType", "ValueError", "ZeroEnergyError", "ZeroEnergyError", "ValueError",
-            "ValueError", "ZeroSelfConsumptionError", "ValueError", "ValueError", "NoneType",
+            "ValueError", "ZeroSelfConsumptionError", "ValueError", "ValueError", "ValueError",
+            "ValueError", "ValueError", "NoneType",
         ]
         assert str(batch.errors[2]) == "no energy produced over the horizon"
+        assert str(batch.errors[9]) == "SCR values must lie in [0, 1]"
+        assert str(batch.errors[10]) == "system sizes must be >= 0"
+        assert str(batch.errors[11]) == "grid parity needs positive LCOU and retail price"
         # a discounted production that underflows to 0 is no production either
         tiny = (3.0, 3.0, 150.0, 0.19, 5e-324, 0.8, 0.1927)
         batch = assert_batch_matches_one_at_a_time([ok, tiny], econ(discount_rate=1.5))
         assert list(batch.errors) == [1] and isinstance(batch.errors[1], ZeroEnergyError)
+        # columns that are not 1-D or differ in length fail the whole call
+        message = r"^columns must be 1-D and of one length, got shapes "
+        with pytest.raises(ValueError, match=message + r"\(3,\), \(1,\), \(3,\), "):
+            financial_results([1, 2, 3], [1.0], *([[1.0] * 3] * 5), base)
+        with pytest.raises(ValueError, match=message + r"\(1, 1\), "):
+            financial_results(*([[[1.0]]] * 7), base)
+        with pytest.raises(ValueError, match=message + r"\(\), "):
+            financial_results(*([1.0] * 7), base)
 
     def test_empty_batch(self):
         batch = financial_results([], [], [], [], [], [], [], econ())

@@ -1,3 +1,4 @@
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -245,6 +246,13 @@ class TestProfileInvariants:
     def test_year_coverage_enforced(self):
         with pytest.raises(ValueError):
             TimeSeriesProfile(step_hours=1.0, values=np.ones(100), kind=ProfileKind.PV)
+
+    def test_step_not_positive_and_finite_rejected(self):
+        for step, message in ((math.nan, "must be finite, got nan"),
+                              (math.inf, "must be finite, got inf"),
+                              (0.0, "must be positive, got 0.0")):
+            with pytest.raises(ValueError, match=f"^step_hours {message}$"):
+                TimeSeriesProfile(step_hours=step, values=np.ones(8760), kind=ProfileKind.PV)
 
     def test_negative_values_rejected(self):
         values = np.ones(8760)

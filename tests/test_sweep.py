@@ -25,7 +25,6 @@ from storparity import (
     box_stats,
     box_stats_by_country_price,
     build_grid,
-    capex,
     financial_result,
     parity_share,
     parse_results_csv,
@@ -149,7 +148,7 @@ class TestRunScenario:
         econ = replace(
             default_econ, bess_price_eur_per_kwh=150.0, vat_rate=country_data["Cyprus"].vat_rate
         )
-        cap = capex(3.0, 3.0, econ)
+        cap = financial_result(3.0, 3.0, econ, 3 * 1464.85, result.scr, 0.19270).capex_eur
         assert cap == pytest.approx((3 * 1300.0 + 3 * 150.0) * 1.19, rel=1e-12)
         oracle = reference_lcou(
             cap, econ, 3 * 1464.85, [result.scr] * econ.horizon_years
