@@ -147,7 +147,7 @@ OPTIONS = {
                "sweep rescales it to each type's annual energy"),
         Option("pv_profile_csv", "--pv-profile", PATH, "run", help="measured PV CSV; "
                "sweep rescales it to kWp times country yield"),
-        Option("parallel", "--parallel", INTEGER, "run", SWEEP, "workers (default: CPU count)"),
+        Option("parallel", "--parallel", INTEGER, "run", SWEEP, "workers (default: 1)"),
     )
 }
 
@@ -423,7 +423,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for t in axes["prosumer_types"]:
         if t not in PROSUMER_TYPES:
             raise ConfigError(f"unknown prosumer type '{t}' (expected one of {PROSUMER_TYPES})")
-    parallel = cfg.values.get("parallel", os.cpu_count() or 1)
+    parallel = cfg.values.get("parallel", 1)
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,14 +168,15 @@ def simulate(
     return simulate_series(pv.values, load.values, battery, pv.step_hours)
 
 
-def _check_series(pv_rows, load_rows, step_hours: float) -> None:
-    """Reject a step not positive and finite, rows not 1-D or of unequal length, bad power."""
+def _check_series(pv_rows, load_rows, step_hours: float) -> tuple[list, list]:
+    """The rows as float arrays. Rejects a bad step, rows not 1-D or unequal, bad power."""
     if not 0.0 < step_hours < math.inf:
         raise ValueError(f"step_hours must be positive and finite, got {step_hours}")
+    pv_rows, load_rows = ([np.asarray(r, dtype=float) for r in s] for s in (pv_rows, load_rows))
     rows = [*pv_rows, *load_rows]
     for row in rows:
-        if np.ndim(row) != 1:
-            raise UnalignedProfilesError(f"series must be 1-D, got shape {np.shape(row)}")
+        if row.ndim != 1:
+            raise UnalignedProfilesError(f"series must be 1-D, got shape {row.shape}")
         if len(row) != len(rows[0]):
             raise UnalignedProfilesError(f"series lengths differ ({len(row)} vs {len(rows[0])})")
     for name, side in (("pv", pv_rows), ("load", load_rows)):
@@ -184,6 +185,7 @@ def _check_series(pv_rows, load_rows, step_hours: float) -> None:
                 raise ValueError(f"{name} power values must be finite")
             if (row < 0.0).any():
                 raise NegativePowerError(f"{name} power values must be non-negative")
+    return pv_rows, load_rows
 
 
 def _offers(pv, load, dt: float, charge_cap_e, discharge_cap_e, out):
@@ -215,9 +217,9 @@ def simulate_series(
     value, as np.minimum and np.maximum do, so every array is bit for bit
     what the kernel computes for the same row.
     """
-    pv = np.array(pv_kw, dtype=float)
-    load = np.array(load_kw, dtype=float)
-    _check_series([pv], [load], step_hours)
+    (pv,), (load,) = _check_series(
+        [np.array(pv_kw, dtype=float)], [np.array(load_kw, dtype=float)], step_hours
+    )
     dt = step_hours
     cap = battery.capacity_kwh
     soc_min = battery.soc_min_kwh
@@ -260,63 +262,58 @@ def simulate_series(
     )
 
 
-#: numpy sums a float64 vector by halving it (at multiples of 8) down to runs
-#: of at most this many items, each summed with eight interleaved partial sums.
-_PAIRWISE_RUN = 128
+#: How both dispatch paths sum the four flows: the year is cut into runs of this
+#: many steps (a multiple of 8), the last padded with zeros; each run is summed
+#: by _run_sum, and the run sums are added one after another by _in_order.
+_RUN = 72
 
 #: The kernel steps about this many columns (keys x chunks of time) side by side.
 _WIDTH = 256
 
 
-def _pairwise_sum(n: int, run_sum: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Sum n steps in numpy's pairwise order; run_sum(size) sums the next size steps."""
-    if n <= _PAIRWISE_RUN:
-        return run_sum(n)
-    half = n // 2 - (n // 2) % 8
-    left = _pairwise_sum(half, run_sum)
-    return left + _pairwise_sum(n - half, run_sum)
-
-
 def _run_sum(block: np.ndarray) -> np.ndarray:
-    """Sums over the steps of one run, a (flows, steps, columns) block, in numpy's order.
+    """Sums over the steps of runs, a (flows, _RUN, columns) block: (flows, columns).
 
-    numpy adds a run's items into eight interleaved partial sums, adds those
-    pairwise and then the items left over one by one. The adds are spelled
-    out: the order of a reduction over a middle axis depends on the layout.
+    The steps go into eight interleaved partial sums, which are then added
+    pairwise. Only elementwise adds: the order of a reduction over a middle
+    axis would depend on the layout.
     """
-    flows, size, width = block.shape
-    whole = size - size % 8
-    r = np.zeros((8, flows, width))
-    for i in range(0, whole, 8):
+    r = np.zeros((8,) + block[:, 0].shape)
+    for i in range(0, _RUN, 8):
         r += block[:, i:i + 8].transpose(1, 0, 2)
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(whole, size):
-        total += block[:, i]
-    return total
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+
+def _in_order(run_sums: np.ndarray) -> np.ndarray:
+    """The total of run sums, (runs, ...), added one after another (in place)."""
+    return np.add.accumulate(run_sums, axis=0, out=run_sums)[-1]
 
 
 def simulate_balances(
-    pv_rows: Sequence[np.ndarray],
-    load_rows: Sequence[np.ndarray],
+    pv_rows: Sequence[Sequence[float]],
+    load_rows: Sequence[Sequence[float]],
     configs: Sequence[tuple[int, int, BatterySpec]],
     step_hours: float,
 ) -> list[EnergyBalance]:
     """Annual balances of many dispatch configs at once, without traces.
 
     ``configs[i] = (p, l, battery)`` dispatches ``pv_rows[p]`` against
-    ``load_rows[l]``. All rows have one length; each is checked once for
-    NaN, inf and negative values. Each balance equals
-    ``annual_balance(simulate_series(...), step_hours)`` bit for bit and does
-    not depend on which other configs share the call.
+    ``load_rows[l]``. Rows are arrays or sequences of numbers, all of one
+    length; each is converted to float and checked once for NaN, inf and
+    negative values. The four flows are summed by the rule of _RUN, so each
+    balance equals ``annual_balance(simulate_series(...), step_hours)`` bit
+    for bit and does not depend on which other configs share the call.
     """
-    _check_series(pv_rows, load_rows, step_hours)
+    pv_rows, load_rows = _check_series(pv_rows, load_rows, step_hours)
     for p, l, _ in configs:
         if not (0 <= p < len(pv_rows) and 0 <= l < len(load_rows)):
             raise ValueError(
                 f"config rows ({p}, {l}) out of range for {len(pv_rows)} pv "
                 f"and {len(load_rows)} load rows"
             )
-    return _chunked_balances(pv_rows, load_rows, configs, step_hours) if configs else []
+    if not configs or not len(pv_rows[0]):  # an empty year has no runs: every sum is 0
+        return [_energy_balance(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * len(configs)
+    return _chunked_balances(pv_rows, load_rows, configs, step_hours)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,26 +346,22 @@ def _gather(rows, plan, at, pad, out) -> None:
 
 
 def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBalance]:
-    """simulate_balances on checked rows and at least one config.
+    """simulate_balances on checked, non-empty rows and at least one config.
 
-    The year is cut into the runs of steps of numpy's pairwise sum, and the
-    runs into C chunks of whole runs, C about _WIDTH / k for k configs. Pass 1
-    steps every chunk of every config side by side, with simulate_series'
-    rule and floating-point operations, one numpy call per operation: chunk 0
-    from soc_init, every later chunk from soc_min. It keeps, per run and
-    config, the SOC at the run's end and the sums of the four flows. Pass 2
-    walks each config's runs in time order with the true SOC. A run that
-    started from it bit for bit is exact, and so is the rest of its chunk; any
-    other run is stepped again from the true SOC, all walking configs side by
-    side. The run sums are combined in numpy's pairwise order.
+    The year is cut into the runs of _RUN steps of the summation rule, and
+    the runs into C chunks of whole runs, C about _WIDTH / k for k configs.
+    Pass 1 steps every chunk of every config side by side, with
+    simulate_series' rule and floating-point operations, one numpy call per
+    operation: chunk 0 from soc_init, every later chunk from soc_min. It
+    keeps, per run and config, the SOC at the run's end and the sums of the
+    four flows. Pass 2 walks each config's runs in time order with the true
+    SOC. A run that started from it bit for bit is exact, and so is the rest
+    of its chunk; any other run is stepped again from the true SOC, all
+    walking configs side by side. The run sums are then added in order.
     """
     n = len(pv_rows[0])
     k = len(configs)
-    sizes: list[int] = []
-    _pairwise_sum(n, lambda size: sizes.append(size) or 0.0)
-    runs_total = len(sizes)
-    sizes = np.array(sizes)
-    starts = np.cumsum(sizes) - sizes
+    runs_total = -(-n // _RUN)
     chunks = min(max(_WIDTH // k, 1), runs_total)
     first = np.array([runs_total * c // chunks for c in range(chunks + 1)])
     next_chunk = np.repeat(first[1:], np.diff(first))  # per run: the next chunk's first run
@@ -395,26 +388,22 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     def step(runs, cols, soc, flows) -> np.ndarray:
         """Step each column's config through run runs[its window], from soc.
 
-        soc is updated in place; run -1 is no run, so its columns only pad.
-        flows is a (4, steps, columns) buffer of at least the longest run.
+        soc is updated in place. Steps past the year's end, and all of run -1,
+        are padding that reads 0. flows is a (4, _RUN, columns) buffer.
         Returns the four flow sums of each column's run, (4, columns).
         """
         window, par, pv_plan, load_plan = cols
         cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e = par
-        size = np.where(runs >= 0, sizes[runs], 0)
-        steps = int(size.max())
-        t = np.arange(steps)[:, None]
-        at = np.minimum(starts[runs] + t, n - 1)
-        pad = t >= size  # zero offers leave the SOC as it is
-        width = len(window)
-        flows = flows[:, :steps]
+        at = runs * _RUN + np.arange(_RUN)[:, None]
+        pad = (at < 0) | (at >= n)  # zero offers leave the SOC as it is and add 0 to the sums
+        at.clip(0, n - 1, out=at)
         accepted, delivered, curtailed, imported = flows
         _gather(pv_rows, pv_plan, at, pad, curtailed)
         _gather(load_rows, load_plan, at, pad, imported)
         # each step reads what is offered and wanted where it writes the flows
         _offers(curtailed, imported, dt, charge_cap_e, discharge_cap_e,
                 (curtailed, imported, accepted, delivered))
-        tmp = np.empty(width)
+        tmp = np.empty(len(window))
         for acc, dlv in zip(accepted, delivered):
             sub(cap, soc, tmp)
             div(tmp, eta_c, tmp)  # headroom
@@ -431,13 +420,7 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         sub(curtailed, accepted, curtailed)  # the surplus left over
         sub(imported, delivered, imported)  # the deficit left over
         div(flows, dt, flows)
-        sums = np.zeros((4, width))
-        column_size = size[window]
-        for run_size in set(size.tolist()) - {0}:
-            # summed over every column, kept for the columns of this size
-            same = column_size == run_size
-            sums[:, same] = _run_sum(flows[:, :run_size])[:, same]
-        return sums
+        return _run_sum(flows)
 
     end_soc = np.empty((runs_total, k))  # pass 1's SOC after each run
     run_sums = np.zeros((runs_total, 4, k))
@@ -448,7 +431,7 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     cols = columns(key, window)
     soc = np.tile(soc_min, chunks)
     soc[:k] = soc_init
-    flows = np.empty((4, int(sizes.max()), len(key)))
+    flows = np.empty((4, _RUN, len(key)))
     for j in range(int(np.diff(first).max())):
         runs = first[:-1] + j
         runs[runs >= first[1:]] = -1
@@ -482,15 +465,13 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         walked = soc[walking]
         # a buffer of its own: every flow stays C-contiguous (numpy 2.4's
         # negative writes wrong values into a strided (steps, 1) view)
-        buffer = np.empty((4, len(flows[0]), len(walking)))
+        buffer = np.empty((4, _RUN, len(walking)))
         sums = step(runs, columns(walking, window), walked, buffer)
         run_sums[at_run[walking], :, walking] = sums.T
         soc[walking] = walked
         at_run[walking] += 1
 
-    sums_in_order = iter(run_sums.reshape(runs_total, 4 * k))
-    totals = _pairwise_sum(n, lambda size: next(sums_in_order))
-    totals = (totals * dt).reshape(4, k).T.tolist()
+    totals = (_in_order(run_sums) * dt).T.tolist()
 
     produced = [float(row.sum() * dt) for row in pv_rows]
     consumed = [float(row.sum() * dt) for row in load_rows]
@@ -508,15 +489,22 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
 
 
 def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:
-    """Aggregate a trace into annual energies plus SCR and SSR."""
+    """Aggregate a trace into annual energies plus SCR and SSR.
+
+    The four flows are summed by the rule of _RUN, as the batched kernel sums
+    them; produced, direct and consumed by numpy's sum.
+    """
+    runs = max(-(-len(trace) // _RUN), 1)  # an empty year is one run of zeros
+    block = np.zeros((4, runs, _RUN))
+    flows = (trace.p_charge, trace.p_discharge_delivered, trace.p_import, trace.p_curtail)
+    for padded, flow in zip(block.reshape(4, -1), flows):
+        padded[:len(flow)] = flow
+    charged, delivered, imported, curtailed = (
+        _in_order(_run_sum(block.transpose(0, 2, 1)).T) * step_hours
+    ).tolist()
     return _energy_balance(
-        float(trace.p_pv.sum() * step_hours),
-        float(trace.p_direct.sum() * step_hours),
-        float(trace.p_charge.sum() * step_hours),
-        float(trace.p_discharge_delivered.sum() * step_hours),
-        float(trace.p_import.sum() * step_hours),
-        float(trace.p_curtail.sum() * step_hours),
-        float(trace.p_load.sum() * step_hours),
+        float(trace.p_pv.sum() * step_hours), float(trace.p_direct.sum() * step_hours),
+        charged, delivered, imported, curtailed, float(trace.p_load.sum() * step_hours),
     )
 
 

@@ -166,9 +166,10 @@ def financial_results(
     supplies the rest, its BESS price and VAT unused. Each per-year sum is a
     row sum of a (systems x horizon) array, so no row depends on another. A
     system that cannot be priced gets in errors the exception of the first
-    check it fails, in this order: a size below 0 or NaN, no discounted
-    production, an SCR outside [0, 1] or NaN, nothing self-consumed, then an
-    LCOU or retail price that is not positive.
+    check it fails, in this order: a BESS price or VAT that EconomicParams
+    rejects (not finite, a price below 0, a VAT outside [0, 1)), or a size
+    below 0 or NaN; no discounted production; an SCR outside [0, 1] or NaN;
+    nothing self-consumed; then an LCOU or retail price that is not positive.
     """
     columns = [
         np.asarray(v, dtype=float)
@@ -192,7 +193,12 @@ def financial_results(
         lcou_value = lifetime_cost / self_consumed_sum
         yearly = retail[:, None] * self_consumed - maintenance[:, None]
         npv_value = -capex_eur + (yearly * factors).sum(axis=1)
-    checks = (  # the first check a system fails names its error
+    checks = (  # the first check a system fails names its error; {price}, {vat}: its values
+        (~np.isfinite(bess_price), ValueError,
+         "bess_price_eur_per_kwh must be finite, got {price}"),
+        (~np.isfinite(vat), ValueError, "vat_rate must be finite, got {vat}"),
+        (bess_price < 0.0, ValueError, "unit prices must be >= 0"),
+        (~((vat >= 0.0) & (vat < 1.0)), ValueError, "vat_rate must be in [0, 1), got {vat}"),
         (~((pv_kwp >= 0.0) & (bess_kwh >= 0.0)), ValueError, "system sizes must be >= 0"),
         (~(produced_sum > 0.0), ZeroEnergyError, "no energy produced over the horizon"),
         (~((scr >= 0.0) & (scr <= 1.0)), ValueError, "SCR values must lie in [0, 1]"),
@@ -204,7 +210,7 @@ def financial_results(
     errors: dict[int, ValueError] = {}
     for failed, kind, message in checks:
         for i in np.flatnonzero(failed).tolist():
-            errors.setdefault(i, kind(message))
+            errors.setdefault(i, kind(message.format(price=bess_price[i], vat=vat[i])))
     return FinancialResults(
         capex_eur, lcoe_value, lcou_value, npv_value, lcou_value < retail, errors
     )

@@ -61,6 +61,23 @@ def reference_simulate(pv_kw, load_kw, battery: BatterySpec, step_hours: float) 
     )
 
 
+def reference_flow_sum(values, run: int) -> float:
+    """The dispatch paths' summation rule, one add at a time.
+
+    The values are cut into runs of run steps, the last padded with zeros.
+    Each run goes into eight interleaved partial sums, which are added
+    pairwise; the run sums are then added in order.
+    """
+    values = [float(v) for v in values] + [0.0] * (-len(values) % run)
+    total = 0.0
+    for start in range(0, len(values), run):
+        r = [0.0] * 8
+        for i in range(run):
+            r[i % 8] += values[start + i]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return total
+
+
 def reference_lcoe(capex_eur, econ, annual_energy_kwh):
     """Spreadsheet-style discounted cash flow, one explicit year at a time."""
     maintenance = econ.maintenance_rate * capex_eur / (1.0 + econ.vat)

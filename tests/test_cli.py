@@ -635,13 +635,16 @@ class TestParserBasics:
         assert "storparity" in result.stdout
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # only a sweep with --parallel above 1 imports it
-    code = "import sys, storparity.cli; sys.exit('concurrent.futures.process' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], cwd=Path(storparity.__file__).parents[1]
-    )
-    assert result.returncode == 0
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # only a sweep with --parallel above 1 imports it; a sweep without the flag is serial
+    sweep = ["sweep", "--out", str(tmp_path), "--types", "A", "--ratios", "1,2"]
+    for code in ("pass", f"assert storparity.cli.main({sweep!r}) == 0"):
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys, storparity.cli; {code}; "
+                                   "sys.exit('concurrent.futures.process' in sys.modules)"],
+            cwd=Path(storparity.__file__).parents[1], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):

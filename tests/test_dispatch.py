@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import random_dispatch_instance, reference_simulate
+from _reference import random_dispatch_instance, reference_flow_sum, reference_simulate
 from storparity import (
     BatterySpec,
     ProfileKind,
@@ -22,6 +22,7 @@ from storparity import (
     trace_to_csv,
 )
 from storparity.dispatch import (
+    _RUN,
     _WIDTH,
     TRACE_CSV_HEADER,
     DispatchTrace,
@@ -139,6 +140,17 @@ class TestAnnualBalance:
         assert balance.ssr == pytest.approx(0.95, abs=1e-12)
         assert balance.e_charged == pytest.approx(1.0, abs=1e-12)
         assert balance.e_delivered == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, _RUN - 1, _RUN, _RUN + 1, 1001, 8760, 35040])
+    def test_flows_summed_by_the_rule(self, n):
+        # zero-padded runs of _RUN, each in eight partial sums, the runs added in order
+        flows = random_rows(np.random.default_rng(n), 4, n, 5.0)
+        zero = np.zeros(n)
+        balance = annual_balance(DispatchTrace(zero, zero, zero, *flows, zero), 0.25)
+        got = (balance.e_charged, balance.e_delivered, balance.e_import, balance.e_curtail)
+        for total, flow in zip(got, flows):
+            assert total.hex() == (reference_flow_sum(flow, _RUN) * 0.25).hex()
+            assert total == pytest.approx(math.fsum(flow) * 0.25, rel=1e-13, abs=0.0)
 
     def test_zero_pv_year(self):
         trace = simulate_series([0.0, 0.0], [1.0, 2.0], BatterySpec(5.0), 1.0)
@@ -313,8 +325,8 @@ NEVER_CLAMPS = BatterySpec(1e5, usable_fraction=1.0, soc_init_kwh=5e4)
 
 @st.composite
 def long_batches(draw):
-    """Rows of up to 2000 steps, cut into runs that are not all multiples of 8, and 1-8 configs."""
-    n = draw(st.sampled_from([129, 1000, 1001]) | st.integers(0, 2000))
+    """Rows of up to 2000 steps, most ending in a padded run, and 1-8 configs."""
+    n = draw(st.sampled_from([_RUN - 1, _RUN, _RUN + 1, 129, 1000, 1001]) | st.integers(0, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pv_rows = random_rows(rng, draw(st.integers(1, 2)), n, 5.0)
     load_rows = random_rows(rng, draw(st.integers(1, 2)), n, 4.0)
@@ -383,7 +395,7 @@ class TestSimulateBalances:
     @settings(max_examples=25, deadline=None)
     @given(long_batches())
     def test_long_rows_match_the_trace_path_bit_for_bit(self, batch):
-        # up to 2000 steps: up to 32 runs, cut into up to 32 chunks
+        # up to 2000 steps: up to 28 runs of _RUN, cut into up to 28 chunks
         pv_rows, load_rows, configs, step = batch
         balances = simulate_balances(pv_rows, load_rows, configs, step)
         for (p, l, battery), got in zip(configs, balances):
@@ -394,7 +406,7 @@ class TestSimulateBalances:
             assert astuple(got) == pytest.approx(astuple(want), rel=1e-12, abs=1e-12)
 
     def test_repair_walk_crosses_whole_chunks(self):
-        # 1001 steps make 9 runs; 64 configs step 4 chunks of 2 or 3 runs side by
+        # 1001 steps make 14 runs; 64 configs step 4 chunks of 3 or 4 runs side by
         # side. No battery here fills or empties, so no chunk after the first
         # starts where pass 1 guessed and pass 2 steps every later run again.
         rng = np.random.default_rng(11)
@@ -431,12 +443,26 @@ class TestSimulateBalances:
             configs = others[:position] + [(0, 0, battery)] + others[position:]
             batched = simulate_balances(pvs, [load], configs, 1.0)[position]
             assert bits(batched) == bits(alone)
-        # alone, every run is a chunk; among 256 configs, the whole year is one
+        # alone, each of the 122 runs is a chunk; among 257 configs, the whole year is one
         many = [(1, 0, BatterySpec(capacity_kwh=c / 16)) for c in range(_WIDTH)]
         for position in (0, 100, _WIDTH):
             configs = many[:position] + [(0, 0, battery)] + many[position:]
             batched = simulate_balances(pvs, [load], configs, 1.0)
             assert bits(batched[position]) == bits(alone)
+
+    def test_lists_give_the_bits_of_arrays(self):
+        rng = np.random.default_rng(5)
+        pvs = [row.tolist() for row in random_rows(rng, 2, 100, 5.0)] + [[1, 2] * 50]
+        loads = [tuple(row.tolist()) for row in random_rows(rng, 2, 100, 4.0)]
+        configs = [(p, l, BatterySpec(c)) for p in range(3) for l in range(2) for c in (0, 3)]
+        got = simulate_balances(pvs, loads, configs, 0.25)
+        arrays = simulate_balances([np.array(r, dtype=float) for r in pvs],
+                                   [np.array(r) for r in loads], configs, 0.25)
+        assert [bits(b) for b in got] == [bits(b) for b in arrays]
+        battery = BatterySpec(1.0)
+        got = simulate_balances([[1.0, 2.0]], [[1.0, 1.0]], [(0, 0, battery)], 1.0)[0]
+        want = annual_balance(simulate_series([1.0, 2.0], [1.0, 1.0], battery, 1.0), 1.0)
+        assert bits(got) == bits(want)
 
     def test_unequal_row_lengths_rejected(self):
         with pytest.raises(UnalignedProfilesError):

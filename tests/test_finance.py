@@ -242,9 +242,12 @@ class TestFinancialResult:
 
 
 def one_at_a_time(pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail, base):
-    """One system passed alone through financial_result: its result, or the exception."""
-    e = replace(base, bess_price_eur_per_kwh=bess_price, vat_rate=vat)
+    """One system passed alone through financial_result: its result, or the exception.
+
+    A BESS price or VAT that EconomicParams rejects is the system's exception too.
+    """
     try:
+        e = replace(base, bess_price_eur_per_kwh=bess_price, vat_rate=vat)
         return financial_result(pv_kwp, bess_kwh, e, energy, scr, retail)
     except ValueError as exc:
         return exc
@@ -288,18 +291,34 @@ class TestFinancialResults:
             (3.0, 3.0, 150.0, 0.19, 4394.55, nan, 0.1927),  # NaN SCR
             (3.0, nan, 150.0, 0.19, 4394.55, nan, 0.1927),  # NaN size, before the SCR
             (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, nan),   # NaN retail price
+            (3.0, 3.0, nan, 0.19, 4394.55, 0.8, 0.1927),  # NaN BESS price
+            (3.0, 3.0, float("inf"), 0.19, 4394.55, 0.8, 0.1927),  # infinite BESS price
+            (-1.0, 3.0, -5.0, 0.19, 0.0, 2.0, 0.1927),    # negative BESS price, before the rest
+            (3.0, 3.0, 150.0, nan, 4394.55, 0.8, 0.1927),  # NaN VAT
+            (3.0, 3.0, -5.0, 1.5, 4394.55, 0.8, 0.1927),  # negative price, before the VAT
+            (3.0, 3.0, 150.0, 1.5, 4394.55, 0.8, 0.1927),  # VAT of 1.5
+            (3.0, 3.0, 150.0, -0.1, 4394.55, 0.8, 0.1927),  # negative VAT
             ok,
         ]
         batch = assert_batch_matches_one_at_a_time(rows, base)
         assert [type(batch.errors.get(i)).__name__ for i in range(len(rows))] == [
             "NoneType", "ValueError", "ZeroEnergyError", "ZeroEnergyError", "ValueError",
             "ValueError", "ZeroSelfConsumptionError", "ValueError", "ValueError", "ValueError",
-            "ValueError", "ValueError", "NoneType",
+            "ValueError", "ValueError", *["ValueError"] * 7, "NoneType",
         ]
         assert str(batch.errors[2]) == "no energy produced over the horizon"
         assert str(batch.errors[9]) == "SCR values must lie in [0, 1]"
         assert str(batch.errors[10]) == "system sizes must be >= 0"
         assert str(batch.errors[11]) == "grid parity needs positive LCOU and retail price"
+        assert [str(batch.errors[i]) for i in range(12, 19)] == [
+            "bess_price_eur_per_kwh must be finite, got nan",
+            "bess_price_eur_per_kwh must be finite, got inf",
+            "unit prices must be >= 0",
+            "vat_rate must be finite, got nan",
+            "unit prices must be >= 0",
+            "vat_rate must be in [0, 1), got 1.5",
+            "vat_rate must be in [0, 1), got -0.1",
+        ]
         # a discounted production that underflows to 0 is no production either
         tiny = (3.0, 3.0, 150.0, 0.19, 5e-324, 0.8, 0.1927)
         batch = assert_batch_matches_one_at_a_time([ok, tiny], econ(discount_rate=1.5))
