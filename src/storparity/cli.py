@@ -219,14 +219,18 @@ def _writing(directory: Path):
         raise ConfigError(f"cannot write to {directory}: {exc}") from exc
 
 
-def _check_dir(directory: Path) -> None:
-    """Fail before the work, creating nothing, if directory could not be created.
+def _check_dir(directory: Path, *names: str) -> None:
+    """Fail before the work, creating nothing, if directory/name could not be written.
 
-    That is when its nearest existing ancestor is not a directory.
+    That is when the directory's nearest existing ancestor is not a
+    directory, or when one of the names is a directory there.
     """
     existing = next((p for p in (directory, *directory.parents) if p.exists()), directory)
     if not existing.is_dir():
         raise ConfigError(f"cannot write to {directory}: {existing} is not a directory")
+    for name in names:
+        if (directory / name).is_dir():
+            raise ConfigError(f"cannot write {directory / name}: it is a directory")
 
 
 def _load_config_file(path: Path) -> dict:
@@ -373,9 +377,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"type {scenario.prosumer_type}; pass --allow-out-of-range to override"
         )
 
-    _check_dir(cfg.out_dir)
+    outputs = ("scenario_result.csv", MANIFEST_NAME)
+    _check_dir(cfg.out_dir, *outputs)
     if args.trace is not None:
-        _check_dir(args.trace.parent)
+        _check_dir(args.trace.parent, args.trace.name)
+        if args.trace.resolve() in [(cfg.out_dir / name).resolve() for name in outputs]:
+            raise ConfigError(f"--trace {args.trace} would overwrite simulate's own output")
     country = cfg.countries[scenario.country]
     try:
         trace, balance = scenario_dispatch(scenario, country, cfg.profiles, cfg.battery_kwargs)
@@ -385,8 +392,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 1
 
     with _writing(cfg.out_dir):
-        result_csv = results_to_csv([result])
-        (cfg.out_dir / "scenario_result.csv").write_text(result_csv, encoding="utf-8")
+        (cfg.out_dir / outputs[0]).write_text(results_to_csv([result]), encoding="utf-8")
         _write_manifest(cfg, "simulate", {"scenario": asdict(scenario)})
     if args.trace is not None:
         with _writing(args.trace.parent):
@@ -431,7 +437,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # an empty axis, a Scenario out of range
         raise ConfigError(exc) from exc
 
-    _check_dir(cfg.out_dir)
+    outputs = ("results.csv", "parity_shares.csv", "box_stats.csv")
+    _check_dir(cfg.out_dir, *outputs, MANIFEST_NAME)
     failures: list = []
     results = run_sweep(
         grid,
@@ -446,11 +453,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _writing(cfg.out_dir):
         # all three always, header-only when nothing was priced, so no file of
         # an earlier run is left beside them
-        (cfg.out_dir / "results.csv").write_text(results_to_csv(results), encoding="utf-8")
-        (cfg.out_dir / "parity_shares.csv").write_text(
-            parity_shares_to_csv(results), encoding="utf-8"
-        )
-        (cfg.out_dir / "box_stats.csv").write_text(box_stats_to_csv(results), encoding="utf-8")
+        for name, to_csv in zip(outputs, (results_to_csv, parity_shares_to_csv, box_stats_to_csv)):
+            (cfg.out_dir / name).write_text(to_csv(results), encoding="utf-8")
         _write_manifest(cfg, "sweep", {"axes": axes})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")

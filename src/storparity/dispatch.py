@@ -43,11 +43,9 @@ TRACE_CSV_HEADER = (
 class BatterySpec:
     """Technical description of the storage asset.
 
-    capacity_kwh of 0 is legal and means "no storage". Fields left as None
-    take their defaults: power limits at 0.5C, initial state of charge at
-    the minimum state of charge implied by usable_fraction. A soc_init_kwh
-    up to 1e-12 outside [soc_min, capacity] is clamped to the nearer bound;
-    one further out is rejected.
+    capacity_kwh of 0 is legal and means "no storage". Power limits left as
+    None default to 0.5C. Every dispatch starts the year at soc_min, the
+    minimum state of charge implied by usable_fraction.
     """
 
     capacity_kwh: float
@@ -56,7 +54,6 @@ class BatterySpec:
     eta_discharge: float = math.sqrt(DEFAULT_ROUND_TRIP_EFFICIENCY)
     max_charge_kw: float | None = None
     max_discharge_kw: float | None = None
-    soc_init_kwh: float | None = None
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -74,15 +71,6 @@ class BatterySpec:
             object.__setattr__(self, "max_discharge_kw", DEFAULT_C_RATE * self.capacity_kwh)
         if self.max_charge_kw < 0.0 or self.max_discharge_kw < 0.0:
             raise ValueError("power limits must be >= 0")
-        if self.soc_init_kwh is None:
-            object.__setattr__(self, "soc_init_kwh", self.soc_min_kwh)
-        if not self.soc_min_kwh - 1e-12 <= self.soc_init_kwh <= self.capacity_kwh + 1e-12:
-            raise ValueError(
-                f"soc_init_kwh must lie in [{self.soc_min_kwh}, {self.capacity_kwh}], "
-                f"got {self.soc_init_kwh}"
-            )
-        clamped = min(max(self.soc_init_kwh, self.soc_min_kwh), self.capacity_kwh)
-        object.__setattr__(self, "soc_init_kwh", clamped)
 
     @property
     def soc_min_kwh(self) -> float:
@@ -126,7 +114,11 @@ class DispatchTrace:
 
 @dataclass(frozen=True)
 class EnergyBalance:
-    """Annual energy aggregates of a dispatch run, in kWh per year."""
+    """Annual energy aggregates of a dispatch run, in kWh per year.
+
+    e_consumed is the load's energy. SCR and SSR are the self-consumed energy
+    (direct plus delivered) over what was produced and consumed, 0 where that is 0.
+    """
 
     e_produced: float
     e_direct: float
@@ -134,12 +126,17 @@ class EnergyBalance:
     e_delivered: float
     e_import: float
     e_curtail: float
-    scr: float
-    ssr: float
+    e_consumed: float
 
     @property
-    def e_consumed(self) -> float:
-        return self.e_direct + self.e_delivered + self.e_import
+    def scr(self) -> float:
+        used = self.e_direct + self.e_delivered
+        return used / self.e_produced if self.e_produced > 0.0 else 0.0
+
+    @property
+    def ssr(self) -> float:
+        used = self.e_direct + self.e_delivered
+        return used / self.e_consumed if self.e_consumed > 0.0 else 0.0
 
 
 def _require_aligned(pv: TimeSeriesProfile, load: TimeSeriesProfile) -> None:
@@ -229,7 +226,7 @@ def simulate_series(
         pv, load, dt, battery.max_charge_kw * dt, battery.max_discharge_kw * dt,
         [np.empty(len(pv)) for _ in range(4)],
     )
-    soc = battery.soc_init_kwh
+    soc = soc_min
     accepted, delivered, soc_series = [], [], []
     for off, want in zip(offered.tolist(), wanted.tolist()):
         headroom = (cap - soc) / eta_c
@@ -312,7 +309,7 @@ def simulate_balances(
                 f"and {len(load_rows)} load rows"
             )
     if not configs or not len(pv_rows[0]):  # an empty year has no runs: every sum is 0
-        return [_energy_balance(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * len(configs)
+        return [EnergyBalance(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * len(configs)
     return _chunked_balances(pv_rows, load_rows, configs, step_hours)
 
 
@@ -348,23 +345,22 @@ def _gather(rows, plan, at, pad, out) -> None:
 def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBalance]:
     """simulate_balances on checked, non-empty rows and at least one config.
 
-    The year is cut into the runs of _RUN steps of the summation rule, and
-    the runs into C chunks of whole runs, C about _WIDTH / k for k configs.
-    Pass 1 steps every chunk of every config side by side, with
-    simulate_series' rule and floating-point operations, one numpy call per
-    operation: chunk 0 from soc_init, every later chunk from soc_min. It
-    keeps, per run and config, the SOC at the run's end and the sums of the
-    four flows. Pass 2 walks each config's runs in time order with the true
-    SOC. A run that started from it bit for bit is exact, and so is the rest
-    of its chunk; any other run is stepped again from the true SOC, all
-    walking configs side by side. The run sums are then added in order.
+    The year is cut into the R runs of _RUN steps of the summation rule, and
+    the runs into C chunks of L runs each, C about _WIDTH / k for k configs;
+    the last chunk may run past the year's end. Pass 1 steps every chunk of
+    every config side by side, each from soc_min, with simulate_series' rule
+    and floating-point operations, one numpy call per operation. It keeps,
+    per run and config, the SOC at the run's end and the sums of the four
+    flows. Pass 2 walks each config's runs in time order with the true SOC.
+    A run that started from it bit for bit is exact, and so is the rest of
+    its chunk; any other run is stepped again from the true SOC, all walking
+    configs side by side. The run sums are then added in order.
     """
     n = len(pv_rows[0])
     k = len(configs)
     runs_total = -(-n // _RUN)
-    chunks = min(max(_WIDTH // k, 1), runs_total)
-    first = np.array([runs_total * c // chunks for c in range(chunks + 1)])
-    next_chunk = np.repeat(first[1:], np.diff(first))  # per run: the next chunk's first run
+    length = -(-runs_total // min(max(_WIDTH // k, 1), runs_total))  # L
+    chunks = -(-runs_total // length)  # C
     pv_index = np.array([p for p, _, _ in configs])
     load_index = np.array([l for _, l, _ in configs])
 
@@ -374,7 +370,6 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         for _, _, b in configs
     ]).T.copy()  # one contiguous row per parameter
     soc_min = params[1]
-    soc_init = np.array([b.soc_init_kwh for _, _, b in configs])
     # local names: the loop below makes twelve calls per step
     sub, div, mul, add, low, high = (
         np.subtract, np.divide, np.multiply, np.add, np.minimum, np.maximum
@@ -388,15 +383,15 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     def step(runs, cols, soc, flows) -> np.ndarray:
         """Step each column's config through run runs[its window], from soc.
 
-        soc is updated in place. Steps past the year's end, and all of run -1,
-        are padding that reads 0. flows is a (4, _RUN, columns) buffer.
+        soc is updated in place. Steps past the year's end are padding that
+        reads 0. flows is a (4, _RUN, columns) buffer.
         Returns the four flow sums of each column's run, (4, columns).
         """
         window, par, pv_plan, load_plan = cols
         cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e = par
         at = runs * _RUN + np.arange(_RUN)[:, None]
-        pad = (at < 0) | (at >= n)  # zero offers leave the SOC as it is and add 0 to the sums
-        at.clip(0, n - 1, out=at)
+        pad = at >= n  # zero offers leave the SOC as it is and add 0 to the sums
+        np.minimum(at, n - 1, out=at)
         accepted, delivered, curtailed, imported = flows
         _gather(pv_rows, pv_plan, at, pad, curtailed)
         _gather(load_rows, load_plan, at, pad, imported)
@@ -422,42 +417,36 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         div(flows, dt, flows)
         return _run_sum(flows)
 
-    end_soc = np.empty((runs_total, k))  # pass 1's SOC after each run
-    run_sums = np.zeros((runs_total, 4, k))
+    end_soc = np.empty((chunks, length, k))  # pass 1's SOC after each run
+    run_sums = np.empty((chunks, length, 4, k))
 
     # pass 1: every chunk of every config, chunk c in columns c*k .. c*k+k-1
     window = np.repeat(np.arange(chunks), k)
-    key = np.tile(np.arange(k), chunks)
-    cols = columns(key, window)
+    cols = columns(np.tile(np.arange(k), chunks), window)
     soc = np.tile(soc_min, chunks)
-    soc[:k] = soc_init
-    flows = np.empty((4, _RUN, len(key)))
-    for j in range(int(np.diff(first).max())):
-        runs = first[:-1] + j
-        runs[runs >= first[1:]] = -1
-        run = runs[window]
-        real = run >= 0
-        sums = step(runs, cols, soc, flows)
-        end_soc[run[real], key[real]] = soc[real]
-        run_sums[run[real], :, key[real]] = sums[:, real].T
+    flows = np.empty((4, _RUN, chunks * k))
+    for j in range(length):
+        sums = step(np.arange(chunks) * length + j, cols, soc, flows)
+        end_soc[:, j] = soc.reshape(chunks, k)
+        run_sums[:, j] = sums.reshape(4, chunks, k).transpose(1, 0, 2)
+    end_soc = end_soc.reshape(chunks * length, k)
+    run_sums = run_sums.reshape(chunks * length, 4, k)[:runs_total]
 
     # pass 2: walk each config's runs from chunk 1 on with the true SOC;
     # pass 1 started a chunk's first run at soc_min and each other where the last ended
-    chunk_start = np.zeros(runs_total, dtype=bool)
-    chunk_start[first[:-1]] = True
-    at_run = np.full(k, first[1])  # per config: the next run to check
-    soc = end_soc[first[1] - 1].copy()
+    at_run = np.full(k, length)  # per config: the next run to check
+    soc = end_soc[length - 1].copy()
     while True:
         walking = np.arange(k)
         while True:  # skip every run that started from the true SOC, and the rest of its chunk
             walking = walking[at_run[walking] < runs_total]
             run = at_run[walking]
-            started = np.where(chunk_start[run], soc_min[walking], end_soc[run - 1, walking])
+            started = np.where(run % length == 0, soc_min[walking], end_soc[run - 1, walking])
             exact = soc[walking].view(np.int64) == started.view(np.int64)
             if not exact.any():
                 break
             done = walking[exact]
-            at_run[done] = next_chunk[at_run[done]]
+            at_run[done] = (at_run[done] // length + 1) * length  # the next chunk's first run
             soc[done] = end_soc[at_run[done] - 1, done]
         if not walking.size:
             break
@@ -480,11 +469,9 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     for (p, l, _), (charged, discharged, curtailed, imported) in zip(configs, totals):
         if (p, l) not in direct:
             direct[p, l] = float(np.minimum(pv_rows[p], load_rows[l]).sum() * dt)
-        balances.append(
-            _energy_balance(
-                produced[p], direct[p, l], charged, discharged, imported, curtailed, consumed[l]
-            )
-        )
+        balances.append(EnergyBalance(
+            produced[p], direct[p, l], charged, discharged, imported, curtailed, consumed[l]
+        ))
     return balances
 
 
@@ -502,33 +489,9 @@ def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:
     charged, delivered, imported, curtailed = (
         _in_order(_run_sum(block.transpose(0, 2, 1)).T) * step_hours
     ).tolist()
-    return _energy_balance(
+    return EnergyBalance(
         float(trace.p_pv.sum() * step_hours), float(trace.p_direct.sum() * step_hours),
         charged, delivered, imported, curtailed, float(trace.p_load.sum() * step_hours),
-    )
-
-
-def _energy_balance(
-    e_produced: float,
-    e_direct: float,
-    e_charged: float,
-    e_delivered: float,
-    e_import: float,
-    e_curtail: float,
-    e_consumed: float,
-) -> EnergyBalance:
-    self_consumed = e_direct + e_delivered
-    scr = self_consumed / e_produced if e_produced > 0.0 else 0.0
-    ssr = self_consumed / e_consumed if e_consumed > 0.0 else 0.0
-    return EnergyBalance(
-        e_produced=e_produced,
-        e_direct=e_direct,
-        e_charged=e_charged,
-        e_delivered=e_delivered,
-        e_import=e_import,
-        e_curtail=e_curtail,
-        scr=scr,
-        ssr=ssr,
     )
 
 

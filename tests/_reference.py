@@ -12,10 +12,10 @@ from storparity.dispatch import BatterySpec, DispatchTrace
 
 
 def reference_simulate(pv_kw, load_kw, battery: BatterySpec, step_hours: float) -> DispatchTrace:
-    """Straight transcription of the greedy self-consumption rule."""
-    soc = battery.soc_init_kwh
+    """Straight transcription of the greedy self-consumption rule, from soc_min."""
     cap = battery.capacity_kwh
     soc_min = battery.soc_min_kwh
+    soc = soc_min
     direct, charge, delivered, imported, curtailed, soc_series = [], [], [], [], [], []
     for p, l in zip(pv_kw, load_kw):
         p = float(p)
@@ -123,7 +123,6 @@ def random_dispatch_instance(rng):
     load[ties] = pv[ties]
     capacity = float(rng.choice([0.0, rng.uniform(0.1, 12.0)]))
     usable = float(rng.uniform(0.3, 1.0))
-    soc_min = (1.0 - usable) * capacity
     battery = BatterySpec(
         capacity_kwh=capacity,
         usable_fraction=usable,
@@ -131,7 +130,6 @@ def random_dispatch_instance(rng):
         eta_discharge=float(rng.uniform(0.7, 1.0)),
         max_charge_kw=float(rng.uniform(0.0, 3.0)),
         max_discharge_kw=float(rng.uniform(0.0, 3.0)),
-        soc_init_kwh=float(rng.uniform(soc_min, capacity)) if capacity > 0 else None,
     )
     return pv, load, battery, step
 

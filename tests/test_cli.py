@@ -452,6 +452,13 @@ COMMAND_ARGV = {
     ("sweep", ["--out", "{file}"]),
     ("report", ["{results}", "--out", "{file}"]),
     ("simulate", ["--trace", "{file}/trace.csv"]),
+    # an output file that is a directory, found before the others are written
+    ("sweep", ["--out", "{taken}"]),
+    ("simulate", ["--out", "{taken}"]),
+    ("simulate", ["--trace", "{dir}"]),
+    # a trace that would replace simulate's own outputs
+    ("simulate", ["--trace", "{out}/scenario_result.csv"]),
+    ("simulate", ["--trace", "{out}/../out/run-manifest.json"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     tmp_path, capsys, monkeypatch, command, args
@@ -468,18 +475,23 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "dir": tmp_path / "a-directory",
         "file": tmp_path / "a-file",
         "results": tmp_path / "results.csv",
+        "taken": tmp_path / "taken",  # its box_stats.csv and run-manifest.json are directories
+        "out": tmp_path / "out",
     }
     paths["latin1"].write_bytes("caf\u00e9".encode("latin-1"))
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["results"].write_text(ONE_RESULT_CSV)
-    argv = [*COMMAND_ARGV[command], "--out", str(tmp_path / "out"), *args]
+    for name in ("box_stats.csv", "run-manifest.json"):
+        (paths["taken"] / name).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [*COMMAND_ARGV[command], "--out", str(paths["out"]), *args]
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    # outputs are checked before the work: no sweep ran, no result was written
-    assert calls == [] and list(tmp_path.glob("out/*")) == []
+    # outputs are checked before the work: no sweep ran, nothing was written
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
 
 class TestReport:

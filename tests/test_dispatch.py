@@ -3,7 +3,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _reference import random_dispatch_instance, reference_flow_sum, reference_simulate
 from storparity import (
@@ -51,19 +51,10 @@ class TestBatterySpec:
         assert spec.max_charge_kw == 2.0  # 0.5C
         assert spec.max_discharge_kw == 2.0
         assert spec.soc_min_kwh == pytest.approx(0.4)
-        assert spec.soc_init_kwh == pytest.approx(spec.soc_min_kwh)
-
-    @pytest.mark.parametrize("soc_init, want", [
-        (4.0 + 1e-13, 4.0), (2.0 - 1e-13, 2.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0),
-    ])
-    def test_soc_init_within_tolerance_clamped(self, soc_init, want):
-        spec = BatterySpec(capacity_kwh=4.0, usable_fraction=0.5, soc_init_kwh=soc_init)
-        assert spec.soc_init_kwh == want
 
     def test_zero_capacity_is_legal(self):
         spec = BatterySpec(capacity_kwh=0.0)
         assert spec.soc_min_kwh == 0.0
-        assert spec.soc_init_kwh == 0.0
         assert spec.max_charge_kw == 0.0
 
     def test_invalid_specs_rejected(self):
@@ -73,10 +64,6 @@ class TestBatterySpec:
             BatterySpec(capacity_kwh=1.0, usable_fraction=0.0)
         with pytest.raises(ValueError):
             BatterySpec(capacity_kwh=1.0, eta_charge=1.2)
-        with pytest.raises(ValueError):
-            BatterySpec(capacity_kwh=1.0, soc_init_kwh=2.0)
-        with pytest.raises(ValueError):
-            BatterySpec(capacity_kwh=1.0, usable_fraction=0.5, soc_init_kwh=0.2)
 
 
 class TestSimulateExamples:
@@ -272,11 +259,6 @@ class TestDispatchProperties:
 def batteries(draw):
     capacity = draw(st.sampled_from([0.0, 4.0]) | st.floats(0.1, 12.0))
     usable = draw(st.floats(0.3, 1.0))
-    soc_min = (1.0 - usable) * capacity
-    # None means soc_min; the bounds may be passed by up to 1e-12
-    soc_init = draw(st.sampled_from([
-        None, soc_min, capacity, capacity + 1e-13, soc_min - 1e-13, 0.5 * (soc_min + capacity)
-    ]))
     limit = st.none() | st.just(0.0) | st.floats(0.0, 4.0)  # drawn apart: asymmetric
     return BatterySpec(
         capacity_kwh=capacity,
@@ -285,7 +267,6 @@ def batteries(draw):
         eta_discharge=draw(st.floats(0.7, 1.0)),
         max_charge_kw=draw(limit),
         max_discharge_kw=draw(limit),
-        soc_init_kwh=soc_init,
     )
 
 
@@ -317,10 +298,20 @@ def batches(draw):
     return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1 / 3, 1.0]))
 
 
-#: A battery that never fills or empties on long_batches() rows (at most
-#: 5 kW for 2000 h): pass 1's guess for a chunk's start is never right, and
-#: no run resynchronizes.
-NEVER_CLAMPS = BatterySpec(1e5, usable_fraction=1.0, soc_init_kwh=5e4)
+#: A battery that never fills or empties on long_batches() rows, after their
+#: leading surplus step charges it to 0.14 to 0.57 of capacity at its charge
+#: limit (the rest is at most 5 kW for 2000 h): pass 1's guess for a chunk's
+#: start is never right, and no run resynchronizes.
+NEVER_CLAMPS = BatterySpec(1e5, usable_fraction=1.0, max_charge_kw=6e4)
+
+
+def long_rows(rng, pv_count, load_count, n):
+    """pv and load rows of n steps; the first step's surplus fills NEVER_CLAMPS part way."""
+    pv_rows = random_rows(rng, pv_count, n, 5.0)
+    load_rows = random_rows(rng, load_count, n, 4.0)
+    for pv in pv_rows:
+        pv[:1] = NEVER_CLAMPS.max_charge_kw + 4.0
+    return pv_rows, load_rows
 
 
 @st.composite
@@ -328,8 +319,7 @@ def long_batches(draw):
     """Rows of up to 2000 steps, most ending in a padded run, and 1-8 configs."""
     n = draw(st.sampled_from([_RUN - 1, _RUN, _RUN + 1, 129, 1000, 1001]) | st.integers(0, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pv_rows = random_rows(rng, draw(st.integers(1, 2)), n, 5.0)
-    load_rows = random_rows(rng, draw(st.integers(1, 2)), n, 4.0)
+    pv_rows, load_rows = long_rows(rng, draw(st.integers(1, 2)), draw(st.integers(1, 2)), n)
     configs = draw(st.lists(
         st.tuples(st.integers(0, len(pv_rows) - 1), st.integers(0, len(load_rows) - 1),
                   batteries() | st.just(NEVER_CLAMPS)),
@@ -338,8 +328,26 @@ def long_batches(draw):
     return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1.0]))
 
 
+def wide_batch(n, k, step=1.0):
+    """k configs on two pv and two load rows of n steps, for the kernel's chunking edges."""
+    pv_rows, load_rows = long_rows(np.random.default_rng(n * 1000 + k), 2, 2, n)
+    kinds = [NEVER_CLAMPS, BatterySpec(0.0), BatterySpec(3.0),
+             BatterySpec(7.5, usable_fraction=0.6, max_charge_kw=1.0, eta_discharge=0.8)]
+    configs = [(i % 2, i // 2 % 2, kinds[i % len(kinds)]) for i in range(k)]
+    return pv_rows, load_rows, configs, step
+
+
 def bits(balance):
-    return [float(v).hex() for v in astuple(balance)]
+    """The hex of every field and of SCR and SSR."""
+    return [float(v).hex() for v in (*astuple(balance), balance.scr, balance.ssr)]
+
+
+def check_rates(balance, load, step):
+    """e_consumed is the load's numpy sum, and SSR divides by it, bit for bit."""
+    assert balance.e_consumed == float(load.sum() * step)
+    if balance.e_consumed > 0.0:
+        used = balance.e_direct + balance.e_delivered
+        assert balance.ssr == used / balance.e_consumed
 
 
 def trace_bits(trace):
@@ -363,19 +371,6 @@ class TestTraceMatchesReference:
             assert np.all(battery.soc_min_kwh <= got.soc_kwh)
             assert np.all(got.soc_kwh <= battery.capacity_kwh)
 
-    @pytest.mark.parametrize("battery, pv", [
-        # a start 1e-13 above capacity was kept, so the trace sat above it
-        (BatterySpec(4.0, soc_init_kwh=4.0 + 1e-13), [1.0, 1.0]),
-        # a start 1e-13 below soc_min, and no charging to lift it
-        (BatterySpec(4.0, usable_fraction=0.5, soc_init_kwh=2.0 - 1e-13, max_charge_kw=0.0),
-         [2.0, 2.0]),
-    ])
-    def test_soc_init_within_tolerance_keeps_soc_in_bounds(self, battery, pv):
-        trace = simulate_series(pv, [1.0, 1.0], battery, 1.0)
-        assert np.all(battery.soc_min_kwh <= trace.soc_kwh)
-        assert np.all(trace.soc_kwh <= battery.capacity_kwh)
-        assert trace_bits(trace) == trace_bits(reference_simulate(pv, [1.0, 1.0], battery, 1.0))
-
 
 class TestSimulateBalances:
     @settings(max_examples=80, deadline=None)
@@ -389,31 +384,44 @@ class TestSimulateBalances:
             want = annual_balance(ref, step)
             assert astuple(got) == pytest.approx(astuple(want), rel=1e-12, abs=1e-12)
             # and bit for bit what the trace path reports
-            scalar = simulate_series(pv_rows[p], load_rows[l], battery, step)
-            assert bits(got) == bits(annual_balance(scalar, step))
+            scalar = annual_balance(simulate_series(pv_rows[p], load_rows[l], battery, step), step)
+            assert bits(got) == bits(scalar)
+            for balance in (got, scalar):
+                check_rates(balance, load_rows[l], step)
 
     @settings(max_examples=25, deadline=None)
     @given(long_batches())
+    # 8760 steps make 122 runs: 3 configs step 61 chunks of 2 runs
+    @example(wide_batch(8760, 3))
+    # 900 steps make 13 runs: 64 configs step 4 chunks of 4, the last 3 past the year's end
+    @example(wide_batch(900, 64, 0.25))
+    # 1001 steps make 14 runs: 128 configs step 2 chunks of 7, and 129 step the year in one
+    @example(wide_batch(1001, 128))
+    @example(wide_batch(1001, 129))
     def test_long_rows_match_the_trace_path_bit_for_bit(self, batch):
         # up to 2000 steps: up to 28 runs of _RUN, cut into up to 28 chunks
         pv_rows, load_rows, configs, step = batch
         balances = simulate_balances(pv_rows, load_rows, configs, step)
         for (p, l, battery), got in zip(configs, balances):
-            scalar = simulate_series(pv_rows[p], load_rows[l], battery, step)
-            assert bits(got) == bits(annual_balance(scalar, step))
+            scalar = annual_balance(simulate_series(pv_rows[p], load_rows[l], battery, step), step)
+            assert bits(got) == bits(scalar)
+            for balance in (got, scalar):
+                check_rates(balance, load_rows[l], step)
             reference = reference_simulate(pv_rows[p], load_rows[l], battery, step)
             want = annual_balance(reference, step)
             assert astuple(got) == pytest.approx(astuple(want), rel=1e-12, abs=1e-12)
 
     def test_repair_walk_crosses_whole_chunks(self):
-        # 1001 steps make 14 runs; 64 configs step 4 chunks of 3 or 4 runs side by
-        # side. No battery here fills or empties, so no chunk after the first
-        # starts where pass 1 guessed and pass 2 steps every later run again.
+        # 1001 steps make 14 runs; 64 configs step 4 chunks of 4 runs side by side,
+        # the last half past the year's end. The first step's surplus charges each
+        # battery at its own limit, and none then fills or empties, so no chunk after
+        # the first starts where pass 1 guessed and pass 2 steps every later run again.
         rng = np.random.default_rng(11)
         pv, load = rng.uniform(0.0, 2.0, 1001), rng.uniform(0.0, 2.0, 1001)
+        pv[0] = 1e4
         configs = [
-            (0, 0, BatterySpec(1e4, usable_fraction=1.0, soc_init_kwh=3e3 + 50.0 * i,
-                               max_charge_kw=0.5 + i / 64, max_discharge_kw=1.5 - i / 64))
+            (0, 0, BatterySpec(1e4, usable_fraction=1.0, max_charge_kw=3e3 + 50.0 * i,
+                               max_discharge_kw=1.5 - i / 64))
             for i in range(64)
         ]
         assert _WIDTH // len(configs) == 4
@@ -425,13 +433,16 @@ class TestSimulateBalances:
             assert bits(got) == bits(annual_balance(trace, 1.0))
 
     def test_full_battery_clamped_like_the_trace_path(self):
-        # 1.37 + ((3.15 - 1.37) / 0.84) * 0.84 rounds above 3.15, so the clamp acts
-        battery = BatterySpec(
-            3.15, usable_fraction=1.0, eta_charge=0.84, max_charge_kw=10.0, soc_init_kwh=1.37
-        )
-        pv, load = np.array([5.0, 5.0, 0.0]), np.array([0.0, 0.0, 4.0])
+        battery = BatterySpec(3.15, usable_fraction=1.0, eta_charge=0.84, max_charge_kw=10.0)
+        cap, eta = battery.capacity_kwh, battery.eta_charge
+        # a first charge to s after which s + ((cap - s) / eta) * eta rounds above cap
+        first = next(e for e in np.arange(1.0, 3.0, 1 / 64).tolist()
+                     if e * eta + ((cap - e * eta) / eta) * eta > cap)
+        pv, load = np.array([first, 5.0, 5.0, 0.0]), np.array([0.0, 0.0, 0.0, 4.0])
+        trace = simulate_series(pv, load, battery, 1.0)
+        assert trace.soc_kwh[0] == first * eta and trace.soc_kwh[1] == cap  # the clamp acted
         got = simulate_balances([pv], [load], [(0, 0, battery)], 1.0)[0]
-        assert bits(got) == bits(annual_balance(simulate_series(pv, load, battery, 1.0), 1.0))
+        assert bits(got) == bits(annual_balance(trace, 1.0))
 
     def test_row_alone_equals_row_in_batch(self):
         load = synthesize_load_profile(7500.0).values

@@ -54,6 +54,18 @@ CYB3_LCOU = 0.15211556636506363
 CYB3_NPV = 1504.0422301254011
 
 
+class NoPvAt2Kwp(ProfileSource):
+    """The shipped profiles, but the PV of 2 kWp fails as a bad template would.
+
+    Defined at module level, so a process pool can pickle it.
+    """
+
+    def pv_profile(self, scenario, data, step_hours):
+        if scenario.pv_kwp == 2:
+            raise ValueError("no PV year for 2 kWp")
+        return super().pv_profile(scenario, data, step_hours)
+
+
 class TestBuildGrid:
     def test_full_grid_has_612_unique_scenarios(self):
         grid = build_grid(COUNTRIES)
@@ -318,19 +330,18 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_key_failures_stay_per_key(self, country_data, default_econ, parallel):
-        # soc_init 1 kWh does not fit the 0.5 kWh batteries (1 kWp at ratio 0.5)
-        kwargs = {"soc_init_kwh": 1.0}
+        source = NoPvAt2Kwp()
         grid = build_grid(["Cyprus", "Spain"], prosumer_types=["A"], ratios=[0.5, 1.0])
         failures = []
-        results = run_sweep(grid, country_data, default_econ, battery_kwargs=kwargs,
+        results = run_sweep(grid, country_data, default_econ, source,
                             parallel=parallel, failures=failures)
         failed = [s for s, _ in failures]
-        assert failed == [s for s in grid if s.bess_kwh < 1.0] and len(failed) == 4
-        assert all("soc_init_kwh" in message for _, message in failures)
-        assert [r.scenario for r in results] == [s for s in grid if s.bess_kwh >= 1.0]
+        assert failed == [s for s in grid if s.pv_kwp == 2] and len(failed) == 8
+        assert all(message == "ValueError: no PV year for 2 kWp" for _, message in failures)
+        assert [r.scenario for r in results] == [s for s in grid if s.pv_kwp != 2]
         for r in results:  # the batch agrees exactly with the one-scenario path
             data = country_data[r.scenario.country]
-            assert r == run_scenario(r.scenario, data, default_econ, battery_kwargs=kwargs)
+            assert r == run_scenario(r.scenario, data, default_econ, source)
 
 
 class TestParityShare:
