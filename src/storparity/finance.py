@@ -12,13 +12,18 @@ used on site, at the representative year's self-consumption rate SCR:
 
     LCOU = (CAPEX + sum C_n / (1+r)^n) / (sum E_n * SCR / (1+r)^n)
 
-with E_n the annual production (optionally degraded year over year), C_n a
-flat yearly maintenance cost derived from the pre-VAT CAPEX, r the
-discount rate and N the horizon. Grid parity of the hybrid system means
-LCOU strictly below the retail price p, which is equivalent to a positive
-net present value of the avoided imports:
+with E_n = E * (1-d)^(n-1) the production of year n at a degradation rate
+d, C_n = M a flat yearly maintenance cost derived from the pre-VAT CAPEX,
+r the discount rate and N the horizon. Grid parity of the hybrid system
+means LCOU strictly below the retail price p, which is equivalent to a
+positive net present value of the avoided imports:
 
     NPV = -CAPEX + sum (p * E_n * SCR - C_n) / (1+r)^n
+
+Each sum is E, E * SCR or M times one of two constants of the horizon,
+F = sum 1/(1+r)^n and G = sum (1-d)^(n-1)/(1+r)^n, and is computed so:
+LCOE = (CAPEX + M*F) / (E*G), LCOU = (CAPEX + M*F) / (E*G*SCR) and
+NPV = -CAPEX + (p*E*G*SCR - M*F).
 """
 
 from __future__ import annotations
@@ -124,14 +129,7 @@ class FinancialResult:
 
 def discount_factors(econ: EconomicParams) -> np.ndarray:
     """(1+r)^-n for n = 1..N."""
-    n = np.arange(1, econ.horizon_years + 1, dtype=float)
-    return (1.0 + econ.discount_rate) ** (-n)
-
-
-def degraded_energy(annual_energy_kwh: float, econ: EconomicParams) -> np.ndarray:
-    """E_n = E * (1 - deg)^(n-1) for n = 1..N."""
-    n = np.arange(econ.horizon_years, dtype=float)
-    return annual_energy_kwh * (1.0 - econ.pv_degradation_rate) ** n
+    return (1.0 + econ.discount_rate) ** -np.arange(1.0, econ.horizon_years + 1)
 
 
 @dataclass(frozen=True)
@@ -163,13 +161,13 @@ def financial_results(
     """Evaluate n systems end to end, each with its own BESS price and VAT.
 
     Each argument but econ is a 1-D column, one entry per system; econ
-    supplies the rest, its BESS price and VAT unused. Each per-year sum is a
-    row sum of a (systems x horizon) array, so no row depends on another. A
-    system that cannot be priced gets in errors the exception of the first
-    check it fails, in this order: a BESS price or VAT that EconomicParams
-    rejects (not finite, a price below 0, a VAT outside [0, 1)), or a size
-    below 0 or NaN; no discounted production; an SCR outside [0, 1] or NaN;
-    nothing self-consumed; then an LCOU or retail price that is not positive.
+    supplies the rest, its BESS price and VAT unused. No row depends on
+    another. A system that cannot be priced gets in errors the exception of
+    the first check it fails, in this order: a BESS price or VAT that
+    EconomicParams rejects (not finite, a price below 0, a VAT outside
+    [0, 1)), or a size below 0 or NaN; no discounted production; an SCR
+    outside [0, 1] or NaN; nothing self-consumed; then an LCOU or retail
+    price that is not positive.
     """
     columns = [
         np.asarray(v, dtype=float)
@@ -181,18 +179,18 @@ def financial_results(
         raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
     pv_kwp, bess_kwh, bess_price, vat, energy, scr, retail = columns
     factors = discount_factors(econ)
+    f_sum = float(factors.sum())
+    g_sum = float((factors * (1.0 - econ.pv_degradation_rate) ** np.arange(len(factors))).sum())
     with np.errstate(all="ignore"):  # the values of rejected systems are discarded
         capex_eur = (pv_kwp * econ.pv_price_eur_per_kwp + bess_kwh * bess_price) * (1.0 + vat)
         maintenance = econ.maintenance_rate * capex_eur / (1.0 + vat)
-        lifetime_cost = capex_eur + maintenance * float(factors.sum())
-        produced = degraded_energy(energy[:, None], econ)
-        self_consumed = produced * scr[:, None]
-        produced_sum = (produced * factors).sum(axis=1)
-        self_consumed_sum = (self_consumed * factors).sum(axis=1)
-        lcoe_value = lifetime_cost / produced_sum
-        lcou_value = lifetime_cost / self_consumed_sum
-        yearly = retail[:, None] * self_consumed - maintenance[:, None]
-        npv_value = -capex_eur + (yearly * factors).sum(axis=1)
+        lifetime_cost = capex_eur + maintenance * f_sum
+        self_consumed = energy * g_sum * scr
+        lcoe = lifetime_cost / (energy * g_sum)
+        lcou = lifetime_cost / self_consumed
+        npv = -capex_eur + (retail * self_consumed - maintenance * f_sum)
+        # the first year's term is the largest, so each per-year sum is 0 exactly when it is
+        first_produced, first_used = energy * factors[0], energy * scr * factors[0]
     checks = (  # the first check a system fails names its error; {price}, {vat}: its values
         (~np.isfinite(bess_price), ValueError,
          "bess_price_eur_per_kwh must be finite, got {price}"),
@@ -200,20 +198,17 @@ def financial_results(
         (bess_price < 0.0, ValueError, "unit prices must be >= 0"),
         (~((vat >= 0.0) & (vat < 1.0)), ValueError, "vat_rate must be in [0, 1), got {vat}"),
         (~((pv_kwp >= 0.0) & (bess_kwh >= 0.0)), ValueError, "system sizes must be >= 0"),
-        (~(produced_sum > 0.0), ZeroEnergyError, "no energy produced over the horizon"),
+        (~(first_produced > 0.0), ZeroEnergyError, "no energy produced over the horizon"),
         (~((scr >= 0.0) & (scr <= 1.0)), ValueError, "SCR values must lie in [0, 1]"),
-        (self_consumed_sum <= 0.0, ZeroSelfConsumptionError,
-         "no self-consumed energy over the horizon"),
-        ((lcou_value <= 0.0) | ~(retail > 0.0), ValueError,
+        (first_used <= 0.0, ZeroSelfConsumptionError, "no self-consumed energy over the horizon"),
+        ((lcou <= 0.0) | ~(retail > 0.0), ValueError,
          "grid parity needs positive LCOU and retail price"),
     )
     errors: dict[int, ValueError] = {}
     for failed, kind, message in checks:
         for i in np.flatnonzero(failed).tolist():
             errors.setdefault(i, kind(message.format(price=bess_price[i], vat=vat[i])))
-    return FinancialResults(
-        capex_eur, lcoe_value, lcou_value, npv_value, lcou_value < retail, errors
-    )
+    return FinancialResults(capex_eur, lcoe, lcou, npv, lcou < retail, errors)
 
 
 def financial_result(

@@ -1,10 +1,10 @@
 """Annual PV-generation and household-load time series.
 
 Profiles are regular-interval average-power series (kW) covering one
-representative non-leap year (8760 hours), hourly by default with
-quarter-hour supported. Everything here is deterministic: the same inputs
-always produce bit-identical series, and every synthesis or scaling
-operation conserves its target energy to well below 1e-6 relative.
+representative non-leap year, 365 days at a step that divides 24 h: hourly
+by default, quarter-hour supported. Everything here is deterministic: the
+same inputs always produce bit-identical series, and every synthesis or
+scaling operation conserves its target energy to well below 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .table import read_rows
 
-HOURS_PER_YEAR = 8760.0
 DAYS_PER_YEAR = 365
 DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -47,7 +46,7 @@ class ProfileKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TimeSeriesProfile:
-    """A one-year power series at a constant step.
+    """A one-year power series: 365 days at a constant step that divides 24 h.
 
     Attributes
     ----------
@@ -77,12 +76,12 @@ class TimeSeriesProfile:
             raise ValueError("values must be finite")
         if np.any(values < 0.0):
             raise NegativePowerError("profile values must be non-negative")
-        span = values.size * self.step_hours
-        if abs(span - HOURS_PER_YEAR) > self.step_hours + 1e-9:
-            raise ValueError(
-                f"profile must cover one year: {values.size} steps of "
-                f"{self.step_hours} h span {span:.2f} h, expected ~{HOURS_PER_YEAR:.0f} h"
-            )
+        per_day = 24.0 / self.step_hours
+        if not math.isfinite(per_day) or abs(per_day - round(per_day)) > 1e-9:
+            raise ValueError(f"step_hours must divide 24 h, got {self.step_hours}")
+        if values.size != DAYS_PER_YEAR * round(per_day):
+            raise ValueError(f"profile must cover one year: {values.size} steps of "
+                             f"{self.step_hours} h, expected {DAYS_PER_YEAR * round(per_day)}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "year_energy_kwh", float(values.sum() * self.step_hours))
@@ -257,14 +256,15 @@ def parse_profile_csv(text: str, kind: ProfileKind = ProfileKind.LOAD) -> TimeSe
     """Parse a ``timestamp,power_kw`` CSV document into a profile.
 
     Timestamps must be ISO-8601, strictly increasing at a constant step;
-    gaps and duplicates are rejected. The step is inferred from the first
-    two rows.
+    gaps and duplicates are rejected, and a trailing Z means UTC. The step
+    is inferred from the first two rows.
     """
     powers: list[float] = []
     previous = step_seconds = None
     for lineno, (ts_text, power_text) in read_rows(text, PROFILE_CSV_HEADER, "profile CSV"):
+        iso = ts_text[:-1] + "+00:00" if ts_text.endswith("Z") else ts_text  # 3.10 reads no Z
         try:
-            ts = datetime.fromisoformat(ts_text)
+            ts = datetime.fromisoformat(iso)
         except ValueError as exc:
             raise MalformedRowError(f"line {lineno}: bad timestamp '{ts_text}'") from exc
         try:
@@ -349,9 +349,6 @@ def synthesize_pv_profile(
         raise ValueError(
             f"annual_yield_kwh_per_kwp must be positive, got {annual_yield_kwh_per_kwp}"
         )
-    per_day = 24.0 / step_hours
-    if abs(per_day - round(per_day)) > 1e-9:
-        raise ValueError(f"step_hours must divide 24 h, got {step_hours}")
     kwp, annual_yield, step_hours = float(kwp), float(annual_yield_kwh_per_kwp), float(step_hours)
     per_day = int(round(24.0 / step_hours))
     starts = np.arange(per_day) * step_hours
@@ -398,10 +395,6 @@ def align(
     energy exactly. Non-integer step ratios are rejected.
     """
     if pv.step_hours == load.step_hours:
-        if len(pv) != len(load):
-            raise IncompatibleProfilesError(
-                f"equal steps but different lengths ({len(pv)} vs {len(load)})"
-            )
         return pv, load
     fine, coarse = (pv, load) if pv.step_hours < load.step_hours else (load, pv)
     ratio = coarse.step_hours / fine.step_hours
@@ -414,8 +407,4 @@ def align(
     expanded = TimeSeriesProfile(
         step_hours=fine.step_hours, values=np.repeat(coarse.values, k), kind=coarse.kind
     )
-    if len(expanded) != len(fine):
-        raise IncompatibleProfilesError(
-            f"profiles cover different spans ({len(expanded)} vs {len(fine)} fine steps)"
-        )
     return (fine, expanded) if fine is pv else (expanded, fine)

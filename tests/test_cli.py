@@ -29,11 +29,11 @@ def two_country_csv(tmp_path):
     return path
 
 
-def hourly_profile_csv(path, power):
-    """Write a one-year hourly ``timestamp,power_kw`` CSV; power maps hour of year to kW."""
+def hourly_profile_csv(path, power, hours=8760):
+    """Write an hourly ``timestamp,power_kw`` CSV, a year by default; power maps hour to kW."""
     start = datetime(2019, 1, 1)
     rows = ["timestamp,power_kw"]
-    rows += [f"{(start + timedelta(hours=i)).isoformat()},{power(i):.4f}" for i in range(8760)]
+    rows += [f"{(start + timedelta(hours=i)).isoformat()},{power(i):.4f}" for i in range(hours)]
     path.write_text("\n".join(rows) + "\n")
     return path
 
@@ -459,6 +459,11 @@ COMMAND_ARGV = {
     # a trace that would replace simulate's own outputs
     ("simulate", ["--trace", "{out}/scenario_result.csv"]),
     ("simulate", ["--trace", "{out}/../out/run-manifest.json"]),
+    # a profile one step short of a year, or one step past it
+    ("sweep", ["--load-profile", "{short}"]),
+    ("sweep", ["--pv-profile", "{long}"]),
+    ("simulate", ["--load-profile", "{long}"]),
+    ("simulate", ["--pv-profile", "{short}"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     tmp_path, capsys, monkeypatch, command, args
@@ -477,6 +482,8 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "results": tmp_path / "results.csv",
         "taken": tmp_path / "taken",  # its box_stats.csv and run-manifest.json are directories
         "out": tmp_path / "out",
+        "short": hourly_profile_csv(tmp_path / "short.csv", evening_load, hours=8759),
+        "long": hourly_profile_csv(tmp_path / "long.csv", evening_load, hours=8761),
     }
     paths["latin1"].write_bytes("caf\u00e9".encode("latin-1"))
     paths["dir"].mkdir()
@@ -492,6 +499,10 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     assert "Traceback" not in err
     # outputs are checked before the work: no sweep ran, nothing was written
     assert calls == [] and sorted(tmp_path.rglob("*")) == before
+    for name, hours in (("short", 8759), ("long", 8761)):
+        if "{%s}" % name in args:
+            assert err == (f"error: profile CSV {paths[name]}: profile must cover one year: "
+                           f"{hours} steps of 1.0 h, expected 8760\n")
 
 
 class TestReport:

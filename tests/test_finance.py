@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -336,10 +337,22 @@ class TestFinancialResults:
         batch = financial_results([], [], [], [], [], [], [], econ())
         assert batch.lcou_eur_per_kwh.shape == (0,) and batch.errors == {}
 
+    def test_memory_does_not_grow_with_rows_times_horizon(self):
+        # a (612 rows x 20000 years) float array alone is 93 MiB
+        columns = [np.full(612, v) for v in (3.0, 3.0, 150.0, 0.19, 4394.55, 0.8, 0.1927)]
+        base = econ(discount_rate=0.07, horizon_years=20000, pv_degradation_rate=0.005)
+        tracemalloc.start()
+        try:
+            batch = financial_results(*columns, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.errors == {} and peak < 2 * 2**20
+
     @settings(max_examples=60, deadline=None)
     @given(
         discount=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
-        horizon=st.integers(1, 40),
+        horizon=st.integers(1, 200),
         degradation=st.floats(0.0, 0.05),
         maintenance=st.floats(0.0, 0.05),
         vat_override=st.one_of(st.none(), st.floats(0.0, 0.3)),

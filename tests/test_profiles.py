@@ -101,6 +101,14 @@ class TestParseProfileCsv:
         with pytest.raises(error, match=message):
             parse_profile_csv("\n".join(lines))
 
+    def test_z_suffix_reads_as_utc(self):
+        naive = make_csv(8760, 1.0, lambda i: i % 7)
+        stamped = naive.replace(",", "Z,").replace("timestampZ,", "timestamp,")
+        assert "2019-01-01T00:00:00Z,0" in stamped
+        profile = parse_profile_csv(stamped)
+        assert profile.step_hours == 1.0
+        assert np.array_equal(profile.values, parse_profile_csv(naive).values)
+
     def test_kind_is_settable(self):
         profile = parse_profile_csv(make_csv(8760, 1.0, 1.0), kind=ProfileKind.PV)
         assert profile.kind is ProfileKind.PV
@@ -233,19 +241,30 @@ class TestScaleAndAlign:
 
     def test_align_rejects_non_integer_ratio(self):
         pv = synthesize_pv_profile(1.0, 1464.85)
-        seven_min = 7.0 / 60.0
-        n = round(8760.0 / seven_min)
-        load = TimeSeriesProfile(
-            step_hours=seven_min, values=np.full(n, 0.5), kind=ProfileKind.LOAD
-        )
-        with pytest.raises(IncompatibleProfilesError):
+        # 60 steps of 0.4 h a day: a year, but 2.5 of them to each hour of PV
+        load = TimeSeriesProfile(step_hours=0.4, values=np.full(365 * 60, 0.5),
+                                 kind=ProfileKind.LOAD)
+        with pytest.raises(IncompatibleProfilesError, match=r"^step ratio 2\.5 is not an integer"):
             align(pv, load)
 
 
 class TestProfileInvariants:
     def test_year_coverage_enforced(self):
-        with pytest.raises(ValueError):
-            TimeSeriesProfile(step_hours=1.0, values=np.ones(100), kind=ProfileKind.PV)
+        for n, step, expected in ((100, 1.0, 8760), (8759, 1.0, 8760), (8761, 1.0, 8760),
+                                  (35041, 0.25, 35040)):
+            with pytest.raises(ValueError, match=f"^profile must cover one year: {n} steps of "
+                                                 f"{step} h, expected {expected}$"):
+                TimeSeriesProfile(step_hours=step, values=np.ones(n), kind=ProfileKind.PV)
+
+    def test_step_must_divide_a_day(self):
+        seven_min = 7.0 / 60.0
+        message = f"^step_hours must divide 24 h, got {seven_min}$"
+        with pytest.raises(ValueError, match=message):
+            TimeSeriesProfile(step_hours=seven_min, values=np.ones(75086), kind=ProfileKind.PV)
+        with pytest.raises(ValueError, match=message):
+            synthesize_pv_profile(1.0, 1464.85, step_hours=seven_min)
+        with pytest.raises(ValueError, match="^step_hours must divide 24 h, got 5e-324$"):
+            TimeSeriesProfile(step_hours=5e-324, values=np.ones(8760), kind=ProfileKind.PV)
 
     def test_step_not_positive_and_finite_rejected(self):
         for step, message in ((math.nan, "must be finite, got nan"),
