@@ -260,12 +260,16 @@ def _load_config_file(path: Path) -> dict:
     return config
 
 
-def _read_profile(path: Path, kind: ProfileKind) -> TimeSeriesProfile:
+def _read_profile(path: Path, kind: ProfileKind, rescale: bool) -> TimeSeriesProfile:
+    """The measured profile at path, which must hold energy if it is to be rescaled."""
     text = _read_text(path, "profile CSV")
     try:
-        return parse_profile_csv(text, kind=kind)
+        profile = parse_profile_csv(text, kind=kind)
     except ValueError as exc:  # StorParityError, a short year
         raise ConfigError(f"profile CSV {path}: {exc}") from exc
+    if rescale and profile.year_energy_kwh <= 0.0:  # scale_to_annual's own condition
+        raise ConfigError(f"profile CSV {path}: cannot rescale a profile with zero energy")
+    return profile
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -302,11 +306,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"bad battery parameters: {exc}") from exc
 
     load_path, pv_path = values.get("load_profile_csv"), values.get("pv_profile_csv")
+    # simulate runs the measured year as it is; sweep uses it as a shape
+    rescale = args.command == "sweep"
     profiles = ProfileSource(
-        load=_read_profile(load_path, ProfileKind.LOAD) if load_path else None,
-        pv=_read_profile(pv_path, ProfileKind.PV) if pv_path else None,
-        # simulate runs the measured year as it is; sweep uses it as a shape
-        rescale=args.command == "sweep",
+        load=_read_profile(load_path, ProfileKind.LOAD, rescale) if load_path else None,
+        pv=_read_profile(pv_path, ProfileKind.PV, rescale) if pv_path else None,
+        rescale=rescale,
     )
     return RunConfig(values, source, countries, econ, battery_kwargs, profiles, args.out or Path("."))
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from functools import cache
 from numbers import Real
 
 
@@ -9,12 +10,24 @@ def check_finite(instance) -> None:
     """Raise ValueError naming the first numeric dataclass field that is NaN or inf.
 
     Constructors call it first: a range check such as ``x < 0`` lets NaN through.
-    A field that __post_init__ has yet to set is skipped.
+    A field that __post_init__ has yet to set is skipped. A field is numeric
+    when its value's type is a numbers.Real at the first check of that type.
     """
-    for f in fields(instance):
-        value = getattr(instance, f.name, None)
-        if isinstance(value, Real) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name in _field_names(type(instance)):
+        value = getattr(instance, name, None)
+        if _is_real(type(value)) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+@cache
+def _is_real(cls: type) -> bool:
+    # an isinstance check against the ABC costs more than the rest of a small constructor
+    return issubclass(cls, Real)
 
 
 class StorParityError(ValueError):

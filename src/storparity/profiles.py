@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     NonUniformStepError,
     check_finite,
 )
-from .table import read_rows
+from .table import read_columns, read_rows, reject
 
 DAYS_PER_YEAR = 365
 DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -259,12 +260,45 @@ def parse_profile_csv(text: str, kind: ProfileKind = ProfileKind.LOAD) -> TimeSe
     gaps and duplicates are rejected, and a trailing Z means UTC. The step
     is inferred from the first two rows.
     """
+    try:
+        parsed = _profile_columns(text)
+    except (ValueError, TypeError):  # a bad stamp or power, naive stamps next to offset ones
+        parsed = None
+    if parsed is None:
+        reject(_profile_rows, text)
+    values, step_seconds = parsed
+    return TimeSeriesProfile(step_hours=step_seconds / 3600.0, values=values, kind=kind)
+
+
+def _z_as_utc(stamps: list[str]) -> list[str]:
+    """The stamps with a trailing Z written +00:00, as Python 3.10's fromisoformat needs."""
+    joined = "\n".join(stamps) + "\n"
+    return joined.replace("Z\n", "+00:00\n").split("\n")[:-1] if "Z\n" in joined else stamps
+
+
+def _profile_columns(text: str) -> tuple[np.ndarray, float] | None:
+    """The powers and the step in seconds, checked column by column; None if a check fails."""
+    stamps, powers = read_columns(text, PROFILE_CSV_HEADER, "profile CSV")
+    times = list(map(datetime.fromisoformat, _z_as_utc(stamps)))
+    values = np.fromiter(map(float, powers), float, len(powers))
+    steps = list(map(operator.sub, times[1:], times[:-1]))
+    if not steps or not np.isfinite(values).all() or (values < 0.0).any():
+        return None
+    # each check on a step depends on its value alone, so the distinct steps are enough
+    first = steps[0].total_seconds()
+    seconds = np.array(list(map(timedelta.total_seconds, set(steps))))
+    if not (seconds > 0.0).all() or (np.abs(seconds - first) > 1e-6).any():
+        return None
+    return values, first
+
+
+def _profile_rows(text: str) -> tuple[np.ndarray, float]:
+    """The powers and the step in seconds, checked row by row: raises naming the first bad line."""
     powers: list[float] = []
     previous = step_seconds = None
     for lineno, (ts_text, power_text) in read_rows(text, PROFILE_CSV_HEADER, "profile CSV"):
-        iso = ts_text[:-1] + "+00:00" if ts_text.endswith("Z") else ts_text  # 3.10 reads no Z
         try:
-            ts = datetime.fromisoformat(iso)
+            ts = datetime.fromisoformat(*_z_as_utc([ts_text]))
         except ValueError as exc:
             raise MalformedRowError(f"line {lineno}: bad timestamp '{ts_text}'") from exc
         try:
@@ -294,9 +328,7 @@ def parse_profile_csv(text: str, kind: ProfileKind = ProfileKind.LOAD) -> TimeSe
         powers.append(power)
     if step_seconds is None:
         raise MalformedRowError("need at least two data rows to infer the step")
-    return TimeSeriesProfile(
-        step_hours=step_seconds / 3600.0, values=np.asarray(powers), kind=kind
-    )
+    return np.asarray(powers), step_seconds
 
 
 def synthesize_load_profile(

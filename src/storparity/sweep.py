@@ -6,7 +6,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -35,7 +35,7 @@ from .profiles import (
     synthesize_load_profile,
     synthesize_pv_profile,
 )
-from .table import read_rows, write_rows
+from .table import read_columns, read_rows, reject, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -440,11 +440,35 @@ def parity_share(
 
 def box_stats(values: Sequence[float]) -> BoxStats:
     """Five-number summary of the values (inclusive quartile method)."""
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.sort(np.asarray(list(values), dtype=float))
     if arr.size == 0:
         raise EmptySelectionError("box_stats needs at least one value")
-    q = np.percentile(arr, [0.0, 25.0, 50.0, 75.0, 100.0])
-    return BoxStats(minimum=q[0], q1=q[1], median=q[2], q3=q[3], maximum=q[4])
+    (row,) = _five_numbers(arr, np.array([0]), np.array([arr.size])).tolist()
+    return BoxStats(*row)
+
+
+_QUARTILES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _five_numbers(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Min, q1, median, q3 and max of each sorted run ordered[start:start + count].
+
+    Quartiles interpolate between order statistics at (count - 1) * q, the
+    type-7 rule of Hyndman and Fan, in the arithmetic of numpy's percentile
+    with its default 'linear' method, so each value equals numpy's bit for
+    bit. A run that holds a NaN reads NaN throughout, as there.
+    """
+    last = (counts - 1)[:, None]
+    virtual = last * _QUARTILES
+    top = virtual >= last  # numpy takes the last value there, by its index -1
+    below = np.where(top, -1.0, np.floor(virtual))
+    gamma = virtual - below
+    lo = starts[:, None] + np.where(top, last, below).astype(np.intp)
+    a, b = ordered[lo], ordered[np.where(top, lo, lo + 1)]
+    diff = b - a
+    stats = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    stats[np.isnan(ordered[starts + counts - 1])] = np.nan
+    return stats
 
 
 def best_pv_size(
@@ -501,8 +525,37 @@ def results_to_csv(results: Sequence[ScenarioResult]) -> str:
 
 
 def parse_results_csv(text: str) -> list[ScenarioResult]:
-    """Read back a results CSV; raises ValueError on schema violations."""
+    """Read back a results CSV; raises ValueError on schema violations.
+
+    A scenario (country, type, kWp, ratio, BESS price) may appear only once.
+    """
+    try:
+        results = _results_columns(text)
+    except ValueError:  # a bad number, or a value Scenario rejects
+        results = None
+    if results is None:
+        reject(_results_rows, text)
+    return results
+
+
+def _results_columns(text: str) -> list[ScenarioResult] | None:
+    """The results, checked column by column; None if a check fails."""
+    countries, types, kwps, ratios, prices, *metrics, parity = read_columns(
+        text, RESULTS_CSV_HEADER, "results CSV"
+    )
+    axes = (countries, types, list(map(int, kwps)), list(map(float, ratios)),
+            list(map(float, prices)))
+    metrics = [list(map(float, column)) for column in metrics]
+    if (not countries or len(set(zip(*axes))) < len(countries)
+            or not all(map(math.isfinite, chain(*metrics))) or set(parity) - {"true", "false"}):
+        return None
+    return list(map(ScenarioResult, map(Scenario, *axes), *metrics, map("true".__eq__, parity)))
+
+
+def _results_rows(text: str) -> list[ScenarioResult]:
+    """The results, checked row by row: raises naming the first bad line."""
     results = []
+    seen = set()
     rows = read_rows(text, RESULTS_CSV_HEADER, "results CSV")
     for lineno, (country, ptype, kwp, ratio, price, *metrics, parity) in rows:
         try:
@@ -515,6 +568,9 @@ def parse_results_csv(text: str) -> list[ScenarioResult]:
             raise ValueError(f"line {lineno}: {error}")
         if parity not in ("true", "false"):
             raise ValueError(f"line {lineno}: grid_parity must be true/false, got {parity!r}")
+        if scenario.key in seen:
+            raise ValueError(f"line {lineno}: duplicate scenario {scenario.key}")
+        seen.add(scenario.key)
         results.append(ScenarioResult(scenario, *metrics, parity == "true"))
     if not results:
         raise ValueError("results CSV has no data rows")
@@ -536,9 +592,18 @@ def _group_by(results: Sequence[ScenarioResult], *axes: str) -> dict[tuple, list
 def box_stats_by_country_price(
     results: Sequence[ScenarioResult],
 ) -> list[tuple[str, float, BoxStats]]:
-    """LCOU five-number summary per (country, BESS price), sorted."""
-    cells = _group_by(results, "country", "bess_price_eur_per_kwh")
-    return [(*key, box_stats([r.lcou for r in cells[key]])) for key in sorted(cells)]
+    """LCOU five-number summary per (country, BESS price), sorted.
+
+    One sort orders every result by cell, then by LCOU.
+    """
+    keys = list(map(attrgetter("scenario.country", "scenario.bess_price_eur_per_kwh"), results))
+    cells = sorted(dict.fromkeys(keys))
+    number = dict(zip(cells, range(len(cells))))
+    cell = np.fromiter(map(number.__getitem__, keys), np.intp, len(keys))
+    lcou = np.fromiter(map(attrgetter("lcou"), results), float, len(keys))
+    counts = np.bincount(cell, minlength=len(cells))
+    stats = _five_numbers(lcou[np.lexsort((lcou, cell))], np.cumsum(counts) - counts, counts)
+    return [(*key, BoxStats(*row)) for key, row in zip(cells, stats.tolist())]
 
 
 def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:

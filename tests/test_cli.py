@@ -42,6 +42,10 @@ def evening_load(hour):
     return 0.4 + (0.8 if hour % 24 >= 18 else 0.0)
 
 
+def first_hour_load(hour):
+    return 1.0 if hour == 0 else 0.0
+
+
 def midday_pv(hour):
     return max(0.0, 1.0 - abs(hour % 24 - 12.5) / 6.0)
 
@@ -316,14 +320,11 @@ class TestSweep:
     def test_scenario_failures_exit_1_with_partial_outputs(
         self, tmp_path, two_country_csv, capsys, caplog
     ):
-        # an all-zero PV override cannot be rescaled, so every scenario fails
-        start = datetime(2019, 1, 1)
-        rows = ["timestamp,power_kw"]
-        rows += [f"{(start + timedelta(hours=i)).isoformat()},0.0" for i in range(8760)]
-        dead_pv = tmp_path / "pv.csv"
-        dead_pv.write_text("\n".join(rows) + "\n")
+        # a household that draws power only in the first hour, before any sun has
+        # charged the battery, uses none of its PV: every scenario fails its pricing
+        night_load = hourly_profile_csv(tmp_path / "load.csv", first_hour_load)
         out = tmp_path / "failed"
-        argv = self.sweep_argv(out, two_country_csv, ("--pv-profile", str(dead_pv)))
+        argv = self.sweep_argv(out, two_country_csv, ("--load-profile", str(night_load)))
         assert main(argv) == 1
         assert (out / "results.csv").exists()
         err = capsys.readouterr().err.splitlines()
@@ -341,8 +342,8 @@ class TestSweep:
         assert main(argv) == 0
         assert len((out / "box_stats.csv").read_text().splitlines()) == 3
         capsys.readouterr()
-        dead_pv = hourly_profile_csv(tmp_path / "pv.csv", lambda hour: 0.0)
-        assert main([*argv, "--pv-profile", str(dead_pv)]) == 1
+        night_load = hourly_profile_csv(tmp_path / "load.csv", first_hour_load)
+        assert main([*argv, "--load-profile", str(night_load)]) == 1
         assert (out / "results.csv").read_text() == RESULTS_CSV_HEADER + "\n"
         assert (out / "parity_shares.csv").read_text() == PARITY_CSV_HEADER + "\n"
         assert (out / "box_stats.csv").read_text() == BOX_CSV_HEADER + "\n"
@@ -464,6 +465,9 @@ COMMAND_ARGV = {
     ("sweep", ["--pv-profile", "{long}"]),
     ("simulate", ["--load-profile", "{long}"]),
     ("simulate", ["--pv-profile", "{short}"]),
+    # a measured year with no energy, which sweep would have to rescale
+    ("sweep", ["--pv-profile", "{zero}"]),
+    ("sweep", ["--load-profile", "{zero}"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     tmp_path, capsys, monkeypatch, command, args
@@ -484,6 +488,7 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "out": tmp_path / "out",
         "short": hourly_profile_csv(tmp_path / "short.csv", evening_load, hours=8759),
         "long": hourly_profile_csv(tmp_path / "long.csv", evening_load, hours=8761),
+        "zero": hourly_profile_csv(tmp_path / "zero.csv", lambda hour: 0.0),
     }
     paths["latin1"].write_bytes("caf\u00e9".encode("latin-1"))
     paths["dir"].mkdir()
@@ -503,6 +508,8 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         if "{%s}" % name in args:
             assert err == (f"error: profile CSV {paths[name]}: profile must cover one year: "
                            f"{hours} steps of 1.0 h, expected 8760\n")
+    if "{zero}" in args:
+        assert err == f"error: profile CSV {paths['zero']}: cannot rescale a profile with zero energy\n"
 
 
 class TestReport:
@@ -558,6 +565,18 @@ class TestReport:
         bad.write_text("country,oops\nCyprus,1\n")
         assert main(["report", str(bad), "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    def test_repeated_scenario_exits_2(self, tmp_path, capsys):
+        # counted twice, it would weigh twice in the parity shares and the quartiles
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text(ONE_RESULT_CSV + "Cyprus,A,1,1.0,150,0.4,0.4,0.07,0.09,11.0,false\n")
+        out = tmp_path / "rep"
+        assert main(["report", str(repeated), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: results CSV {repeated}: line 3: duplicate scenario "
+            "('Cyprus', 'A', 1, 1.0, 150.0)\n"
+        )
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.csv")]) == 2
@@ -668,6 +687,17 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
             cwd=Path(storparity.__file__).parents[1], capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+def test_sweep_and_report_leave_numpy_ma_unloaded(tmp_path):
+    # numpy's percentile imports numpy.ma on its first call; the quartiles need neither
+    sweep = ["sweep", "--out", str(tmp_path), "--types", "A", "--ratios", "1"]
+    report = ["report", str(tmp_path / "results.csv"), "--out", str(tmp_path)]
+    code = (f"import sys, storparity.cli; assert storparity.cli.main({sweep!r}) == 0; "
+            f"assert storparity.cli.main({report!r}) == 0; sys.exit('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=Path(storparity.__file__).parents[1])
+    assert result.returncode == 0, result.stderr
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):

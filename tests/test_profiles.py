@@ -3,6 +3,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import storparity.profiles as profiles
 from storparity import (
@@ -112,6 +113,91 @@ class TestParseProfileCsv:
     def test_kind_is_settable(self):
         profile = parse_profile_csv(make_csv(8760, 1.0, 1.0), kind=ProfileKind.PV)
         assert profile.kind is ProfileKind.PV
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_column_checks_agree_with_the_row_reader(self, data):
+        text = data.draw(profile_documents())
+        try:
+            columns = profiles._profile_columns(text)
+        except (ValueError, TypeError):
+            columns = None
+        try:
+            values, step_seconds = rows = profiles._profile_rows(text)
+        except ValueError:
+            rows = None
+        assert (columns is None) == (rows is None)
+        if rows is not None:
+            assert columns[0].tobytes() == values.tobytes() and columns[1] == step_seconds
+
+        def outcome(parse):
+            try:
+                profile = parse()
+            except Exception as exc:  # compared by type and message
+                return type(exc), str(exc)
+            return profile.values.tobytes(), profile.step_hours
+
+        def by_rows():
+            powers, seconds = profiles._profile_rows(text)
+            return TimeSeriesProfile(step_hours=seconds / 3600.0, values=powers,
+                                     kind=ProfileKind.LOAD)
+
+        assert outcome(lambda: parse_profile_csv(text)) == outcome(by_rows)
+
+
+_BAD_STAMPS = ("garbage", "", "2019-13-01T00:00", "2019-01-01T25:00", "2019-01-01T00:00+25:00")
+_BAD_POWERS = ("abc", "", "1..2", "0x10", "-1.5", "-1e-300", "nan", "inf", "-inf", "1e999")
+
+
+@st.composite
+def profile_documents(draw):
+    """A valid profile CSV of a few rows, then up to three mutations of it."""
+    step = draw(st.sampled_from([timedelta(minutes=15), timedelta(hours=1), timedelta(hours=24)]))
+    zone = draw(st.sampled_from(["", "+00:00", "+02:00", "Z"]))
+    start = datetime(2019, 1, 1) + draw(st.integers(0, 10_000)) * timedelta(minutes=15)
+    times = [start + i * step for i in range(draw(st.integers(0, 8)))]
+    power = st.floats(0.0, 1e6).map(repr) | st.sampled_from(["0", "0.5", "1e-3", "-0.0", "7"])
+    rows = [[t.isoformat() + zone, draw(power)] for t in times]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([
+            "stamp", "power", "zone", "jitter", "gap", "duplicate", "swap",
+        ]))
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "stamp":
+            rows[i][0] = draw(st.sampled_from(_BAD_STAMPS))
+        elif kind == "power":
+            rows[i][1] = draw(st.sampled_from(_BAD_POWERS))
+        elif kind == "zone":  # another zone, or none, at the same wall time or instant
+            other = draw(st.sampled_from(["", "+00:00", "+01:00", "Z"]))
+            same_instant = other == "+01:00" and zone in ("+00:00", "Z")
+            shift = timedelta(hours=1 if same_instant else 0)
+            rows[i][0] = (times[i] + shift).isoformat() + other
+        elif kind == "jitter":
+            delta = draw(st.sampled_from([1, -1, 2, 1000])) * timedelta(microseconds=1)
+            rows[i][0] = (times[i] + delta).isoformat() + zone
+        elif kind == "gap":
+            del rows[i], times[i]
+        elif kind == "duplicate":
+            rows.insert(i, list(rows[i]))
+            times.insert(i, times[i])
+        elif kind == "swap" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            times[i], times[i + 1] = times[i + 1], times[i]
+    if rows and draw(st.integers(0, 9)) == 0:  # a row with one field too few or too many
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from([rows[i][:1], rows[i] + ["x"], rows[i] + [""]]))
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [",".join(draw(pad) + field + draw(pad) for field in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines, anywhere after the header
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    header = draw(st.sampled_from(
+        [profiles.PROFILE_CSV_HEADER] * 18 + ["Timestamp,power_kw", "timestamp"]
+    ))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + end.join([header, *lines]) + draw(st.sampled_from(["", end]))
 
 
 def uniform_load_shape():

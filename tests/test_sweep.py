@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -421,6 +422,28 @@ class TestBoxStats:
         for _, _, stats in rows:
             assert stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.sampled_from(["Cyprus", "Italy", "Spain"]),
+                  st.sampled_from([0.0, 123.4567, 150.0, 500.0])),
+        # no -0.0: on a tie with 0.0, np.percentile's partition may return either
+        st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3])
+                 | st.floats(-1e300, 1e300).filter(lambda x: math.copysign(1.0, x) > 0 or x),
+                 min_size=1, max_size=30),
+        min_size=1, max_size=12,
+    ), st.randoms())
+    def test_one_sort_matches_np_percentile_bit_for_bit(self, cells, random):
+        results = [_mk_result(country, "A", 1, 1.0, price, lcou)
+                   for (country, price), values in cells.items() for lcou in values]
+        random.shuffle(results)
+        rows = box_stats_by_country_price(results)
+        assert [(country, price) for country, price, _ in rows] == sorted(cells)
+        for (_, _, stats), key in zip(rows, sorted(cells)):
+            expected = np.percentile(cells[key], [0.0, 25.0, 50.0, 75.0, 100.0]).tobytes()
+            for got in (stats, box_stats(cells[key])):
+                five = (got.minimum, got.q1, got.median, got.q3, got.maximum)
+                assert np.array(five).tobytes() == expected
+
 
 def _mk_result(country, ptype, kwp, ratio, price, lcou_value, parity=False):
     return ScenarioResult(
@@ -441,6 +464,47 @@ def _random_results(seed):
         )
         for _ in range(int(rng.integers(1, 200)))
     ]
+
+
+#: Per results column: values it reads, then values it rejects.
+_RESULT_FIELDS = [
+    (["Cyprus", "Italy"], []),
+    (["A", "B"], ["D", "a", ""]),
+    (["1", "2", "3", "4"], ["0", "-1", "2.5", "x", ""]),
+    (["0.5", "1", "1.0", "2"], ["-1", "nan", "inf", "x"]),
+    (["150", "500", "150.0"], ["-5", "nan", "1e400", ""]),
+    *[(["0.5", "-0.0", "1e-7", "-3", "12.25"], ["nan", "inf", "-inf", "x", "", "1e400"])] * 5,
+    (["true", "false"], ["True", "maybe", ""]),
+]
+
+
+@st.composite
+def results_documents(draw):
+    """A results CSV of a few rows, some scenarios repeated, then up to two mutations of it."""
+    rows = [
+        [draw(st.sampled_from(good)) for good, _ in _RESULT_FIELDS]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["key", "value", "value", "duplicate", "count"]))
+        if kind in ("key", "value"):  # a bad scenario axis, or a bad metric or parity
+            column = draw(st.sampled_from(range(5) if kind == "key" else range(5, 11)))
+            bad = _RESULT_FIELDS[column][1]
+            rows[i][column] = draw(st.sampled_from(bad or _RESULT_FIELDS[column][0]))
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        else:
+            rows[i] = draw(st.sampled_from([rows[i][:-1], rows[i] + ["x"]]))
+    pad = st.sampled_from(["", " "])
+    lines = [",".join(draw(pad) + field + draw(pad) for field in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    header = draw(st.sampled_from([RESULTS_CSV_HEADER] * 19 + ["country,oops"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join([header, *lines]) + end
 
 
 def _cells(results, *axes):
@@ -561,6 +625,37 @@ class TestResultsCsv:
         assert parse_results_csv(text) == parse_results_csv(RESULTS_CSV_HEADER + "\n" + row)
         with pytest.raises(ValueError, match="^line 5: pv_kwp must be an integer >= 1"):
             parse_results_csv(text + row.replace("A,1,", "A,0,"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_column_checks_agree_with_the_row_reader(self, data):
+        text = data.draw(results_documents())
+        try:
+            columns = sweep_module._results_columns(text)
+        except ValueError:
+            columns = None
+        try:
+            rows = sweep_module._results_rows(text)
+        except ValueError:
+            rows = None
+        assert (columns is None) == (rows is None)
+        assert repr(columns) == repr(rows)  # repr tells -0.0 from 0.0
+
+        def outcome(parse):
+            try:
+                return repr(parse(text))
+            except Exception as exc:  # compared by type and message
+                return type(exc), str(exc)
+
+        assert outcome(parse_results_csv) == outcome(sweep_module._results_rows)
+
+    def test_repeated_scenario_rejected(self):
+        row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
+        text = RESULTS_CSV_HEADER + "\n" + row + "\n\n" + row.replace("A,1,1,", "A,1,1.0,") + "\n"
+        with pytest.raises(ValueError, match=re.escape(
+            "line 4: duplicate scenario ('Cyprus', 'A', 1, 1.0, 150.0)"
+        )):
+            parse_results_csv(text)
 
     def test_box_csv_schema(self, full_sweep):
         _, results, _ = full_sweep
