@@ -51,10 +51,9 @@ from .sweep import (
     parity_share_table,
     parity_shares_to_csv,
     parse_results_csv,
-    result_from_balance,
     results_to_csv,
     run_sweep,
-    scenario_dispatch,
+    simulate_scenario,
 )
 
 # The measured-profile sweep's former name; perfbench/spans.py still wraps it.
@@ -308,11 +307,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     load_path, pv_path = values.get("load_profile_csv"), values.get("pv_profile_csv")
     # simulate runs the measured year as it is; sweep uses it as a shape
     rescale = args.command == "sweep"
-    profiles = ProfileSource(
-        load=_read_profile(load_path, ProfileKind.LOAD, rescale) if load_path else None,
-        pv=_read_profile(pv_path, ProfileKind.PV, rescale) if pv_path else None,
-        rescale=rescale,
-    )
+    load = _read_profile(load_path, ProfileKind.LOAD, rescale) if load_path else None
+    pv = _read_profile(pv_path, ProfileKind.PV, rescale) if pv_path else None
+    try:
+        profiles = ProfileSource(load=load, pv=pv, rescale=rescale)
+    except ValueError as exc:  # IncompatibleProfilesError
+        raise ConfigError(f"load and PV profile steps do not align: {exc}") from exc
     return RunConfig(values, source, countries, econ, battery_kwargs, profiles, args.out or Path("."))
 
 
@@ -390,8 +390,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"--trace {args.trace} would overwrite simulate's own output")
     country = cfg.countries[scenario.country]
     try:
-        trace, balance = scenario_dispatch(scenario, country, cfg.profiles, cfg.battery_kwargs)
-        result = result_from_balance(scenario, country, cfg.econ, balance)
+        trace, result = simulate_scenario(
+            scenario, country, cfg.econ, cfg.profiles, cfg.battery_kwargs
+        )
     except ValueError as exc:  # StorParityError and kin
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
@@ -474,6 +475,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    out_dir = args.out or Path(".")
+    _check_dir(out_dir, "report_summary.json")
     if args.config:  # type-checked, though no setting changes a report
         _load_config_file(args.config)
     text = _read_text(args.results_csv, "results CSV")
@@ -532,7 +535,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             for c, t, r, p, k in best_rows
         ],
     }
-    out_dir = args.out or Path(".")
     with _writing(out_dir):
         (out_dir / "report_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

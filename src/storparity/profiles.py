@@ -417,26 +417,29 @@ def scale_to_annual(profile: TimeSeriesProfile, annual_kwh: float) -> TimeSeries
     )
 
 
+def common_step(a: float, b: float) -> float:
+    """The finer of two steps; raises unless the coarser equals it or is a whole multiple of it."""
+    fine, coarse = sorted((a, b))
+    ratio = coarse / fine
+    if coarse != fine and (round(ratio) < 2 or abs(ratio - round(ratio)) > 1e-9):
+        raise IncompatibleProfilesError(
+            f"step ratio {ratio!r} is not an integer ({coarse} h vs {fine} h)"
+        )
+    return fine
+
+
+def refine(profile: TimeSeriesProfile, step_hours: float) -> TimeSeriesProfile:
+    """The profile at step_hours, a whole fraction of its step: each value repeated, same kW."""
+    common_step(profile.step_hours, step_hours)
+    if profile.step_hours == step_hours:
+        return profile
+    repeats = round(profile.step_hours / step_hours)  # 0 for a coarser step: rejected
+    return TimeSeriesProfile(step_hours, np.repeat(profile.values, repeats), profile.kind)
+
+
 def align(
     pv: TimeSeriesProfile, load: TimeSeriesProfile
 ) -> tuple[TimeSeriesProfile, TimeSeriesProfile]:
-    """Bring two profiles onto a common step and length.
-
-    When the steps differ by an integer factor the coarser series is
-    replicated down to the finer step at the same kW, which preserves
-    energy exactly. Non-integer step ratios are rejected.
-    """
-    if pv.step_hours == load.step_hours:
-        return pv, load
-    fine, coarse = (pv, load) if pv.step_hours < load.step_hours else (load, pv)
-    ratio = coarse.step_hours / fine.step_hours
-    k = round(ratio)
-    if k < 2 or abs(ratio - k) > 1e-9:
-        raise IncompatibleProfilesError(
-            f"step ratio {ratio!r} is not an integer "
-            f"({coarse.step_hours} h vs {fine.step_hours} h)"
-        )
-    expanded = TimeSeriesProfile(
-        step_hours=fine.step_hours, values=np.repeat(coarse.values, k), kind=coarse.kind
-    )
-    return (fine, expanded) if fine is pv else (expanded, fine)
+    """Bring two profiles onto their common step (see refine)."""
+    step = common_step(pv.step_hours, load.step_hours)
+    return refine(pv, step), refine(load, step)

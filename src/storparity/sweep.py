@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
@@ -28,9 +28,13 @@ from .finance import (
     financial_result,
     financial_results,
 )
+# align is not called here either: perfbench/spans.py wraps this name too.
 from .profiles import (
     TimeSeriesProfile,
     align,
+    common_step,
+    default_load_shape,
+    refine,
     scale_to_annual,
     synthesize_load_profile,
     synthesize_pv_profile,
@@ -178,63 +182,62 @@ def build_grid(
 
 @dataclass(frozen=True, eq=False)
 class ProfileSource:
-    """Where each scenario's PV and load years come from.
+    """Where each scenario's PV and load years come from, all at one step.
 
     A series without a measured template is synthesized from the shipped
     shapes. A template is rescaled to the scenario's annual energy (the
     type's consumption, or kWp times the country yield) when ``rescale`` is
-    set, and used as-is otherwise.
+    set, and used as-is otherwise. ``step_hours`` is the finer of the load's
+    step (its template's, else the shipped shape's) and the PV's (its
+    template's, else the load's): see profiles.common_step.
     """
 
     load: TimeSeriesProfile | None = None
     pv: TimeSeriesProfile | None = None
     rescale: bool = True
+    step_hours: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        load_step = default_load_shape().step_hours if self.load is None else self.load.step_hours
+        pv_step = load_step if self.pv is None else self.pv.step_hours
+        object.__setattr__(self, "step_hours", common_step(load_step, pv_step))
 
     def load_profile(self, scenario: Scenario) -> TimeSeriesProfile:
-        """The scenario's load year; every load of one source has the same step."""
+        """The scenario's load year."""
+        annual = scenario.annual_load_kwh
         if self.load is None:
-            return synthesize_load_profile(scenario.annual_load_kwh)
-        return scale_to_annual(self.load, scenario.annual_load_kwh) if self.rescale else self.load
+            load = synthesize_load_profile(annual)
+        else:
+            load = scale_to_annual(self.load, annual) if self.rescale else self.load
+        return refine(load, self.step_hours)
 
-    def pv_profile(
-        self, scenario: Scenario, data: CountryData, step_hours: float
-    ) -> TimeSeriesProfile:
-        """The scenario's PV year: synthesized at step_hours, or from the template."""
+    def pv_profile(self, scenario: Scenario, data: CountryData) -> TimeSeriesProfile:
+        """The scenario's PV year."""
         kwp, annual_yield = scenario.pv_kwp, data.annual_yield_kwh_per_kwp
         if self.pv is None:
-            return synthesize_pv_profile(kwp, annual_yield, step_hours=step_hours)
-        return scale_to_annual(self.pv, kwp * annual_yield) if self.rescale else self.pv
+            return synthesize_pv_profile(kwp, annual_yield, step_hours=self.step_hours)
+        pv = scale_to_annual(self.pv, kwp * annual_yield) if self.rescale else self.pv
+        return refine(pv, self.step_hours)
 
 
-def scenario_dispatch(
-    scenario: Scenario,
-    data: CountryData,
-    source: ProfileSource | None = None,
-    battery_kwargs: Mapping | None = None,
-) -> tuple[DispatchTrace, EnergyBalance]:
-    """Build, align and dispatch one scenario's profiles: the trace and its annual balance."""
-    source = source if source is not None else ProfileSource()
-    load = source.load_profile(scenario)
-    pv, load = align(source.pv_profile(scenario, data, load.step_hours), load)
-    battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **(battery_kwargs or {}))
-    trace = simulate(pv, load, battery)
-    return trace, annual_balance(trace, load.step_hours)
-
-
-def result_from_balance(
+def simulate_scenario(
     scenario: Scenario,
     data: CountryData,
     econ: EconomicParams,
-    balance: EnergyBalance,
-) -> ScenarioResult:
-    """Attach the financial evaluation to an already-computed balance.
-
-    The one-scenario case of the sweep's pricing (see _price_results).
-    """
+    source: ProfileSource | None = None,
+    battery_kwargs: Mapping | None = None,
+) -> tuple[DispatchTrace, ScenarioResult]:
+    """Full pipeline for one scenario: its trace, and its result priced as a batch of one."""
+    source = source if source is not None else ProfileSource()
+    load = source.load_profile(scenario)
+    pv = source.pv_profile(scenario, data)
+    battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **(battery_kwargs or {}))
+    trace = simulate(pv, load, battery)
+    balance = annual_balance(trace, source.step_hours)
     (outcome,) = _price_results([(scenario, data, balance)], econ)
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    return trace, outcome
 
 
 def run_scenario(
@@ -245,9 +248,8 @@ def run_scenario(
     *,
     battery_kwargs: Mapping | None = None,
 ) -> ScenarioResult:
-    """Full pipeline for one scenario: profiles, dispatch, finance."""
-    balance = scenario_dispatch(scenario, data, source, battery_kwargs)[1]
-    return result_from_balance(scenario, data, econ, balance)
+    """simulate_scenario's result alone."""
+    return simulate_scenario(scenario, data, econ, source, battery_kwargs)[1]
 
 
 def _dispatch_key(scenario: Scenario, data: CountryData) -> tuple:
@@ -270,43 +272,32 @@ def _dispatch_keys(
     """Dispatch each scenario's key in one batch: its balance, or why it failed.
 
     Each PV series (country yield and kWp) and each load (prosumer type) is
-    built once. A ValueError while building a key's profiles or battery
-    fails that key alone; other exceptions propagate.
+    built once, at the source's step. A ValueError while building a key's
+    profiles or battery fails that key alone; other exceptions propagate.
     """
-    built: dict = {}  # prosumer type -> load, (yield, kWp) -> PV, as the source builds them
-    index: dict = {}  # the same keys -> position of the aligned values in their rows
+    index: dict = {}  # prosumer type -> its load's row, (yield, kWp) -> its PV's row
     pv_rows: list[np.ndarray] = []
     load_rows: list[np.ndarray] = []
     configs: list[tuple[int, int, BatterySpec]] = []
     outcomes: list[int | str] = []  # position in configs, or the failure
-    step_hours = None
     for scenario in scenarios:
         country = data[scenario.country]
         load_key = scenario.prosumer_type
         pv_key = (country.annual_yield_kwh_per_kwp, scenario.pv_kwp)
         try:
-            if load_key not in index or pv_key not in index:
-                if load_key not in built:
-                    built[load_key] = source.load_profile(scenario)
-                if pv_key not in built:
-                    step = built[load_key].step_hours
-                    built[pv_key] = source.pv_profile(scenario, country, step)
-                # one source builds every load at one step and every PV at one
-                # step, so every aligned pair shares one step and length
-                pv, load = align(built[pv_key], built[load_key])
-                step_hours = load.step_hours
-                for key, values, rows in ((pv_key, pv.values, pv_rows),
-                                          (load_key, load.values, load_rows)):
-                    if key not in index:
-                        index[key] = len(rows)
-                        rows.append(values)
+            if load_key not in index:
+                load_rows.append(source.load_profile(scenario).values)
+                index[load_key] = len(load_rows) - 1
+            if pv_key not in index:
+                pv_rows.append(source.pv_profile(scenario, country).values)
+                index[pv_key] = len(pv_rows) - 1
             battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **battery_kwargs)
         except ValueError as exc:  # StorParityError and kin; bugs propagate
             outcomes.append(_failure(exc))
             continue
         outcomes.append(len(configs))
         configs.append((index[pv_key], index[load_key], battery))
-    balances = simulate_balances(pv_rows, load_rows, configs, step_hours) if configs else []
+    balances = simulate_balances(pv_rows, load_rows, configs, source.step_hours) if configs else []
     return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 

@@ -29,11 +29,15 @@ def two_country_csv(tmp_path):
     return path
 
 
-def hourly_profile_csv(path, power, hours=8760):
-    """Write an hourly ``timestamp,power_kw`` CSV, a year by default; power maps hour to kW."""
+def profile_csv(path, power, steps=8760, minutes=60):
+    """Write a ``timestamp,power_kw`` CSV of steps rows minutes apart, an hourly year by default.
+
+    power maps a step's index to kW.
+    """
     start = datetime(2019, 1, 1)
     rows = ["timestamp,power_kw"]
-    rows += [f"{(start + timedelta(hours=i)).isoformat()},{power(i):.4f}" for i in range(hours)]
+    rows += [f"{(start + timedelta(minutes=minutes * i)).isoformat()},{power(i):.4f}"
+             for i in range(steps)]
     path.write_text("\n".join(rows) + "\n")
     return path
 
@@ -149,7 +153,7 @@ class TestSimulate:
         assert main(argv) == 0
 
     def test_mixed_naive_and_offset_timestamps_exit_2(self, tmp_path, capsys):
-        profile = hourly_profile_csv(tmp_path / "mixed.csv", evening_load)
+        profile = profile_csv(tmp_path / "mixed.csv", evening_load)
         lines = profile.read_text().splitlines()
         lines[6] = "2019-01-01T05:00+00:00,0.4000"
         profile.write_text("\n".join(lines) + "\n")
@@ -204,7 +208,7 @@ class TestSimulate:
     def test_no_production_exits_1_and_creates_nothing(
         self, tmp_path, capsys, pv_kw, extra, message
     ):
-        pv = hourly_profile_csv(tmp_path / "pv.csv", lambda hour: 0.0)
+        pv = profile_csv(tmp_path / "pv.csv", lambda hour: 0.0)
         lines = pv.read_text().splitlines()
         lines[13] = lines[13].split(",")[0] + f",{pv_kw}"
         pv.write_text("\n".join(lines) + "\n")
@@ -234,7 +238,7 @@ class TestSimulate:
         assert not out.exists()
 
     def test_manifest_records_profile_from_config(self, tmp_path):
-        load = hourly_profile_csv(tmp_path / "load.csv", evening_load)
+        load = profile_csv(tmp_path / "load.csv", evening_load)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"load_profile_csv": str(load)}))
         assert main(simulate_args(tmp_path) + ["--config", str(config)]) == 0
@@ -322,7 +326,7 @@ class TestSweep:
     ):
         # a household that draws power only in the first hour, before any sun has
         # charged the battery, uses none of its PV: every scenario fails its pricing
-        night_load = hourly_profile_csv(tmp_path / "load.csv", first_hour_load)
+        night_load = profile_csv(tmp_path / "load.csv", first_hour_load)
         out = tmp_path / "failed"
         argv = self.sweep_argv(out, two_country_csv, ("--load-profile", str(night_load)))
         assert main(argv) == 1
@@ -342,7 +346,7 @@ class TestSweep:
         assert main(argv) == 0
         assert len((out / "box_stats.csv").read_text().splitlines()) == 3
         capsys.readouterr()
-        night_load = hourly_profile_csv(tmp_path / "load.csv", first_hour_load)
+        night_load = profile_csv(tmp_path / "load.csv", first_hour_load)
         assert main([*argv, "--load-profile", str(night_load)]) == 1
         assert (out / "results.csv").read_text() == RESULTS_CSV_HEADER + "\n"
         assert (out / "parity_shares.csv").read_text() == PARITY_CSV_HEADER + "\n"
@@ -369,8 +373,8 @@ class TestSweep:
 
 
     def test_manifest_records_profile_flag_over_config(self, tmp_path, two_country_csv):
-        in_config = hourly_profile_csv(tmp_path / "a.csv", lambda hour: 0.6)
-        on_flag = hourly_profile_csv(tmp_path / "b.csv", evening_load)
+        in_config = profile_csv(tmp_path / "a.csv", lambda hour: 0.6)
+        on_flag = profile_csv(tmp_path / "b.csv", evening_load)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"load_profile_csv": str(in_config)}))
         out = tmp_path / "out"
@@ -385,8 +389,8 @@ class TestSweep:
     def test_measured_profile_sweep_parallel_matches_serial_bytes(
         self, tmp_path, two_country_csv
     ):
-        load = hourly_profile_csv(tmp_path / "load.csv", evening_load)
-        pv = hourly_profile_csv(tmp_path / "pv.csv", midday_pv)
+        load = profile_csv(tmp_path / "load.csv", evening_load)
+        pv = profile_csv(tmp_path / "pv.csv", midday_pv)
         outs = [tmp_path / "serial", tmp_path / "parallel"]
         for out, workers in zip(outs, ("1", "2")):
             argv = [
@@ -452,6 +456,7 @@ COMMAND_ARGV = {
     ("simulate", ["--out", "{file}"]),
     ("sweep", ["--out", "{file}"]),
     ("report", ["{results}", "--out", "{file}"]),
+    ("report", ["{results}", "--out", "{taken}"]),
     ("simulate", ["--trace", "{file}/trace.csv"]),
     # an output file that is a directory, found before the others are written
     ("sweep", ["--out", "{taken}"]),
@@ -468,6 +473,10 @@ COMMAND_ARGV = {
     # a measured year with no energy, which sweep would have to rescale
     ("sweep", ["--pv-profile", "{zero}"]),
     ("sweep", ["--load-profile", "{zero}"]),
+    # steps of which neither is a whole multiple of the other: 24 minutes against an hour
+    ("sweep", ["--pv-profile", "{pv24}"]),
+    ("simulate", ["--pv-profile", "{pv24}"]),
+    ("sweep", ["--load-profile", "{load24}", "--pv-profile", "{hourly}"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     tmp_path, capsys, monkeypatch, command, args
@@ -484,23 +493,32 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "dir": tmp_path / "a-directory",
         "file": tmp_path / "a-file",
         "results": tmp_path / "results.csv",
-        "taken": tmp_path / "taken",  # its box_stats.csv and run-manifest.json are directories
+        "taken": tmp_path / "taken",  # its outputs below are directories
         "out": tmp_path / "out",
-        "short": hourly_profile_csv(tmp_path / "short.csv", evening_load, hours=8759),
-        "long": hourly_profile_csv(tmp_path / "long.csv", evening_load, hours=8761),
-        "zero": hourly_profile_csv(tmp_path / "zero.csv", lambda hour: 0.0),
     }
+    profile_csvs = {  # (power, steps, minutes); written only for the cases that name them
+        "short": (evening_load, 8759, 60),
+        "long": (evening_load, 8761, 60),
+        "zero": (lambda hour: 0.0, 8760, 60),
+        "hourly": (midday_pv, 8760, 60),
+        "pv24": (lambda i: midday_pv(0.4 * i), 365 * 60, 24),
+        "load24": (lambda i: evening_load(0.4 * i), 365 * 60, 24),
+    }
+    for name, (power, steps, minutes) in profile_csvs.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        if "{%s}" % name in args:
+            profile_csv(paths[name], power, steps, minutes)
     paths["latin1"].write_bytes("caf\u00e9".encode("latin-1"))
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["results"].write_text(ONE_RESULT_CSV)
-    for name in ("box_stats.csv", "run-manifest.json"):
+    for name in ("box_stats.csv", "run-manifest.json", "report_summary.json"):
         (paths["taken"] / name).mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
     argv = [*COMMAND_ARGV[command], "--out", str(paths["out"]), *args]
     assert main([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     # outputs are checked before the work: no sweep ran, nothing was written
     assert calls == [] and sorted(tmp_path.rglob("*")) == before
@@ -510,6 +528,9 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
                            f"{hours} steps of 1.0 h, expected 8760\n")
     if "{zero}" in args:
         assert err == f"error: profile CSV {paths['zero']}: cannot rescale a profile with zero energy\n"
+    if "{pv24}" in args or "{load24}" in args:
+        assert err == ("error: load and PV profile steps do not align: "
+                       "step ratio 2.5 is not an integer (1.0 h vs 0.4 h)\n")
 
 
 class TestReport:
@@ -741,7 +762,7 @@ def wrong_json(kind):
 @pytest.fixture(scope="module")
 def hourly_profile_lines(tmp_path_factory):
     path = tmp_path_factory.mktemp("profile") / "load.csv"
-    return hourly_profile_csv(path, evening_load).read_text().splitlines()
+    return profile_csv(path, evening_load).read_text().splitlines()
 
 
 @settings(max_examples=15, deadline=None,

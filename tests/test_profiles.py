@@ -333,6 +333,25 @@ class TestScaleAndAlign:
         with pytest.raises(IncompatibleProfilesError, match=r"^step ratio 2\.5 is not an integer"):
             align(pv, load)
 
+    def test_align_rejects_unequal_steps_whose_ratio_rounds_to_1(self):
+        pv = synthesize_pv_profile(1.0, 1464.85)
+        # 25 steps of 0.96 h a day: a ratio of 1.04, which is not a whole multiple
+        load = TimeSeriesProfile(step_hours=0.96, values=np.full(365 * 25, 0.5),
+                                 kind=ProfileKind.LOAD)
+        with pytest.raises(IncompatibleProfilesError, match=r"^step ratio 1\.04\d* is not an"):
+            align(pv, load)
+
+    def test_refine_repeats_values_and_rejects_a_coarser_step(self):
+        pv = synthesize_pv_profile(1.0, 1464.85)
+        assert profiles.refine(pv, 1.0) is pv
+        fine = profiles.refine(pv, 0.25)
+        assert fine.step_hours == 0.25 and fine.kind is ProfileKind.PV
+        assert np.array_equal(fine.values, np.repeat(pv.values, 4))
+        with pytest.raises(IncompatibleProfilesError, match=r"^step ratio 2\.5 is not an integer"):
+            profiles.refine(pv, 0.4)
+        with pytest.raises(ValueError):
+            profiles.refine(fine, 1.0)
+
 
 class TestProfileInvariants:
     def test_year_coverage_enforced(self):

@@ -16,12 +16,14 @@ from storparity import (
     EconomicParams,
     EmptyAxisError,
     EmptySelectionError,
+    IncompatibleProfilesError,
     PV_RANGE_KWP,
     ProfileKind,
     Scenario,
     ScenarioResult,
     TimeSeriesProfile,
     ZeroEnergyError,
+    annual_balance,
     best_pv_size,
     box_stats,
     box_stats_by_country_price,
@@ -32,6 +34,7 @@ from storparity import (
     results_to_csv,
     run_scenario,
     run_sweep,
+    synthesize_pv_profile,
 )
 from storparity.sweep import (
     BOX_CSV_HEADER,
@@ -42,8 +45,7 @@ from storparity.sweep import (
     box_stats_to_csv,
     parity_share_table,
     parity_shares_to_csv,
-    result_from_balance,
-    scenario_dispatch,
+    simulate_scenario,
 )
 
 COUNTRIES = ["Cyprus", "France", "Greece", "Italy", "Portugal", "Spain"]
@@ -61,10 +63,10 @@ class NoPvAt2Kwp(ProfileSource):
     Defined at module level, so a process pool can pickle it.
     """
 
-    def pv_profile(self, scenario, data, step_hours):
+    def pv_profile(self, scenario, data):
         if scenario.pv_kwp == 2:
             raise ValueError("no PV year for 2 kWp")
-        return super().pv_profile(scenario, data, step_hours)
+        return super().pv_profile(scenario, data)
 
 
 class TestBuildGrid:
@@ -195,6 +197,43 @@ class TestRunScenario:
         assert no_vat.lcou < with_vat.lcou
 
 
+class TestProfileSource:
+    def test_steps_that_do_not_align_fail_at_construction(self):
+        # 60 steps of 0.4 h a day: a year, but 2.5 of them to each hour of the shipped load
+        pv = TimeSeriesProfile(0.4, np.full(365 * 60, 0.5), ProfileKind.PV)
+        for rescale in (True, False):
+            with pytest.raises(IncompatibleProfilesError,
+                               match=r"^step ratio 2\.5 is not an integer \(1\.0 h vs 0\.4 h\)$"):
+                ProfileSource(pv=pv, rescale=rescale)
+
+    def test_quarter_hour_load_sets_the_step_of_synthesized_pv(self, country_data):
+        load = TimeSeriesProfile(0.25, np.full(35040, 0.5), ProfileKind.LOAD)
+        source = ProfileSource(load=load)
+        assert source.step_hours == 0.25
+        scenario, data = Scenario("Spain", "B", 4, 1.0, 150.0), country_data["Spain"]
+        pv = source.pv_profile(scenario, data)
+        expected = synthesize_pv_profile(4, data.annual_yield_kwh_per_kwp, step_hours=0.25)
+        assert pv.step_hours == 0.25 and np.array_equal(pv.values, expected.values)
+
+    def test_every_year_of_a_mixed_source_has_its_step(self, country_data):
+        hourly_pv = synthesize_pv_profile(1.0, 1000.0)
+        quarter = TimeSeriesProfile(0.25, np.tile([0.2, 0.4, 0.6, 0.8], 8760), ProfileKind.LOAD)
+        quarter_pv = TimeSeriesProfile(0.25, quarter.values, ProfileKind.PV)
+        grid = build_grid(["Cyprus", "Spain"], ratios=[1.0], bess_prices=[150.0])
+        for load, pv in ((quarter, hourly_pv), (None, quarter_pv), (quarter, None)):
+            for rescale in (True, False):
+                source = ProfileSource(load=load, pv=pv, rescale=rescale)
+                assert source.step_hours == 0.25
+                for scenario in grid:
+                    years = (source.load_profile(scenario),
+                             source.pv_profile(scenario, country_data[scenario.country]))
+                    assert [(y.step_hours, len(y)) for y in years] == [(0.25, 35040)] * 2
+        # a coarser template is repeated onto the finer step at the same kW
+        source = ProfileSource(load=quarter, pv=hourly_pv, rescale=False)
+        pv = source.pv_profile(grid[0], country_data["Cyprus"])
+        assert np.array_equal(pv.values, np.repeat(hourly_pv.values, 4))
+
+
 class TestRunSweep:
     def test_full_sweep_counts_and_order(self, full_sweep):
         grid, results, _ = full_sweep
@@ -251,7 +290,9 @@ class TestRunSweep:
         assert [r.getMessage() for r in caplog.records] == [
             f"scenario {s.key} failed: {m}" for s, m in failures]
 
-    def test_default_grid_balances_match_one_scenario_path_exactly(self, country_data):
+    def test_default_grid_balances_match_one_scenario_path_exactly(
+        self, country_data, default_econ
+    ):
         # every batched dispatch of the default grid against simulate's trace path
         firsts = {}
         for scenario in build_grid(list(country_data)):
@@ -261,7 +302,8 @@ class TestRunSweep:
             ProfileSource(), {}, country_data, list(firsts.values())
         )
         for scenario, balance in zip(firsts.values(), batched):
-            assert balance == scenario_dispatch(scenario, country_data[scenario.country])[1]
+            trace, _ = simulate_scenario(scenario, country_data[scenario.country], default_econ)
+            assert balance == annual_balance(trace, 1.0)
 
     @pytest.mark.parametrize(
         "axes",
@@ -288,7 +330,9 @@ class TestRunSweep:
             alone = ScenarioResult(scenario, balance.scr, balance.ssr, fin.lcoe_eur_per_kwh,
                                    fin.lcou_eur_per_kwh, fin.npv_eur, fin.grid_parity)
             assert repr(result) == repr(alone)  # repr keeps every bit of a float
-            assert repr(result_from_balance(scenario, data, default_econ, balance)) == repr(alone)
+            # the same balance priced in a batch of one row
+            (one,) = sweep_module._price_results([(scenario, data, balance)], default_econ)
+            assert repr(one) == repr(alone)
 
     def test_pricing_failures_stay_per_scenario(self, country_data, default_econ):
         hour = np.arange(8760) % 24
@@ -480,7 +524,10 @@ _RESULT_FIELDS = [
 
 @st.composite
 def results_documents(draw):
-    """A results CSV of a few rows, some scenarios repeated, then up to two mutations of it."""
+    """A results CSV of a few rows, some scenarios repeated, then up to two mutations of it.
+
+    A wrong field count comes after them, so no other mutation indexes a cut row.
+    """
     rows = [
         [draw(st.sampled_from(good)) for good, _ in _RESULT_FIELDS]
         for _ in range(draw(st.integers(0, 6)))
@@ -489,15 +536,16 @@ def results_documents(draw):
         if not rows:
             break
         i = draw(st.integers(0, len(rows) - 1))
-        kind = draw(st.sampled_from(["key", "value", "value", "duplicate", "count"]))
+        kind = draw(st.sampled_from(["key", "value", "value", "duplicate"]))
         if kind in ("key", "value"):  # a bad scenario axis, or a bad metric or parity
             column = draw(st.sampled_from(range(5) if kind == "key" else range(5, 11)))
             bad = _RESULT_FIELDS[column][1]
             rows[i][column] = draw(st.sampled_from(bad or _RESULT_FIELDS[column][0]))
-        elif kind == "duplicate":
-            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
         else:
-            rows[i] = draw(st.sampled_from([rows[i][:-1], rows[i] + ["x"]]))
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    if rows and draw(st.integers(0, 4)) == 0:  # a row with one field too few or too many
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from([rows[i][:-1], rows[i] + ["x"]]))
     pad = st.sampled_from(["", " "])
     lines = [",".join(draw(pad) + field + draw(pad) for field in row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
