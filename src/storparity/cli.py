@@ -146,7 +146,8 @@ OPTIONS = {
                "sweep rescales it to each type's annual energy"),
         Option("pv_profile_csv", "--pv-profile", PATH, "run", help="measured PV CSV; "
                "sweep rescales it to kWp times country yield"),
-        Option("parallel", "--parallel", INTEGER, "run", SWEEP, "workers (default: 1)"),
+        Option("parallel", "--parallel", INTEGER, "run", SWEEP,
+               "workers (default: 1; at most one per CPU)"),
     )
 }
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -145,10 +146,6 @@ class BoxStats:
             raise ValueError(f"box statistics out of order: {ordered}")
 
 
-def _dedupe(axis: Iterable) -> list:
-    return list(dict.fromkeys(axis))
-
-
 def build_grid(
     countries: Iterable[str],
     prosumer_types: Iterable[str] = PROSUMER_TYPES,
@@ -157,19 +154,20 @@ def build_grid(
 ) -> list[Scenario]:
     """Cartesian product of the axes with per-type PV sizes, sorted.
 
-    Duplicate axis entries are dropped; the result is in deterministic
-    lexicographic order of the scenario key.
+    Duplicate axis entries are dropped, the first of equal values (0.0 and
+    -0.0) kept. Each axis is sorted and the loops nest in key order, so the
+    result is in lexicographic order of the scenario key.
     """
     axes = {
-        "countries": _dedupe(countries),
-        "prosumer_types": _dedupe(prosumer_types),
-        "ratios": [float(r) for r in _dedupe(ratios)],
-        "bess_prices": [float(p) for p in _dedupe(bess_prices)],
+        "countries": sorted(dict.fromkeys(countries)),
+        "prosumer_types": sorted(dict.fromkeys(prosumer_types)),
+        "ratios": sorted(map(float, dict.fromkeys(ratios))),
+        "bess_prices": sorted(map(float, dict.fromkeys(bess_prices))),
     }
     for name, values in axes.items():
         if not values:
             raise EmptyAxisError(f"axis {name} is empty")
-    grid = [
+    return [
         Scenario(country, ptype, kwp, ratio, price)
         for country in axes["countries"]
         for ptype in axes["prosumer_types"]
@@ -177,7 +175,6 @@ def build_grid(
         for ratio in axes["ratios"]
         for price in axes["bess_prices"]
     ]
-    return sorted(grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,21 +312,27 @@ def run_sweep(
 
     Scenarios sharing a dispatch key (country yield, prosumer type, PV size,
     BESS capacity) are dispatched once, all keys in one batched kernel call,
-    or one contiguous slice of keys per worker of a ``parallel``-worker
-    process pool, with identical output. Every dispatched scenario is then
-    priced in one financial_results call. A scenario's ValueError
-    (StorParityError included) leaves it out of the results: the failure is
-    appended to ``failures`` as a (scenario, message) pair when that list is
-    given, and logged otherwise. Other exceptions propagate.
+    or one contiguous slice of keys per worker of a process pool of
+    ``parallel`` workers, at most one per CPU and per key, with identical
+    output. Every dispatched scenario is then priced in one financial_results
+    call. A scenario's ValueError (StorParityError included) leaves it out of
+    the results: the failure is appended to ``failures`` as a (scenario,
+    message) pair when that list is given, and logged otherwise. Other
+    exceptions propagate.
     """
-    firsts: dict[tuple, Scenario] = {}
+    index: dict[tuple, int] = {}  # dispatch key -> its position in keys
+    keys: list[Scenario] = []  # the first scenario of each key
+    slots: list[int | str] = []  # per scenario: its key's position, or why it failed
     for scenario in grid:
-        if scenario.country in data:
-            firsts.setdefault(_dispatch_key(scenario, data[scenario.country]), scenario)
+        if scenario.country not in data:
+            slots.append(f"KeyError: country {scenario.country!r} not in data")
+            continue
+        slots.append(index.setdefault(_dispatch_key(scenario, data[scenario.country]), len(keys)))
+        if slots[-1] == len(keys):
+            keys.append(scenario)
     source = source if source is not None else ProfileSource()
     work = partial(_dispatch_keys, source, dict(battery_kwargs or {}), data)
-    keys = list(firsts.values())
-    workers = min(parallel or 1, len(keys))
+    workers = min(parallel or 1, len(keys), os.cpu_count() or 1)
     if workers > 1:
         # imported here: a serial sweep, simulate and report never load the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -340,13 +343,8 @@ def run_sweep(
             outcomes = [outcome for part in slices for outcome in part]
     else:
         outcomes = work(keys)
-    balances = dict(zip(firsts, outcomes))
 
-    dispatched = [  # per scenario: its balance, or why it failed
-        balances[_dispatch_key(s, data[s.country])] if s.country in data
-        else f"KeyError: country {s.country!r} not in data"
-        for s in grid
-    ]
+    dispatched = [outcomes[slot] if isinstance(slot, int) else slot for slot in slots]
     priced = iter(_price_results(
         [(s, data[s.country], b) for s, b in zip(grid, dispatched) if not isinstance(b, str)],
         econ,
@@ -354,16 +352,15 @@ def run_sweep(
 
     results: list[ScenarioResult] = []
     for scenario, outcome in zip(grid, dispatched):
-        if not isinstance(outcome, str):
-            outcome = next(priced)
-            if isinstance(outcome, ScenarioResult):
-                results.append(outcome)
-                continue
-            outcome = _failure(outcome)
+        outcome = outcome if isinstance(outcome, str) else next(priced)
+        if isinstance(outcome, ScenarioResult):
+            results.append(outcome)
+            continue
+        message = outcome if isinstance(outcome, str) else _failure(outcome)
         if failures is None:
-            log.warning("scenario %s failed: %s", scenario.key, outcome)
+            log.warning("scenario %s failed: %s", scenario.key, message)
         else:
-            failures.append((scenario, outcome))
+            failures.append((scenario, message))
     return results
 
 
@@ -379,27 +376,26 @@ def _price_results(
     """
     if not rows:
         return []
-    columns = zip(*[
-        (
-            scenario.pv_kwp,
-            scenario.bess_kwh,
-            scenario.bess_price_eur_per_kwh,
-            data.vat_rate if econ.vat_rate is None else econ.vat_rate,
-            balance.e_produced,
-            balance.scr,
-            data.retail_price_eur_per_kwh,
-        )
-        for scenario, data, balance in rows
-    ])
-    fin = financial_results(*columns, econ)
-    priced = zip(rows, fin.lcoe_eur_per_kwh.tolist(), fin.lcou_eur_per_kwh.tolist(),
-                 fin.npv_eur.tolist(), fin.grid_parity.tolist())
-    outcomes: list[ScenarioResult | ValueError] = []
-    for i, ((scenario, _, balance), *values, parity) in enumerate(priced):
-        metrics = (balance.scr, balance.ssr, *values)
-        error = fin.errors.get(i) or _non_finite(metrics)
-        outcomes.append(error or ScenarioResult(scenario, *metrics, parity))
-    return outcomes
+    scenarios, countries, balances = zip(*rows)
+    scr = [b.scr for b in balances]
+    fin = financial_results(
+        [s.pv_kwp for s in scenarios],
+        [s.bess_kwh for s in scenarios],
+        [s.bess_price_eur_per_kwh for s in scenarios],
+        [c.vat_rate if econ.vat_rate is None else econ.vat_rate for c in countries],
+        [b.e_produced for b in balances],
+        scr,
+        [c.retail_price_eur_per_kwh for c in countries],
+        econ,
+    )
+    metrics = np.stack([scr, [b.ssr for b in balances], fin.lcoe_eur_per_kwh,
+                        fin.lcou_eur_per_kwh, fin.npv_eur], axis=1)
+    finite = np.isfinite(metrics).all(axis=1).tolist()
+    priced = zip(scenarios, metrics.tolist(), fin.grid_parity.tolist(), finite)
+    return [
+        fin.errors.get(i) or (ScenarioResult(s, *values, parity) if ok else _non_finite(values))
+        for i, (s, values, parity, ok) in enumerate(priced)
+    ]
 
 
 def _non_finite(metrics: Sequence[float]) -> ValueError | None:
@@ -482,21 +478,22 @@ def best_pv_size(
         raise EmptySelectionError(
             f"no results for {country}/{prosumer_type}/ratio {ratio}/price {bess_price}"
         )
-    return min(selected, key=_lcou_then_size).scenario.pv_kwp
-
-
-def _lcou_then_size(result: ScenarioResult) -> tuple[float, int]:
-    return result.lcou, result.scenario.pv_kwp
+    return min((r.lcou, r.scenario.pv_kwp) for r in selected)[1]
 
 
 def best_pv_sizes(
     results: Sequence[ScenarioResult],
 ) -> list[tuple[str, str, float, float, int]]:
-    """best_pv_size of each (country, type, ratio, BESS price) in the results, sorted."""
-    cells = _group_by(
-        results, "country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh"
-    )
-    return [(*key, min(cells[key], key=_lcou_then_size).scenario.pv_kwp) for key in sorted(cells)]
+    """best_pv_size of each (country, type, ratio, BESS price) in the results, sorted.
+
+    One sort orders every result by cell, then by LCOU, then by size; each
+    cell's first result is its best.
+    """
+    lcou = np.fromiter(map(attrgetter("lcou"), results), float, len(results))
+    kwp = np.fromiter(map(attrgetter("scenario.pv_kwp"), results), np.intp, len(results))
+    axes = ("country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh")
+    cells, order, starts, _ = _cells(results, axes, lcou, kwp)
+    return [(*key, size) for key, size in zip(cells, kwp[order[starts]].tolist())]
 
 
 def _fmt_axis(x: float) -> str:
@@ -568,16 +565,20 @@ def _results_rows(text: str) -> list[ScenarioResult]:
     return results
 
 
-def _group_by(results: Sequence[ScenarioResult], *axes: str) -> dict[tuple, list[ScenarioResult]]:
-    """The results per distinct value of the named scenario fields, in one pass.
+def _cells(results: Sequence[ScenarioResult], axes: tuple, *within: np.ndarray) -> tuple:
+    """Sort the results by cell, then by the within columns, the first column first.
 
-    Each group keeps the order of the results.
+    The cells are the distinct values of the named scenario fields, sorted;
+    values that compare equal (0.0 and -0.0) are one cell, under the one seen
+    first. Returns the cells, the order that sorts the results, and where
+    each cell's run starts in that order and how long it is.
     """
-    key = attrgetter(*axes)
-    groups: dict[tuple, list[ScenarioResult]] = {}
-    for r in results:
-        groups.setdefault(key(r.scenario), []).append(r)
-    return groups
+    keys = list(map(attrgetter(*axes), map(attrgetter("scenario"), results)))
+    cells = sorted(dict.fromkeys(keys))
+    rank = dict(zip(cells, range(len(cells))))
+    cell = np.fromiter(map(rank.__getitem__, keys), np.intp, len(keys))
+    counts = np.bincount(cell, minlength=len(cells))
+    return cells, np.lexsort((*within[::-1], cell)), np.cumsum(counts) - counts, counts
 
 
 def box_stats_by_country_price(
@@ -587,13 +588,9 @@ def box_stats_by_country_price(
 
     One sort orders every result by cell, then by LCOU.
     """
-    keys = list(map(attrgetter("scenario.country", "scenario.bess_price_eur_per_kwh"), results))
-    cells = sorted(dict.fromkeys(keys))
-    number = dict(zip(cells, range(len(cells))))
-    cell = np.fromiter(map(number.__getitem__, keys), np.intp, len(keys))
-    lcou = np.fromiter(map(attrgetter("lcou"), results), float, len(keys))
-    counts = np.bincount(cell, minlength=len(cells))
-    stats = _five_numbers(lcou[np.lexsort((lcou, cell))], np.cumsum(counts) - counts, counts)
+    lcou = np.fromiter(map(attrgetter("lcou"), results), float, len(results))
+    cells, order, starts, counts = _cells(results, ("country", "bess_price_eur_per_kwh"), lcou)
+    stats = _five_numbers(lcou[order], starts, counts)
     return [(*key, BoxStats(*row)) for key, row in zip(cells, stats.tolist())]
 
 
@@ -605,18 +602,21 @@ def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
     ))
 
 
-def _parity_groups(results: Sequence[ScenarioResult]):
-    """(country, BESS price, its results) per country and price, then (country, None, all)."""
-    cells = _group_by(results, "country", "bess_price_eur_per_kwh")
-    for country, keys in groupby(sorted(cells), key=itemgetter(0)):
-        keys = list(keys)
-        for key in keys:
-            yield country, key[1], cells[key]
-        yield country, None, [r for key in keys for r in cells[key]]
+def _parity_counts(results: Sequence[ScenarioResult]) -> list[tuple[str, str, int, int]]:
+    """(country, price label, parity count, scenario count) per country and BESS price.
 
-
-def _price_label(price: float | None) -> str:
-    return "pooled" if price is None else _fmt_axis(price)
+    Each country's rows come in price order, then its pooled row, labelled
+    'pooled', which counts all its results.
+    """
+    parity = np.fromiter(map(attrgetter("grid_parity"), results), np.intp, len(results))
+    cells, order, starts, counts = _cells(results, ("country", "bess_price_eur_per_kwh"))
+    # reduceat rejects an empty index array
+    hits = np.add.reduceat(parity[order], starts).tolist() if results else []
+    table = []
+    for country, run in groupby(zip(cells, hits, counts.tolist()), key=lambda row: row[0][0]):
+        rows = [(country, _fmt_axis(price), h, n) for (_, price), h, n in run]
+        table += [*rows, (country, "pooled", sum(r[2] for r in rows), sum(r[3] for r in rows))]
+    return table
 
 
 def parity_share_table(
@@ -625,16 +625,14 @@ def parity_share_table(
     """Parity share per country at each BESS price plus a pooled row.
 
     Price labels are the numeric price or 'pooled' for the all-prices row.
+    The share is parity_share's, bit for bit.
     """
-    return [
-        (country, _price_label(price), parity_share(selected))
-        for country, price, selected in _parity_groups(results)
-    ]
+    return [(country, label, 100.0 * hits / n)
+            for country, label, hits, n in _parity_counts(results)]
 
 
 def parity_shares_to_csv(results: Sequence[ScenarioResult]) -> str:
     return write_rows(PARITY_CSV_HEADER, (
-        f"{country},{_price_label(price)},{parity_share(selected):.6f},"
-        f"{sum(1 for r in selected if r.grid_parity)},{len(selected)}"
-        for country, price, selected in _parity_groups(results)
+        f"{country},{label},{100.0 * hits / n:.6f},{hits},{n}"
+        for country, label, hits, n in _parity_counts(results)
     ))

@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -102,6 +104,28 @@ class TestBuildGrid:
             build_grid([])
         with pytest.raises(EmptyAxisError):
             build_grid(["Cyprus"], ratios=[])
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from(["Spain", "Cyprus", "Italy"]), min_size=1, max_size=4),
+        st.lists(st.sampled_from("CBA"), min_size=1, max_size=4),
+        *[st.lists(st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.3, 0.30000000000000004, 500])
+                   | st.floats(0.0, 1e3), min_size=1, max_size=5)] * 2,
+    )
+    def test_equals_the_sorted_product_of_the_deduplicated_axes(
+        self, countries, types, ratios, prices
+    ):
+        # repr tells -0.0 from 0.0: of equal values, the one given first is kept
+        product = [
+            Scenario(country, ptype, kwp, float(ratio), float(price))
+            for country in dict.fromkeys(countries)
+            for ptype in dict.fromkeys(types)
+            for kwp in sweep_module.pv_sizes_for_type(ptype)
+            for ratio in dict.fromkeys(ratios)
+            for price in dict.fromkeys(prices)
+        ]
+        grid = build_grid(countries, types, ratios, prices)
+        assert list(map(repr, grid)) == list(map(repr, sorted(product)))
 
 
 class TestScenario:
@@ -254,6 +278,35 @@ class TestRunSweep:
         serial = run_sweep(grid, country_data, default_econ)
         parallel = run_sweep(grid, country_data, default_econ, parallel=2)
         assert results_to_csv(serial) == results_to_csv(parallel)
+
+    def test_pool_is_no_wider_than_the_cpus_or_the_keys(
+        self, country_data, default_econ, monkeypatch
+    ):
+        widths = []
+
+        class InProcessPool:
+            """Records its width and runs every slice here: no process starts."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        grid = build_grid(["Cyprus"], prosumer_types=["A"])  # 15 dispatch keys
+        serial = results_to_csv(run_sweep(grid, country_data, default_econ))
+        for cpus, width in [(3, [3]), (64, [15]), (None, []), (1, [])]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            widths.clear()
+            pooled = run_sweep(grid, country_data, default_econ, parallel=5000)
+            assert widths == width and results_to_csv(pooled) == serial
 
     @pytest.mark.parametrize(
         "name, evaluate",
@@ -568,12 +621,11 @@ class TestBestPvSize:
             assert best_pv_size(results, country, "A", 1.0, 150.0) == 1
 
     def test_tie_breaks_toward_smaller(self):
-        rows = [
-            _mk_result("Cyprus", "B", 3, 1.0, 150.0, 0.2),
-            _mk_result("Cyprus", "B", 4, 1.0, 150.0, 0.2),
-            _mk_result("Cyprus", "B", 5, 1.0, 150.0, 0.3),
-        ]
-        assert best_pv_size(rows, "Cyprus", "B", 1.0, 150.0) == 3
+        lcous = {3: 0.2, 4: 0.2, 5: 0.3}
+        for sizes in [(3, 4, 5), (5, 4, 3)]:  # in either input order
+            rows = [_mk_result("Cyprus", "B", k, 1.0, 150.0, lcous[k]) for k in sizes]
+            assert best_pv_size(rows, "Cyprus", "B", 1.0, 150.0) == 3
+            assert best_pv_sizes(rows) == [("Cyprus", "B", 1.0, 150.0, 3)]
 
     def test_u_shape_picks_interior_minimum(self):
         lcous = {3: 0.22, 4: 0.20, 5: 0.18, 6: 0.17, 7: 0.16, 8: 0.165}
@@ -595,6 +647,31 @@ class TestBestPvSize:
             except EmptySelectionError:
                 continue
         assert best_pv_sizes(results) == expected
+
+
+class TestSummaryCells:
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_prices_share_a_cell_named_by_the_first_seen(self, first, second):
+        results = [
+            _mk_result("Italy", "A", 1, 1.0, 150.0, 0.25),
+            _mk_result("Cyprus", "A", 2, 1.0, first, 0.3, parity=True),
+            _mk_result("Cyprus", "A", 1, 1.0, second, 0.1),
+        ]
+        (country, price, stats), _ = box_stats_by_country_price(results)
+        assert (country, repr(price), stats) == ("Cyprus", repr(first), box_stats([0.3, 0.1]))
+        (*cell, size), _ = best_pv_sizes(results)
+        assert list(map(repr, cell)) == list(map(repr, ("Cyprus", "A", 1.0, first)))
+        assert size == best_pv_size(results, "Cyprus", "A", 1.0, second) == 1
+        share = parity_share(results, "Cyprus", second)
+        assert parity_share_table(results)[:2] == [
+            ("Cyprus", sweep_module._fmt_axis(first), share), ("Cyprus", "pooled", share)]
+        assert parity_shares_to_csv(results).splitlines()[1] == (
+            f"Cyprus,{sweep_module._fmt_axis(first)},{share:.6f},1,2")
+
+    def test_no_results_give_no_rows_and_header_only_csvs(self):
+        assert box_stats_by_country_price([]) == best_pv_sizes([]) == parity_share_table([]) == []
+        assert box_stats_to_csv([]) == BOX_CSV_HEADER + "\n"
+        assert parity_shares_to_csv([]) == PARITY_CSV_HEADER + "\n"
 
 
 class TestSweepInvariants:
