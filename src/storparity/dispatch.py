@@ -261,23 +261,31 @@ def simulate_series(
 
 #: How both dispatch paths sum the four flows: the year is cut into runs of this
 #: many steps (a multiple of 8), the last padded with zeros; each run is summed
-#: by _run_sum, and the run sums are added one after another by _in_order.
+#: by _add_lanes and _fold, and the run sums one after another by _in_order.
 _RUN = 72
 
+#: The kernel steps each run in sub-runs of this many steps (a multiple of 8
+#: that divides _RUN), carrying the eight lanes from one to the next.
+_SUB = 24
+
 #: The kernel steps about this many columns (keys x chunks of time) side by side.
-_WIDTH = 256
+_WIDTH = 1024
 
 
-def _run_sum(block: np.ndarray) -> np.ndarray:
-    """Sums over the steps of runs, a (flows, _RUN, columns) block: (flows, columns).
+def _add_lanes(lanes: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Add a (flows, steps, columns) block, step i into lane i % 8 of (8, flows, columns).
 
-    The steps go into eight interleaved partial sums, which are then added
-    pairwise. Only elementwise adds: the order of a reduction over a middle
-    axis would depend on the layout.
+    Only elementwise adds, in step order: the order of a reduction over a middle
+    axis would depend on the layout, and a run added in pieces, the lanes carried
+    from piece to piece, gets the bits of the run added at once.
     """
-    r = np.zeros((8,) + block[:, 0].shape)
-    for i in range(0, _RUN, 8):
-        r += block[:, i:i + 8].transpose(1, 0, 2)
+    for i in range(0, block.shape[1], 8):
+        lanes += block[:, i:i + 8].transpose(1, 0, 2)
+    return lanes
+
+
+def _fold(r: np.ndarray) -> np.ndarray:
+    """The eight lanes r added pairwise: the run sums, (flows, columns)."""
     return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
 
 
@@ -383,39 +391,43 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     def step(runs, cols, soc, flows) -> np.ndarray:
         """Step each column's config through run runs[its window], from soc.
 
-        soc is updated in place. Steps past the year's end are padding that
-        reads 0. flows is a (4, _RUN, columns) buffer.
+        soc is updated in place. The run is stepped in sub-runs of _SUB steps
+        through flows, a (4, _SUB, columns) buffer, its lanes carried from one
+        sub-run to the next. Steps past the year's end are padding that reads 0.
         Returns the four flow sums of each column's run, (4, columns).
         """
         window, par, pv_plan, load_plan = cols
         cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e = par
-        at = runs * _RUN + np.arange(_RUN)[:, None]
-        pad = at >= n  # zero offers leave the SOC as it is and add 0 to the sums
-        np.minimum(at, n - 1, out=at)
         accepted, delivered, curtailed, imported = flows
-        _gather(pv_rows, pv_plan, at, pad, curtailed)
-        _gather(load_rows, load_plan, at, pad, imported)
-        # each step reads what is offered and wanted where it writes the flows
-        _offers(curtailed, imported, dt, charge_cap_e, discharge_cap_e,
-                (curtailed, imported, accepted, delivered))
         tmp = np.empty(len(window))
-        for acc, dlv in zip(accepted, delivered):
-            sub(cap, soc, tmp)
-            div(tmp, eta_c, tmp)  # headroom
-            low(acc, tmp, out=acc)
-            mul(acc, eta_c, tmp)
-            add(soc, tmp, soc)
-            low(soc, cap, out=soc)
-            sub(soc, soc_min, tmp)
-            mul(tmp, eta_d, tmp)  # available
-            low(dlv, tmp, out=dlv)
-            div(dlv, eta_d, tmp)
-            sub(soc, tmp, soc)
-            high(soc, soc_min, out=soc)
-        sub(curtailed, accepted, curtailed)  # the surplus left over
-        sub(imported, delivered, imported)  # the deficit left over
-        div(flows, dt, flows)
-        return _run_sum(flows)
+        lanes = np.zeros((8,) + flows[:, 0].shape)
+        for first in range(0, _RUN, _SUB):
+            at = runs * _RUN + np.arange(first, first + _SUB)[:, None]
+            pad = at >= n  # zero offers leave the SOC as it is and add 0 to the sums
+            np.minimum(at, n - 1, out=at)
+            _gather(pv_rows, pv_plan, at, pad, curtailed)
+            _gather(load_rows, load_plan, at, pad, imported)
+            # each step reads what is offered and wanted where it writes the flows
+            _offers(curtailed, imported, dt, charge_cap_e, discharge_cap_e,
+                    (curtailed, imported, accepted, delivered))
+            for acc, dlv in zip(accepted, delivered):
+                sub(cap, soc, tmp)
+                div(tmp, eta_c, tmp)  # headroom
+                low(acc, tmp, out=acc)
+                mul(acc, eta_c, tmp)
+                add(soc, tmp, soc)
+                low(soc, cap, out=soc)
+                sub(soc, soc_min, tmp)
+                mul(tmp, eta_d, tmp)  # available
+                low(dlv, tmp, out=dlv)
+                div(dlv, eta_d, tmp)
+                sub(soc, tmp, soc)
+                high(soc, soc_min, out=soc)
+            sub(curtailed, accepted, curtailed)  # the surplus left over
+            sub(imported, delivered, imported)  # the deficit left over
+            div(flows, dt, flows)
+            _add_lanes(lanes, flows)
+        return _fold(lanes)
 
     end_soc = np.empty((chunks, length, k))  # pass 1's SOC after each run
     run_sums = np.empty((chunks, length, 4, k))
@@ -424,7 +436,7 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     window = np.repeat(np.arange(chunks), k)
     cols = columns(np.tile(np.arange(k), chunks), window)
     soc = np.tile(soc_min, chunks)
-    flows = np.empty((4, _RUN, chunks * k))
+    flows = np.empty((4, _SUB, chunks * k))
     for j in range(length):
         sums = step(np.arange(chunks) * length + j, cols, soc, flows)
         end_soc[:, j] = soc.reshape(chunks, k)
@@ -454,7 +466,7 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         walked = soc[walking]
         # a buffer of its own: every flow stays C-contiguous (numpy 2.4's
         # negative writes wrong values into a strided (steps, 1) view)
-        buffer = np.empty((4, _RUN, len(walking)))
+        buffer = np.empty((4, _SUB, len(walking)))
         sums = step(runs, columns(walking, window), walked, buffer)
         run_sums[at_run[walking], :, walking] = sums.T
         soc[walking] = walked
@@ -487,7 +499,8 @@ def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:
     for padded, flow in zip(block.reshape(4, -1), flows):
         padded[:len(flow)] = flow
     charged, delivered, imported, curtailed = (
-        _in_order(_run_sum(block.transpose(0, 2, 1)).T) * step_hours
+        _in_order(_fold(_add_lanes(np.zeros((8, 4, runs)), block.transpose(0, 2, 1))).T)
+        * step_hours
     ).tolist()
     return EnergyBalance(
         float(trace.p_pv.sum() * step_hours), float(trace.p_direct.sum() * step_hours),

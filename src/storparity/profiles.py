@@ -385,16 +385,16 @@ def synthesize_pv_profile(
     per_day = int(round(24.0 / step_hours))
     starts = np.arange(per_day) * step_hours
     ends = starts + step_hours
-    day_weights = np.zeros((12, per_day))
-    for m in range(12):
-        sunrise, sunset = shape.sunrise_hours[m], shape.sunset_hours[m]
-        lo = np.maximum(starts, sunrise)
-        hi = np.minimum(ends, sunset)
-        overlap = np.clip(hi - lo, 0.0, None)
-        frac = np.clip((0.5 * (lo + hi) - sunrise) / (sunset - sunrise), 0.0, 1.0)
-        bell = np.sin(np.pi * frac) ** shape.bell_exponent
-        weights = np.where(overlap > 0.0, bell * overlap, 0.0)
-        day_weights[m] = weights / weights.sum()
+    # one row per month: sunrise and sunset are columns against the steps' row
+    sunrise = np.array(shape.sunrise_hours)[:, None]
+    sunset = np.array(shape.sunset_hours)[:, None]
+    lo = np.maximum(starts, sunrise)
+    hi = np.minimum(ends, sunset)
+    overlap = np.clip(hi - lo, 0.0, None)
+    frac = np.clip((0.5 * (lo + hi) - sunrise) / (sunset - sunrise), 0.0, 1.0)
+    bell = np.sin(np.pi * frac) ** shape.bell_exponent
+    weights = np.where(overlap > 0.0, bell * overlap, 0.0)
+    day_weights = weights / weights.sum(axis=1, keepdims=True)
     months = month_of_day()
     monthly = np.asarray(shape.monthly_weights)
     days_in_month = np.asarray(DAYS_IN_MONTH, dtype=float)

@@ -313,7 +313,7 @@ def run_sweep(
     Scenarios sharing a dispatch key (country yield, prosumer type, PV size,
     BESS capacity) are dispatched once, all keys in one batched kernel call,
     or one contiguous slice of keys per worker of a process pool of
-    ``parallel`` workers, at most one per CPU and per key, with identical
+    ``parallel`` workers, at most one per usable CPU and per key, with identical
     output. Every dispatched scenario is then priced in one financial_results
     call. A scenario's ValueError (StorParityError included) leaves it out of
     the results: the failure is appended to ``failures`` as a (scenario,
@@ -332,7 +332,9 @@ def run_sweep(
             keys.append(scenario)
     source = source if source is not None else ProfileSource()
     work = partial(_dispatch_keys, source, dict(battery_kwargs or {}), data)
-    workers = min(parallel or 1, len(keys), os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform tells; else all of them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(parallel or 1, len(keys), cpus or 1)
     if workers > 1:
         # imported here: a serial sweep, simulate and report never load the pool
         from concurrent.futures import ProcessPoolExecutor

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from storparity.dispatch import BatterySpec, DispatchTrace
+from storparity.profiles import DAYS_IN_MONTH, PvShapeParams
 
 
 def reference_simulate(pv_kw, load_kw, battery: BatterySpec, step_hours: float) -> DispatchTrace:
@@ -76,6 +77,35 @@ def reference_flow_sum(values, run: int) -> float:
             r[i % 8] += values[start + i]
         total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     return total
+
+
+def reference_pv_profile(
+    kwp: float, annual_yield: float, shape: PvShapeParams, step_hours: float
+) -> np.ndarray:
+    """The synthetic PV year's kW values, its daylight table built one month at a time.
+
+    Per month: each step's overlap with the sunrise-sunset window, weighted by
+    the half-sine bell at the overlap's midpoint, normalized over the day.
+    Each day then gets its month's share of kwp * annual_yield.
+    """
+    per_day = int(round(24.0 / step_hours))
+    starts = np.arange(per_day) * step_hours
+    ends = starts + step_hours
+    day_weights = np.zeros((12, per_day))
+    for m in range(12):
+        sunrise, sunset = shape.sunrise_hours[m], shape.sunset_hours[m]
+        lo = np.maximum(starts, sunrise)
+        hi = np.minimum(ends, sunset)
+        overlap = np.clip(hi - lo, 0.0, None)
+        frac = np.clip((0.5 * (lo + hi) - sunrise) / (sunset - sunrise), 0.0, 1.0)
+        bell = np.sin(np.pi * frac) ** shape.bell_exponent
+        weights = np.where(overlap > 0.0, bell * overlap, 0.0)
+        day_weights[m] = weights / weights.sum()
+    months = np.repeat(np.arange(12), DAYS_IN_MONTH)
+    day_energy = (kwp * annual_yield * np.asarray(shape.monthly_weights)
+                  / np.asarray(DAYS_IN_MONTH, dtype=float))
+    energy = day_weights[months] * day_energy[months][:, None]
+    return (energy / step_hours).ravel()
 
 
 def reference_lcoe(capex_eur, econ, annual_energy_kwh):

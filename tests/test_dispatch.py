@@ -23,11 +23,13 @@ from storparity import (
 )
 from storparity.dispatch import (
     _RUN,
+    _SUB,
     _WIDTH,
     TRACE_CSV_HEADER,
     DispatchTrace,
     simulate_balances,
 )
+from storparity.sweep import ANNUAL_LOAD_KWH, DEFAULT_RATIOS, PV_RANGE_KWP
 
 SQRT_RT = math.sqrt(0.9)
 
@@ -391,13 +393,13 @@ class TestSimulateBalances:
 
     @settings(max_examples=25, deadline=None)
     @given(long_batches())
-    # 8760 steps make 122 runs: 3 configs step 61 chunks of 2 runs
-    @example(wide_batch(8760, 3))
-    # 900 steps make 13 runs: 64 configs step 4 chunks of 4, the last 3 past the year's end
-    @example(wide_batch(900, 64, 0.25))
-    # 1001 steps make 14 runs: 128 configs step 2 chunks of 7, and 129 step the year in one
-    @example(wide_batch(1001, 128))
-    @example(wide_batch(1001, 129))
+    # 8760 steps make 122 runs: 9 configs step 61 chunks of 2 runs
+    @example(wide_batch(8760, 9))
+    # 900 steps make 13 runs: _WIDTH / 4 configs step 4 chunks of 4, the last 3 past the year's end
+    @example(wide_batch(900, _WIDTH // 4, 0.25))
+    # 1001 steps make 14 runs: _WIDTH / 2 configs step 2 chunks of 7, and one more the year in one
+    @example(wide_batch(1001, _WIDTH // 2))
+    @example(wide_batch(1001, _WIDTH // 2 + 1))
     def test_long_rows_match_the_trace_path_bit_for_bit(self, batch):
         # up to 2000 steps: up to 28 runs of _RUN, cut into up to 28 chunks
         pv_rows, load_rows, configs, step = batch
@@ -412,17 +414,18 @@ class TestSimulateBalances:
             assert astuple(got) == pytest.approx(astuple(want), rel=1e-12, abs=1e-12)
 
     def test_repair_walk_crosses_whole_chunks(self):
-        # 1001 steps make 14 runs; 64 configs step 4 chunks of 4 runs side by side,
-        # the last half past the year's end. The first step's surplus charges each
+        # 1001 steps make 14 runs; _WIDTH / 4 configs step 4 chunks of 4 runs side by
+        # side, the last half past the year's end. The first step's surplus charges each
         # battery at its own limit, and none then fills or empties, so no chunk after
         # the first starts where pass 1 guessed and pass 2 steps every later run again.
         rng = np.random.default_rng(11)
         pv, load = rng.uniform(0.0, 2.0, 1001), rng.uniform(0.0, 2.0, 1001)
         pv[0] = 1e4
+        count = _WIDTH // 4
         configs = [
-            (0, 0, BatterySpec(1e4, usable_fraction=1.0, max_charge_kw=3e3 + 50.0 * i,
-                               max_discharge_kw=1.5 - i / 64))
-            for i in range(64)
+            (0, 0, BatterySpec(1e4, usable_fraction=1.0, max_charge_kw=3e3 + 3200.0 * i / count,
+                               max_discharge_kw=1.5 - i / count))
+            for i in range(count)
         ]
         assert _WIDTH // len(configs) == 4
         balances = simulate_balances([pv], [load], configs, 1.0)
@@ -444,6 +447,60 @@ class TestSimulateBalances:
         got = simulate_balances([pv], [load], [(0, 0, battery)], 1.0)[0]
         assert bits(got) == bits(annual_balance(trace, 1.0))
 
+    @pytest.mark.parametrize("edge", [_SUB - 1, _SUB, 2 * _SUB - 1, 2 * _SUB])
+    def test_clamps_on_sub_run_edges_match_the_trace_path(self, edge):
+        # The battery fills at step `edge` of run 0 and empties at the next step; in
+        # run 1 it fills the step before `edge` and empties at it. Each time the
+        # rounded charge or withdrawal overshoots, so the clamp acts, on the last or
+        # the first step of a sub-run. 3 runs make 3 chunks: pass 2 walks them again.
+        def overshoots(battery):
+            cap, low, eta = battery.capacity_kwh, battery.soc_min_kwh, battery.eta_charge
+            return (low + ((cap - low) / eta) * eta > cap
+                    and cap - ((cap - low) * eta) / eta < low)
+
+        battery = next(b for b in (
+            BatterySpec(c, usable_fraction=0.8, eta_charge=0.84, eta_discharge=0.84,
+                        max_charge_kw=100.0, max_discharge_kw=100.0)
+            for c in np.arange(1.0, 6.0, 1 / 64).tolist()
+        ) if overshoots(b))
+        pv, load = np.zeros(3 * _RUN), np.zeros(3 * _RUN)
+        pv[[edge, _RUN + edge - 1]] = 100.0
+        load[[edge + 1, _RUN + edge]] = 100.0
+        trace = simulate_series(pv, load, battery, 1.0)
+        assert trace.soc_kwh[edge] == trace.soc_kwh[_RUN + edge - 1] == battery.capacity_kwh
+        assert trace.soc_kwh[edge + 1] == trace.soc_kwh[_RUN + edge] == battery.soc_min_kwh
+        others = [(0, 0, BatterySpec(c)) for c in (0.0, 2.0)]
+        for configs in ([(0, 0, battery)], others + [(0, 0, battery)]):
+            got = simulate_balances([pv], [load], configs, 1.0)[-1]
+            assert bits(got) == bits(annual_balance(trace, 1.0))
+
+    @pytest.mark.parametrize("n", [13 * _RUN + 2 * _SUB, 1001])
+    @pytest.mark.parametrize("k", [1, 8, _WIDTH // 4])
+    def test_year_ending_on_and_inside_a_sub_run(self, n, k):
+        # 984 steps end where run 13's third sub-run starts, 1001 inside it
+        pv_rows, load_rows, configs, step = wide_batch(n, k, 0.25)
+        balances = simulate_balances(pv_rows, load_rows, configs, step)
+        for (p, l, battery), got in zip(configs, balances):
+            scalar = annual_balance(simulate_series(pv_rows[p], load_rows[l], battery, step), step)
+            assert bits(got) == bits(scalar)
+
+    def test_default_grid_shape_runs_in_chunks(self):
+        # the default grid's 306 keys: 6 yields x 17 (type, kWp) pairs x 3 ratios,
+        # at 8760 steps. They share the year in _WIDTH // 306 = 3 chunks of 41 runs.
+        load_rows = [synthesize_load_profile(ANNUAL_LOAD_KWH[t]).values for t in PV_RANGE_KWP]
+        pv_rows, configs = [], []
+        for y in (1464.85, 981.08, 1200.0, 1100.0, 1350.0, 1000.0):
+            for l, (lo, hi) in enumerate(PV_RANGE_KWP.values()):
+                for kwp in range(lo, hi + 1):
+                    pv_rows.append(synthesize_pv_profile(float(kwp), y).values)
+                    configs += [(len(pv_rows) - 1, l, BatterySpec(kwp * ratio))
+                                for ratio in DEFAULT_RATIOS]
+        assert len(configs) == 306 and _WIDTH // 306 == 3
+        balances = simulate_balances(pv_rows, load_rows, configs, 1.0)
+        for (p, l, battery), got in zip(configs, balances):
+            scalar = annual_balance(simulate_series(pv_rows[p], load_rows[l], battery, 1.0), 1.0)
+            assert bits(got) == bits(scalar)
+
     def test_row_alone_equals_row_in_batch(self):
         load = synthesize_load_profile(7500.0).values
         pvs = [synthesize_pv_profile(kwp, 1464.85).values for kwp in (3.0, 8.0)]
@@ -454,7 +511,7 @@ class TestSimulateBalances:
             configs = others[:position] + [(0, 0, battery)] + others[position:]
             batched = simulate_balances(pvs, [load], configs, 1.0)[position]
             assert bits(batched) == bits(alone)
-        # alone, each of the 122 runs is a chunk; among 257 configs, the whole year is one
+        # alone, each of the 122 runs is a chunk; among _WIDTH + 1 configs, the whole year is one
         many = [(1, 0, BatterySpec(capacity_kwh=c / 16)) for c in range(_WIDTH)]
         for position in (0, 100, _WIDTH):
             configs = many[:position] + [(0, 0, battery)] + many[position:]

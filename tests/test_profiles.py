@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import storparity.profiles as profiles
+from _reference import reference_pv_profile
 from storparity import (
     IncompatibleProfilesError,
     InvalidShapeError,
@@ -257,7 +258,32 @@ class TestSynthesizeLoad:
         assert profile.year_energy_kwh == pytest.approx(4500.0, rel=1e-9)
 
 
+@st.composite
+def pv_shapes_and_steps(draw):
+    """A step of 1 h down to 1 min and a valid shape whose windows fall on or off its edges."""
+    step = draw(st.sampled_from([1.0, 1 / 2, 1 / 4, 1 / 6, 1 / 12, 1 / 60]))
+    hour = (st.integers(0, round(24.0 / step)).map(lambda i: i * step)
+            | st.floats(0.0, 24.0, allow_nan=False))
+    windows = [draw(st.tuples(hour, hour).map(sorted).filter(lambda w: w[1] - w[0] >= 0.5))
+               for _ in range(12)]
+    shape = PvShapeParams(
+        monthly_weights=default_pv_shape().monthly_weights,
+        sunrise_hours=tuple(sunrise for sunrise, _ in windows),
+        sunset_hours=tuple(sunset for _, sunset in windows),
+        bell_exponent=draw(st.just(2.0) | st.floats(0.3, 4.0)),
+    )
+    return shape, step
+
+
 class TestSynthesizePv:
+    @settings(max_examples=60, deadline=None)
+    @given(pv_shapes_and_steps(), st.floats(0.5, 20.0), st.floats(500.0, 2500.0))
+    def test_equals_the_month_loop_bit_for_bit(self, shape_and_step, kwp, annual_yield):
+        shape, step = shape_and_step
+        got = synthesize_pv_profile(kwp, annual_yield, shape, step_hours=step)
+        want = reference_pv_profile(kwp, annual_yield, shape, step)
+        assert got.values.tobytes() == want.tobytes()
+
     def test_cyprus_unit_yield(self):
         profile = synthesize_pv_profile(1.0, 1464.85)
         assert profile.year_energy_kwh == pytest.approx(1464.85, rel=1e-6)

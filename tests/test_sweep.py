@@ -302,7 +302,17 @@ class TestRunSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         grid = build_grid(["Cyprus"], prosumer_types=["A"])  # 15 dispatch keys
         serial = results_to_csv(run_sweep(grid, country_data, default_econ))
-        for cpus, width in [(3, [3]), (64, [15]), (None, []), (1, [])]:
+        # (CPUs the process may use, or None where the platform cannot tell; CPUs
+        # of the machine): the pool width. Affinity, where known, is what counts.
+        for usable, cpus, width in [
+            (3, 64, [3]), (64, 64, [15]), (1, 2, []),
+            (None, 3, [3]), (None, 64, [15]), (None, None, []), (None, 1, []),
+        ]:
+            if usable is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                                    raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             widths.clear()
             pooled = run_sweep(grid, country_data, default_econ, parallel=5000)
