@@ -17,7 +17,9 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import __version__
 # Names imported below that cli itself does not call stay importable from
@@ -41,6 +43,7 @@ from .sweep import (
     PROSUMER_TYPES,
     PV_RANGE_KWP,
     ProfileSource,
+    ResultsTable,
     Scenario,
     _fmt_axis,
     best_pv_size,
@@ -457,15 +460,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures=failures,
     )
 
+    table = ResultsTable.from_results(results)  # one sort for both summary CSVs and stdout
+    texts = (results_to_csv(results), parity_shares_to_csv(table), box_stats_to_csv(table))
     with _writing(cfg.out_dir):
         # all three always, header-only when nothing was priced, so no file of
         # an earlier run is left beside them
-        for name, to_csv in zip(outputs, (results_to_csv, parity_shares_to_csv, box_stats_to_csv)):
-            (cfg.out_dir / name).write_text(to_csv(results), encoding="utf-8")
+        for name, text in zip(outputs, texts):
+            (cfg.out_dir / name).write_text(text, encoding="utf-8")
         _write_manifest(cfg, "sweep", {"axes": axes})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")
-    for country, price_label, share in parity_share_table(results):
+    for country, price_label, share in parity_share_table(table):
         print(f"  parity share {country} @ {price_label}: {share:.1f}%")
     if failures:
         print(f"{len(failures)} scenario(s) failed:", file=sys.stderr)
@@ -475,6 +480,54 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The keys of the records in each list of report_summary.json, in row order.
+SUMMARY_KEYS = {
+    "parity_shares": ("country", "bess_price", "share_percent"),
+    "lcou_quartiles": ("country", "bess_price", "min", "q1", "median", "q3", "max"),
+    "best_pv_size_kwp": (
+        "country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh", "pv_kwp"
+    ),
+}
+
+
+def write_json_records(document: Mapping[str, Sequence[dict]]) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The document maps names to lists of flat records. The records of one
+    list share their keys; their values are strings, numbers, booleans or
+    None. Each value is written by the scalar encoders json itself uses, one
+    column at a time, instead of by json's pure-Python indenting encoder.
+    """
+    if not document:
+        return "{}\n"
+    lists = (f"  {encode_basestring_ascii(name)}: {_json_list(records)}"
+             for name, records in sorted(document.items()))
+    return "{\n" + ",\n".join(lists) + "\n}\n"
+
+
+def _json_list(records: Sequence[dict]) -> str:
+    if not records:
+        return "[]"
+    if any(map(records[0].keys().__ne__, map(dict.keys, records))):
+        raise ValueError("the records of one list must share their keys")
+    keys = sorted(records[0])
+    if not keys:
+        return "[\n" + ",\n".join(["    {}"] * len(records)) + "\n  ]"
+    fields = (f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    columns = (_json_column([record[key] for record in records]) for key in keys)
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+
+
+def _json_column(values: list) -> list[str]:
+    """Each value of a column as json writes it, by json's own C encoders."""
+    if all(isinstance(value, str) for value in values):
+        return list(map(encode_basestring_ascii, values))
+    if not any(isinstance(value, str) for value in values):  # so no ", " inside a value
+        return json.dumps(values)[1:-1].split(", ")
+    return list(map(json.dumps, values))
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = args.out or Path(".")
     _check_dir(out_dir, "report_summary.json")
@@ -482,14 +535,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         _load_config_file(args.config)
     text = _read_text(args.results_csv, "results CSV")
     try:
-        results = parse_results_csv(text)
+        table = parse_results_csv(text)
     except ValueError as exc:
         raise ConfigError(f"results CSV {args.results_csv}: {exc}") from exc
 
-    shares = parity_share_table(results)
-    quartiles = box_stats_by_country_price(results)
-
-    best_rows = best_pv_sizes(results)
+    shares = parity_share_table(table)
+    quartiles = [(country, price, st.minimum, st.q1, st.median, st.q3, st.maximum)
+                 for country, price, st in box_stats_by_country_price(table)]
+    best_rows = best_pv_sizes(table)
 
     print("== Grid-parity shares (% of scenarios with LCOU below retail) ==")
     for country, price_label, share in shares:
@@ -498,48 +551,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     print()
     print("== LCOU five-number summary (EUR/kWh) ==")
     print(f"  {'country':<10} {'price':<8} {'min':>8} {'q1':>8} {'median':>8} {'q3':>8} {'max':>8}")
-    for country, price, stats in quartiles:
-        print(
-            f"  {country:<10} {_fmt_axis(price):<8} {stats.minimum:8.4f} {stats.q1:8.4f} "
-            f"{stats.median:8.4f} {stats.q3:8.4f} {stats.maximum:8.4f}"
-        )
+    for country, price, *five in quartiles:
+        print(f"  {country:<10} {_fmt_axis(price):<8} " + " ".join(f"{v:8.4f}" for v in five))
     print()
     print("== Best PV size (kWp) minimizing LCOU ==")
     print(f"  {'country':<10} {'type':<5} {'ratio':<6} {'price':<8} {'kWp':>4}")
     for country, ptype, ratio, price, size in best_rows:
         print(f"  {country:<10} {ptype:<5} {_fmt_axis(ratio):<6} {_fmt_axis(price):<8} {size:>4}")
 
-    summary = {
-        "parity_shares": [
-            {"country": c, "bess_price": p, "share_percent": s} for c, p, s in shares
-        ],
-        "lcou_quartiles": [
-            {
-                "country": c,
-                "bess_price": p,
-                "min": st.minimum,
-                "q1": st.q1,
-                "median": st.median,
-                "q3": st.q3,
-                "max": st.maximum,
-            }
-            for c, p, st in quartiles
-        ],
-        "best_pv_size_kwp": [
-            {
-                "country": c,
-                "prosumer_type": t,
-                "ratio_kwh_per_kwp": r,
-                "bess_price_eur_per_kwh": p,
-                "pv_kwp": k,
-            }
-            for c, t, r, p, k in best_rows
-        ],
-    }
+    summary = {name: [dict(zip(keys, row)) for row in rows]
+               for (name, keys), rows in zip(SUMMARY_KEYS.items(), (shares, quartiles, best_rows))}
     with _writing(out_dir):
-        (out_dir / "report_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out_dir / "report_summary.json").write_text(write_json_records(summary), encoding="utf-8")
     return 0
 
 

@@ -7,7 +7,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -59,6 +59,7 @@ RESULTS_CSV_HEADER = (
     "country,prosumer_type,pv_kwp,ratio_kwh_per_kwp,bess_price_eur_per_kwh,"
     "scr,ssr,lcoe,lcou,npv,grid_parity"
 )
+_AXIS_COLUMNS = RESULTS_CSV_HEADER.split(",")[:5]
 _METRIC_COLUMNS = RESULTS_CSV_HEADER.split(",")[5:10]
 BOX_CSV_HEADER = "country,bess_price,min,q1,median,q3,max"
 PARITY_CSV_HEADER = "country,bess_price,share_percent,parity_count,scenario_count"
@@ -75,7 +76,8 @@ class Scenario:
 
     The battery capacity is pv_kwp * ratio_kwh_per_kwp. Sizes outside the
     standard per-type range are representable (callers that enforce the
-    range do so explicitly, see in_standard_range).
+    range do so explicitly, see in_standard_range). Each rule of
+    __post_init__ reads one field: parse_results_csv relies on that.
     """
 
     country: str
@@ -144,6 +146,54 @@ class BoxStats:
         ordered = (self.minimum, self.q1, self.median, self.q3, self.maximum)
         if any(a > b for a, b in zip(ordered, ordered[1:])):
             raise ValueError(f"box statistics out of order: {ordered}")
+
+
+class ResultsTable:
+    """Scenario results as columns, one entry per result, in row order.
+
+    One column per results CSV field, named as there, given in that order.
+    The axis columns are lists of the scenarios' values, except pv_kwp, an
+    int64 array; the metrics are float arrays and grid_parity a bool array.
+    ``by_country_price`` is _cells of the (country, BESS price) columns
+    within LCOU, which every summary by country and price reads.
+    """
+
+    # a plain class: making a dataclass costs about 1 ms of every command's import
+    __slots__ = (*RESULTS_CSV_HEADER.split(","), "by_country_price")
+
+    def __init__(self, *columns) -> None:
+        for name, column in zip(self.__slots__[:-1], columns, strict=True):
+            setattr(self, name, column)
+        self.by_country_price = _cells((self.country, self.bess_price_eur_per_kwh), self.lcou)
+
+    def __len__(self) -> int:
+        return len(self.country)
+
+    @classmethod
+    def from_results(cls, results: Sequence[ScenarioResult]) -> ResultsTable:
+        """The table of run_sweep's (or any) results."""
+        n = len(results)
+        scenarios = list(map(attrgetter("scenario"), results))
+        country, ptype, kwp, ratio, price = (
+            list(map(attrgetter(name), scenarios)) for name in _AXIS_COLUMNS
+        )
+        return cls(
+            country, ptype, np.fromiter(kwp, np.int64, n), ratio, price,
+            *(np.fromiter(map(attrgetter(name), results), float, n) for name in _METRIC_COLUMNS),
+            np.fromiter(map(attrgetter("grid_parity"), results), bool, n),
+        )
+
+    def rows(self) -> list[ScenarioResult]:
+        """The results as ScenarioResults, in row order."""
+        scenarios = map(Scenario, self.country, self.prosumer_type, self.pv_kwp.tolist(),
+                        self.ratio_kwh_per_kwp, self.bess_price_eur_per_kwh)
+        metrics = (getattr(self, name).tolist() for name in _METRIC_COLUMNS)
+        return list(map(ScenarioResult, scenarios, *metrics, self.grid_parity.tolist()))
+
+
+def _table(results: ResultsTable | Sequence[ScenarioResult]) -> ResultsTable:
+    """The results as a table, built from ScenarioResults if need be."""
+    return results if isinstance(results, ResultsTable) else ResultsTable.from_results(results)
 
 
 def build_grid(
@@ -484,18 +534,18 @@ def best_pv_size(
 
 
 def best_pv_sizes(
-    results: Sequence[ScenarioResult],
+    results: ResultsTable | Sequence[ScenarioResult],
 ) -> list[tuple[str, str, float, float, int]]:
     """best_pv_size of each (country, type, ratio, BESS price) in the results, sorted.
 
     One sort orders every result by cell, then by LCOU, then by size; each
     cell's first result is its best.
     """
-    lcou = np.fromiter(map(attrgetter("lcou"), results), float, len(results))
-    kwp = np.fromiter(map(attrgetter("scenario.pv_kwp"), results), np.intp, len(results))
-    axes = ("country", "prosumer_type", "ratio_kwh_per_kwp", "bess_price_eur_per_kwh")
-    cells, order, starts, _ = _cells(results, axes, lcou, kwp)
-    return [(*key, size) for key, size in zip(cells, kwp[order[starts]].tolist())]
+    table = _table(results)
+    axes = (table.country, table.prosumer_type, table.ratio_kwh_per_kwp,
+            table.bess_price_eur_per_kwh)
+    cells, order, starts, _ = _cells(axes, table.lcou, table.pv_kwp)
+    return [(*key, size) for key, size in zip(cells, table.pv_kwp[order[starts]].tolist())]
 
 
 def _fmt_axis(x: float) -> str:
@@ -514,32 +564,52 @@ def results_to_csv(results: Sequence[ScenarioResult]) -> str:
     ))
 
 
-def parse_results_csv(text: str) -> list[ScenarioResult]:
-    """Read back a results CSV; raises ValueError on schema violations.
+def parse_results_csv(text: str) -> ResultsTable:
+    """Read back a results CSV as a table; raises ValueError on schema violations.
 
-    A scenario (country, type, kWp, ratio, BESS price) may appear only once.
+    A scenario (country, type, kWp, ratio, BESS price) may appear only once,
+    and its kWp must fit the table's int64 column.
     """
     try:
         results = _results_columns(text)
-    except ValueError:  # a bad number, or a value Scenario rejects
+    except ValueError:  # a bad number
         results = None
     if results is None:
         reject(_results_rows, text)
     return results
 
 
-def _results_columns(text: str) -> list[ScenarioResult] | None:
+def _results_columns(text: str) -> ResultsTable | None:
     """The results, checked column by column; None if a check fails."""
     countries, types, kwps, ratios, prices, *metrics, parity = read_columns(
         text, RESULTS_CSV_HEADER, "results CSV"
     )
     axes = (countries, types, list(map(int, kwps)), list(map(float, ratios)),
             list(map(float, prices)))
-    metrics = [list(map(float, column)) for column in metrics]
-    if (not countries or len(set(zip(*axes))) < len(countries)
-            or not all(map(math.isfinite, chain(*metrics))) or set(parity) - {"true", "false"}):
+    metrics = np.array([list(map(float, column)) for column in metrics])
+    if (not countries or not -2**63 <= min(axes[2]) <= max(axes[2]) < 2**63
+            or not _scenarios_accept(axes) or len(set(zip(*axes))) < len(countries)
+            or not np.isfinite(metrics).all() or set(parity) - {"true", "false"}):
         return None
-    return list(map(ScenarioResult, map(Scenario, *axes), *metrics, map("true".__eq__, parity)))
+    return ResultsTable(*axes[:2], np.array(axes[2], np.int64), *axes[3:], *metrics,
+                        np.array(parity) == "true")
+
+
+def _scenarios_accept(axes: Sequence[list]) -> bool:
+    """Whether Scenario accepts every row of the axis columns, each distinct value checked once.
+
+    Each of Scenario's rules reads one field, so every row passes exactly
+    when a few Scenarios that between them hold each distinct value of each
+    axis (the first value filling in) pass.
+    """
+    distinct = [list(dict.fromkeys(column)) for column in axes]
+    width = max(map(len, distinct))
+    try:
+        for row in zip(*(values + values[:1] * (width - len(values)) for values in distinct)):
+            Scenario(*row)
+    except ValueError:
+        return False
+    return True
 
 
 def _results_rows(text: str) -> list[ScenarioResult]:
@@ -549,7 +619,10 @@ def _results_rows(text: str) -> list[ScenarioResult]:
     rows = read_rows(text, RESULTS_CSV_HEADER, "results CSV")
     for lineno, (country, ptype, kwp, ratio, price, *metrics, parity) in rows:
         try:
-            scenario = Scenario(country, ptype, int(kwp), float(ratio), float(price))
+            axes = (country, ptype, int(kwp), float(ratio), float(price))
+            if not -2**63 <= axes[2] < 2**63:  # first: Scenario cannot tell if 10**400 is finite
+                raise ValueError(f"pv_kwp must fit in 64 bits, got {axes[2]}")
+            scenario = Scenario(*axes)
             metrics = [float(m) for m in metrics]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
@@ -567,15 +640,15 @@ def _results_rows(text: str) -> list[ScenarioResult]:
     return results
 
 
-def _cells(results: Sequence[ScenarioResult], axes: tuple, *within: np.ndarray) -> tuple:
-    """Sort the results by cell, then by the within columns, the first column first.
+def _cells(columns: Sequence[Sequence], *within: np.ndarray) -> tuple:
+    """Sort the rows by cell, then by the within columns, the first column first.
 
-    The cells are the distinct values of the named scenario fields, sorted;
-    values that compare equal (0.0 and -0.0) are one cell, under the one seen
-    first. Returns the cells, the order that sorts the results, and where
-    each cell's run starts in that order and how long it is.
+    The cells are the distinct key tuples of the columns, sorted; keys that
+    compare equal (0.0 and -0.0) are one cell, under the one seen first.
+    Returns the cells, the order that sorts the rows, and where each cell's
+    run starts in that order and how long it is.
     """
-    keys = list(map(attrgetter(*axes), map(attrgetter("scenario"), results)))
+    keys = list(zip(*columns))
     cells = sorted(dict.fromkeys(keys))
     rank = dict(zip(cells, range(len(cells))))
     cell = np.fromiter(map(rank.__getitem__, keys), np.intp, len(keys))
@@ -584,19 +657,19 @@ def _cells(results: Sequence[ScenarioResult], axes: tuple, *within: np.ndarray) 
 
 
 def box_stats_by_country_price(
-    results: Sequence[ScenarioResult],
+    results: ResultsTable | Sequence[ScenarioResult],
 ) -> list[tuple[str, float, BoxStats]]:
     """LCOU five-number summary per (country, BESS price), sorted.
 
-    One sort orders every result by cell, then by LCOU.
+    The table's one sort orders every result by cell, then by LCOU.
     """
-    lcou = np.fromiter(map(attrgetter("lcou"), results), float, len(results))
-    cells, order, starts, counts = _cells(results, ("country", "bess_price_eur_per_kwh"), lcou)
-    stats = _five_numbers(lcou[order], starts, counts)
+    table = _table(results)
+    cells, order, starts, counts = table.by_country_price
+    stats = _five_numbers(table.lcou[order], starts, counts)
     return [(*key, BoxStats(*row)) for key, row in zip(cells, stats.tolist())]
 
 
-def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
+def box_stats_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:
     return write_rows(BOX_CSV_HEADER, (
         f"{country},{_fmt_axis(price)},{stats.minimum:.6f},{stats.q1:.6f},"
         f"{stats.median:.6f},{stats.q3:.6f},{stats.maximum:.6f}"
@@ -604,25 +677,25 @@ def box_stats_to_csv(results: Sequence[ScenarioResult]) -> str:
     ))
 
 
-def _parity_counts(results: Sequence[ScenarioResult]) -> list[tuple[str, str, int, int]]:
+def _parity_counts(table: ResultsTable) -> list[tuple[str, str, int, int]]:
     """(country, price label, parity count, scenario count) per country and BESS price.
 
     Each country's rows come in price order, then its pooled row, labelled
     'pooled', which counts all its results.
     """
-    parity = np.fromiter(map(attrgetter("grid_parity"), results), np.intp, len(results))
-    cells, order, starts, counts = _cells(results, ("country", "bess_price_eur_per_kwh"))
+    cells, order, starts, counts = table.by_country_price
     # reduceat rejects an empty index array
-    hits = np.add.reduceat(parity[order], starts).tolist() if results else []
-    table = []
+    parity = table.grid_parity[order]
+    hits = np.add.reduceat(parity, starts, dtype=np.intp).tolist() if cells else []
+    counted = []
     for country, run in groupby(zip(cells, hits, counts.tolist()), key=lambda row: row[0][0]):
         rows = [(country, _fmt_axis(price), h, n) for (_, price), h, n in run]
-        table += [*rows, (country, "pooled", sum(r[2] for r in rows), sum(r[3] for r in rows))]
-    return table
+        counted += [*rows, (country, "pooled", sum(r[2] for r in rows), sum(r[3] for r in rows))]
+    return counted
 
 
 def parity_share_table(
-    results: Sequence[ScenarioResult],
+    results: ResultsTable | Sequence[ScenarioResult],
 ) -> list[tuple[str, str, float]]:
     """Parity share per country at each BESS price plus a pooled row.
 
@@ -630,11 +703,11 @@ def parity_share_table(
     The share is parity_share's, bit for bit.
     """
     return [(country, label, 100.0 * hits / n)
-            for country, label, hits, n in _parity_counts(results)]
+            for country, label, hits, n in _parity_counts(_table(results))]
 
 
-def parity_shares_to_csv(results: Sequence[ScenarioResult]) -> str:
+def parity_shares_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:
     return write_rows(PARITY_CSV_HEADER, (
         f"{country},{label},{100.0 * hits / n:.6f},{hits},{n}"
-        for country, label, hits, n in _parity_counts(results)
+        for country, label, hits, n in _parity_counts(_table(results))
     ))

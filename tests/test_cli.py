@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -8,12 +9,33 @@ import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import storparity
-from storparity.cli import INTEGER, NUMBER, NUMBERS, OPTIONS, main
-from storparity.sweep import BOX_CSV_HEADER, PARITY_CSV_HEADER, RESULTS_CSV_HEADER, run_sweep
+import storparity.sweep as sweep_module
+from storparity.cli import (
+    DATA_DIR_ENV,
+    INTEGER,
+    NUMBER,
+    NUMBERS,
+    OPTIONS,
+    SUMMARY_KEYS,
+    main,
+    write_json_records,
+)
+from storparity.sweep import (
+    BOX_CSV_HEADER,
+    PARITY_CSV_HEADER,
+    RESULTS_CSV_HEADER,
+    ResultsTable,
+    Scenario,
+    ScenarioResult,
+    best_pv_sizes,
+    parity_share_table,
+    run_sweep,
+)
 
 TWO_COUNTRY_CSV = (
     "country,retail_eur_per_kwh,annual_yield_kwh_per_kwp,vat_rate\n"
@@ -670,6 +692,18 @@ class TestReport:
         assert len(err) == 1 and f"holds {constant}" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kwp", ["99999999999999999999", "-1" + "0" * 400])
+    def test_kwp_past_int64_exits_2_naming_the_line(self, tmp_path, capsys, kwp):
+        # the table holds kWp in an int64 column, which these sizes do not fit
+        big = tmp_path / "big.csv"
+        big.write_text(ONE_RESULT_CSV + f"Cyprus,A,{kwp},1,150,0.4,0.4,0.07,0.09,11.0,false\n")
+        out = tmp_path / "rep"
+        assert main(["report", str(big), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: results CSV {big}: line 3: pv_kwp must fit in 64 bits, got {kwp}\n"
+        )
+        assert not out.exists()
+
     def test_config_types_are_still_checked(self, tmp_path, capsys):
         fixture = tmp_path / "one.csv"
         fixture.write_text(RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n")
@@ -677,6 +711,96 @@ class TestReport:
         config.write_text(json.dumps({"discount_rate": "0.05"}))
         assert main(["report", str(fixture), "--config", str(config)]) == 2
         assert "discount_rate" in capsys.readouterr().err
+
+
+#: sha256 of each output of the default sweep and of its report. The CSVs'
+#: are the benchmark's golden digests; the report's are of the summary as
+#: json.dumps(summary, indent=2, sort_keys=True) writes it.
+DEFAULT_SWEEP_SHA256 = {
+    "sweep/results.csv": "7934fe894718342e816a23f9da4cac8f4035fe314affb016d198894b24b65551",
+    "sweep/parity_shares.csv": "3323bb10046b82ed33f1e20bb7bd708cd943aba9b0bafa8b713fc31f8da392c6",
+    "sweep/box_stats.csv": "3467aec1cb35e84aed146250c10136294bd38d4b2e245d05e65146edd362f0fa",
+    "sweep stdout": "69f19fa6764652b65de536af28fbaa071cf35f7817e536fbd45889416455d21f",
+    "report/report_summary.json":
+        "38f756512afd2ae159a9a9d9f495d9db24aba251ca5f130bc4f449d004c49198",
+    "report stdout": "9488c6fd04e1ad7d61627539fd46520eca0fd284b8ab9308e3bf8de071ddb324",
+}
+
+
+def test_default_sweep_and_its_report_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    outputs = {}
+    assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    outputs["sweep stdout"] = capsys.readouterr().out.encode()
+    assert main(["report", str(tmp_path / "sweep" / "results.csv"),
+                 "--out", str(tmp_path / "report")]) == 0
+    outputs["report stdout"] = capsys.readouterr().out.encode()
+    for name in DEFAULT_SWEEP_SHA256:
+        if "/" in name:
+            outputs[name] = (tmp_path / name).read_bytes()
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()} == DEFAULT_SWEEP_SHA256
+
+
+#: Country names the JSON writer must escape as json does: quotes, backslashes,
+#: control characters and non-ASCII text.
+AWKWARD_NAMES = ["Cyprus", "Côte d'Ivoire", 'say "hi"', "back\\slash", "tab\tline\u2028",
+                 "Ελλάδα", "日本", "\U0001f600", "100%"]
+
+
+@st.composite
+def report_summaries(draw):
+    """A report summary from drawn results: its parity shares and best sizes as report
+    computes them, and LCOU quartiles that LCOUs of +-1e308 turn into NaN or infinities."""
+    cells = draw(st.dictionaries(
+        st.tuples(st.sampled_from(AWKWARD_NAMES) | st.text(max_size=6),
+                  st.sampled_from([-0.0, 0.0, 150, 150.0, 1e308, 123.4567])),
+        st.lists(st.sampled_from([-1e308, 1e308, 0.1]) | st.floats(-1e308, 1e308),
+                 min_size=1, max_size=5),
+        max_size=6,
+    ))
+    results = [
+        ScenarioResult(Scenario(country, "A", kwp, 1.0, price), 0.5, 0.5, 0.1, lcou, 1.0,
+                       draw(st.booleans()))
+        for (country, price), lcous in cells.items() for kwp, lcou in enumerate(lcous, 1)
+    ]
+    table = ResultsTable.from_results(results)
+    cells, order, starts, counts = table.by_country_price
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - -1e308, inf * 0
+        five = sweep_module._five_numbers(table.lcou[order], starts, counts).tolist()
+    lists = (parity_share_table(table), [(*cell, *row) for cell, row in zip(cells, five)],
+             best_pv_sizes(table))
+    return {name: [dict(zip(keys, row)) for row in rows]
+            for (name, keys), rows in zip(SUMMARY_KEYS.items(), lists)}
+
+
+@st.composite
+def record_documents(draw):
+    """Names mapped to lists of flat records, the records of each list sharing their keys."""
+    scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    document = {}
+    for name in draw(st.lists(st.text(max_size=4), max_size=3, unique=True)):
+        keys = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+        document[name] = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, scalar)),
+                                       max_size=3))
+    return document
+
+
+class TestJsonRecords:
+    @settings(max_examples=200, deadline=None)
+    @given(report_summaries())
+    def test_report_summaries_match_json_dumps(self, summary):
+        assert write_json_records(summary) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_documents())
+    def test_any_lists_of_flat_records_match_json_dumps(self, document):
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert write_json_records(document) == expected
+
+    def test_records_of_one_list_must_share_their_keys(self):
+        with pytest.raises(ValueError, match="share their keys"):
+            write_json_records({"rows": [{"a": 1}, {"b": 2}]})
 
 
 class TestParserBasics:

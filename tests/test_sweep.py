@@ -577,7 +577,10 @@ def _random_results(seed):
 _RESULT_FIELDS = [
     (["Cyprus", "Italy"], []),
     (["A", "B"], ["D", "a", ""]),
-    (["1", "2", "3", "4"], ["0", "-1", "2.5", "x", ""]),
+    # a kWp past int64 does not fit the table's column, and one past 1e308 no float
+    (["1", "2", "3", "4", "9223372036854775807"],
+     ["0", "-1", "2.5", "x", "", "9223372036854775808", "99999999999999999999", "1" + "0" * 400,
+      "-9223372036854775808", "-9223372036854775809", "-1" + "0" * 400]),
     (["0.5", "1", "1.0", "2"], ["-1", "nan", "inf", "x"]),
     (["150", "500", "150.0"], ["-5", "nan", "1e400", ""]),
     *[(["0.5", "-0.0", "1e-7", "-3", "12.25"], ["nan", "inf", "-inf", "x", "", "1e400"])] * 5,
@@ -718,9 +721,9 @@ class TestResultsCsv:
         _, results, _ = full_sweep
         text = results_to_csv(results)
         assert text.splitlines()[0] == RESULTS_CSV_HEADER
-        parsed = parse_results_csv(text)
-        assert len(parsed) == len(results)
-        for a, b in zip(parsed, results):
+        table = parse_results_csv(text)
+        assert len(table) == len(results)
+        for a, b in zip(table.rows(), results):
             assert a.scenario == b.scenario
             assert a.grid_parity == b.grid_parity
             assert a.lcou == pytest.approx(b.lcou, abs=5e-7)
@@ -750,14 +753,15 @@ class TestResultsCsv:
         ))
         text = results_to_csv([ScenarioResult(s, *row) for s, row in zip(grid, rows)])
         mangled = "\ufeff" + text.replace("\n", "\r\n\r\n")
-        for parsed in (parse_results_csv(text), parse_results_csv(mangled)):
+        for parsed in (parse_results_csv(text).rows(), parse_results_csv(mangled).rows()):
             assert results_to_csv(parsed) == text
             assert [r.scenario for r in parsed] == grid  # the axes read back losslessly
 
     def test_bom_and_blank_lines_ignored_and_errors_name_the_physical_line(self):
         row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
         text = "\ufeff" + RESULTS_CSV_HEADER + "\r\n\r\n" + row + "\r\n  \r\n"
-        assert parse_results_csv(text) == parse_results_csv(RESULTS_CSV_HEADER + "\n" + row)
+        assert (parse_results_csv(text).rows()
+                == parse_results_csv(RESULTS_CSV_HEADER + "\n" + row).rows())
         with pytest.raises(ValueError, match="^line 5: pv_kwp must be an integer >= 1"):
             parse_results_csv(text + row.replace("A,1,", "A,0,"))
 
@@ -766,7 +770,8 @@ class TestResultsCsv:
     def test_column_checks_agree_with_the_row_reader(self, data):
         text = data.draw(results_documents())
         try:
-            columns = sweep_module._results_columns(text)
+            table = sweep_module._results_columns(text)
+            columns = None if table is None else table.rows()
         except ValueError:
             columns = None
         try:
@@ -782,7 +787,8 @@ class TestResultsCsv:
             except Exception as exc:  # compared by type and message
                 return type(exc), str(exc)
 
-        assert outcome(parse_results_csv) == outcome(sweep_module._results_rows)
+        assert outcome(lambda t: parse_results_csv(t).rows()) == outcome(
+            sweep_module._results_rows)
 
     def test_repeated_scenario_rejected(self):
         row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
@@ -829,7 +835,7 @@ class TestResultsCsv:
         prices = [123.4567, 123.4568]
         grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1 / 3], bess_prices=prices)
         results = run_sweep(grid, country_data, default_econ)
-        parsed = parse_results_csv(results_to_csv(results))
+        parsed = parse_results_csv(results_to_csv(results)).rows()
         assert [r.scenario for r in parsed] == [r.scenario for r in results]
         lines = parity_shares_to_csv(results).strip().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["123.4567", "123.4568", "pooled"]
