@@ -536,12 +536,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     text = _read_text(args.results_csv, "results CSV")
     try:
         table = parse_results_csv(text)
+        quartiles = [(country, price, st.minimum, st.q1, st.median, st.q3, st.maximum)
+                     for country, price, st in box_stats_by_country_price(table)]
     except ValueError as exc:
         raise ConfigError(f"results CSV {args.results_csv}: {exc}") from exc
 
     shares = parity_share_table(table)
-    quartiles = [(country, price, st.minimum, st.q1, st.median, st.q3, st.maximum)
-                 for country, price, st in box_stats_by_country_price(table)]
     best_rows = best_pv_sizes(table)
 
     print("== Grid-parity shares (% of scenarios with LCOU below retail) ==")

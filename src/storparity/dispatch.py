@@ -24,7 +24,7 @@ from .errors import (
     check_finite,
 )
 from .profiles import TimeSeriesProfile
-from .table import write_rows
+from .table import numbered_rows, write_rows
 
 #: Default round-trip efficiency, split symmetrically between charge and
 #: discharge. Configurable per BatterySpec.
@@ -518,28 +518,12 @@ def scr_no_storage(pv: TimeSeriesProfile, load: TimeSeriesProfile) -> float:
     return direct / produced
 
 
-#: trace_to_csv formats this many rows at a time from Python floats.
-_TRACE_BLOCK = 4096
-
-
 def trace_to_csv(trace: DispatchTrace) -> str:
-    """Serialize a trace to the documented CSV schema.
-
-    Rows are formatted a block at a time from list slices: one template per
-    row, no numpy scalar per field, and no whole column held as a list.
-    """
-    row = "%d," + ",".join(["%.6f"] * 8)
-    columns = (
+    """Serialize a trace to the documented CSV schema: the step, then each column as "%.6f"."""
+    return write_rows(TRACE_CSV_HEADER, numbered_rows((
         trace.p_pv, trace.p_load, trace.p_direct, trace.p_charge,
         trace.p_discharge_delivered, trace.p_import, trace.p_curtail, trace.soc_kwh,
-    )
-
-    def block(lo: int) -> str:
-        hi = lo + _TRACE_BLOCK
-        rows = zip(range(lo, hi), *(column[lo:hi].tolist() for column in columns))
-        return "\n".join([row % values for values in rows])
-
-    return write_rows(TRACE_CSV_HEADER, map(block, range(0, len(trace), _TRACE_BLOCK)))
+    )))
 
 
 def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:

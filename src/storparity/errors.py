@@ -12,10 +12,17 @@ def check_finite(instance) -> None:
     Constructors call it first: a range check such as ``x < 0`` lets NaN through.
     A field that __post_init__ has yet to set is skipped. A field is numeric
     when its value's type is a numbers.Real at the first check of that type.
+    An int too large for a float is not finite either.
     """
     for name in _field_names(type(instance)):
         value = getattr(instance, name, None)
-        if _is_real(type(value)) and not math.isfinite(value):
+        if not _is_real(type(value)):
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got an int too large for a float") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -661,11 +661,23 @@ def box_stats_by_country_price(
 ) -> list[tuple[str, float, BoxStats]]:
     """LCOU five-number summary per (country, BESS price), sorted.
 
-    The table's one sort orders every result by cell, then by LCOU.
+    The table's one sort orders every result by cell, then by LCOU. Raises
+    ValueError naming the first cell of finite LCOUs whose quartiles are
+    not: two neighbours in it are further apart than a float holds.
     """
     table = _table(results)
     cells, order, starts, counts = table.by_country_price
-    stats = _five_numbers(table.lcou[order], starts, counts)
+    ordered = table.lcou[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range
+        stats = _five_numbers(ordered, starts, counts)
+    lowest, highest = ordered[starts], ordered[starts + counts - 1]
+    too_wide = ~np.isfinite(stats).all(axis=1) & np.isfinite(lowest) & np.isfinite(highest)
+    if too_wide.any():
+        i = int(too_wide.argmax())
+        country, price = cells[i]
+        raise ValueError(f"LCOUs of {country} at BESS price {_fmt_axis(price)} span "
+                         f"{float(lowest[i])!r} to {float(highest[i])!r}, "
+                         "too wide for float quartiles")
     return [(*key, BoxStats(*row)) for key, row in zip(cells, stats.tolist())]
 
 

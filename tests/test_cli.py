@@ -499,6 +499,9 @@ COMMAND_ARGV = {
     ("sweep", ["--pv-profile", "{pv24}"]),
     ("simulate", ["--pv-profile", "{pv24}"]),
     ("sweep", ["--load-profile", "{load24}", "--pv-profile", "{hourly}"]),
+    # a kWp past the float range, and one cell's LCOUs of +-1e308, whose quartiles overflow
+    ("simulate", ["--pv-kwp", "{huge}"]),
+    ("report", ["{wide}"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     tmp_path, capsys, monkeypatch, command, args
@@ -517,6 +520,8 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "results": tmp_path / "results.csv",
         "taken": tmp_path / "taken",  # its outputs below are directories
         "out": tmp_path / "out",
+        "wide": tmp_path / "wide.csv",
+        "huge": "1" + "0" * 400,  # not a path: argparse reads it as an int
     }
     profile_csvs = {  # (power, steps, minutes); written only for the cases that name them
         "short": (evening_load, 8759, 60),
@@ -534,6 +539,8 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["results"].write_text(ONE_RESULT_CSV)
+    paths["wide"].write_text(ONE_RESULT_CSV.replace(",0.1,", ",1e308,")
+                             + "Cyprus,A,2,1,150,0.5,0.5,0.08,-1e308,10.0,true\n")
     for name in ("box_stats.csv", "run-manifest.json", "report_summary.json"):
         (paths["taken"] / name).mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
@@ -550,6 +557,11 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
                            f"{hours} steps of 1.0 h, expected 8760\n")
     if "{zero}" in args:
         assert err == f"error: profile CSV {paths['zero']}: cannot rescale a profile with zero energy\n"
+    if "{huge}" in args:
+        assert err == "error: pv_kwp must be finite, got an int too large for a float\n"
+    if "{wide}" in args:
+        assert err == (f"error: results CSV {paths['wide']}: LCOUs of Cyprus at BESS price 150 "
+                       "span -1e+308 to 1e+308, too wide for float quartiles\n")
     if "{pv24}" in args or "{load24}" in args:
         assert err == ("error: load and PV profile steps do not align: "
                        "step ratio 2.5 is not an integer (1.0 h vs 0.4 h)\n")
@@ -740,6 +752,43 @@ def test_default_sweep_and_its_report_keep_their_bytes(tmp_path, capsys, monkeyp
             outputs[name] = (tmp_path / name).read_bytes()
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in outputs.items()} == DEFAULT_SWEEP_SHA256
+
+
+#: sha256 of simulate --trace's outputs: CI's smoke case on the shipped hourly
+#: profiles, and a quarter-hour measured load beside an hourly PV CSV. The
+#: traces are the bytes of the row template "%d," + ",".join(["%.6f"] * 8).
+SIMULATE_TRACE_SHA256 = {
+    "hourly/trace.csv": "00d0717c81329de2f08b42ee5a60c1298611609cb532b2ed6fe96ec1b6dbdaf8",
+    "hourly/scenario_result.csv":
+        "6b25533e182fa05476953095957b6743bdd31ab9095f4803e401911243dc0744",
+    "hourly stdout": "557ba6c55fafccabc98c07a354aaf62e8a0d237e8d731c6e39d15311155d1948",
+    "quarter-hour/trace.csv": "aa15a65ec4e94a957627b7850e35e7b4e4a927e9e6acb74dbf556893ff20b666",
+    "quarter-hour/scenario_result.csv":
+        "42499f491fe8db28a7bb9589fe683da6a270ef72ca554bf5ea6384c1423fe97d",
+    "quarter-hour stdout": "24fda7595f1e0f4e625745214f26fabe0acf0f51d3e3d04a57fe0d2029c443ba",
+}
+
+
+def test_simulate_traces_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    load = profile_csv(tmp_path / "load.csv",
+                       lambda i: evening_load(i // 4) + 0.01 * (i * 7919 % 101), 35040, 15)
+    pv = profile_csv(tmp_path / "pv.csv", midday_pv)
+    cases = {
+        "hourly": ["--type", "A", "--pv-kwp", "3"],
+        "quarter-hour": ["--type", "B", "--pv-kwp", "5",
+                         "--load-profile", str(load), "--pv-profile", str(pv)],
+    }
+    outputs = {}
+    for name, args in cases.items():
+        out = tmp_path / name
+        assert main(["simulate", "--country", "Cyprus", *args, "--ratio", "1", "--bess-price",
+                     "150", "--out", str(out), "--trace", str(out / "trace.csv")]) == 0
+        outputs[f"{name} stdout"] = capsys.readouterr().out.encode()
+        for file in ("trace.csv", "scenario_result.csv"):
+            outputs[f"{name}/{file}"] = (out / file).read_bytes()
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()} == SIMULATE_TRACE_SHA256
 
 
 #: Country names the JSON writer must escape as json does: quotes, backslashes,

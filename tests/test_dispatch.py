@@ -30,6 +30,7 @@ from storparity.dispatch import (
     simulate_balances,
 )
 from storparity.sweep import ANNUAL_LOAD_KWH, DEFAULT_RATIOS, PV_RANGE_KWP
+from storparity.table import _BLOCK
 
 SQRT_RT = math.sqrt(0.9)
 
@@ -579,6 +580,31 @@ def test_step_not_positive_and_finite_rejected(step):
         simulate_balances([pv], [load], [(0, 0, BatterySpec(2.0))], step)
 
 
+#: Trace lengths on each side of the writer's first two block boundaries.
+TRACE_LENGTHS = sorted({0, 1} | {m * _BLOCK + d for m in (1, 2) for d in (-1, 0, 1)})
+
+
+def _near_ties(k):
+    """The floats next to and at k / 1e6 + 5e-7, which "%.6f" rounds on a hair's breadth."""
+    tie = k / 1e6 + 5e-7
+    return st.sampled_from([math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf)])
+
+
+#: Values on the edges of the trace writer's digit path and past them.
+AWKWARD_VALUES = st.one_of(
+    # exact ties on the seventh decimal, which round to even: 2 ** -7 is written 0.007812
+    st.integers(0, 2**20).map(lambda k: (2 * k + 1) / 128),
+    st.integers(0, 10**15).flatmap(_near_ties),
+    st.sampled_from([
+        -0.0, -1e-9, 5e-324, 2.2250738585072014e-308 / 3,
+        1e9, math.nextafter(1e9, 0.0), math.nextafter(1e9, math.inf), 1e300,
+        math.nan, math.inf,
+    ]),
+    st.floats(0.0, 1e4),
+    st.floats(),
+)
+
+
 class TestTraceCsv:
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
     def test_bytes_equal_one_format_per_field(self, n):
@@ -591,6 +617,21 @@ class TestTraceCsv:
             f"{i}," + ",".join(f"{array[i]:.6f}" for array in arrays) for i in range(n)
         ]
         assert trace_to_csv(trace) == "\n".join(rows) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(TRACE_LENGTHS),
+           pool=st.lists(AWKWARD_VALUES, min_size=1, max_size=12),
+           ordinary_share=st.sampled_from([0.0, 0.8]), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, pool=[0.0078125], ordinary_share=0.0, seed=0)
+    def test_bytes_equal_the_row_template(self, n, pool, ordinary_share, seed):
+        # ordinary rows take the digit path, so the drawn values come in runs between them
+        rng = np.random.default_rng(seed)
+        arrays = rng.choice(pool, (8, n)) * rng.choice([-1.0, 1.0], (8, n))
+        ordinary = rng.random(n) < ordinary_share
+        arrays[:, ordinary] = rng.uniform(0.0, 10.0, (8, int(ordinary.sum())))
+        row = "%d," + ",".join(["%.6f"] * 8)
+        rows = [row % (i, *values) for i, values in enumerate(zip(*arrays.tolist()))]
+        assert trace_to_csv(DispatchTrace(*arrays)) == "\n".join([TRACE_CSV_HEADER, *rows]) + "\n"
 
     def test_header_and_roundtrip_values(self):
         trace = simulate_series([2.0, 0.0], [1.0, 1.0], lossless_battery(), 1.0)

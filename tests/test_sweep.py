@@ -534,8 +534,8 @@ class TestBoxStats:
         st.tuples(st.sampled_from(["Cyprus", "Italy", "Spain"]),
                   st.sampled_from([0.0, 123.4567, 150.0, 500.0])),
         # no -0.0: on a tie with 0.0, np.percentile's partition may return either
-        st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3])
-                 | st.floats(-1e300, 1e300).filter(lambda x: math.copysign(1.0, x) > 0 or x),
+        st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, -1e308, 1e308])
+                 | st.floats(-1e308, 1e308).filter(lambda x: math.copysign(1.0, x) > 0 or x),
                  min_size=1, max_size=30),
         min_size=1, max_size=12,
     ), st.randoms())
@@ -543,13 +543,25 @@ class TestBoxStats:
         results = [_mk_result(country, "A", 1, 1.0, price, lcou)
                    for (country, price), values in cells.items() for lcou in values]
         random.shuffle(results)
+        with np.errstate(over="ignore", invalid="ignore"):  # max - min past the float range
+            expected = {key: np.percentile(values, [0.0, 25.0, 50.0, 75.0, 100.0])
+                        for key, values in cells.items()}
+        # a cell whose quartiles overflow is named; every other cell is numpy's
+        wide = sorted(key for key, five in expected.items() if not np.isfinite(five).all())
+        if wide:
+            country, price = wide[0]
+            with pytest.raises(ValueError, match=f"^LCOUs of {country} at BESS price "
+                                                 f"{sweep_module._fmt_axis(price)} span "):
+                box_stats_by_country_price(results)
+            results = [r for r in results
+                       if (r.scenario.country, r.scenario.bess_price_eur_per_kwh) not in wide]
         rows = box_stats_by_country_price(results)
-        assert [(country, price) for country, price, _ in rows] == sorted(cells)
-        for (_, _, stats), key in zip(rows, sorted(cells)):
-            expected = np.percentile(cells[key], [0.0, 25.0, 50.0, 75.0, 100.0]).tobytes()
+        narrow = sorted(set(cells) - set(wide))
+        assert [(country, price) for country, price, _ in rows] == narrow
+        for (_, _, stats), key in zip(rows, narrow):
             for got in (stats, box_stats(cells[key])):
                 five = (got.minimum, got.q1, got.median, got.q3, got.maximum)
-                assert np.array(five).tobytes() == expected
+                assert np.array(five).tobytes() == expected[key].tobytes()
 
 
 def _mk_result(country, ptype, kwp, ratio, price, lcou_value, parity=False):
