@@ -25,7 +25,7 @@ print(f"grid: {len(grid)} scenarios, discount rate {econ.discount_rate:.0%}, "
       f"horizon {econ.horizon_years} years")
 
 start = time.perf_counter()
-results = run_sweep(grid, countries, econ)
+results = run_sweep(grid, countries, econ)  # a ResultsTable: one column per results field
 print(f"swept in {time.perf_counter() - start:.1f} s\n")
 
 # --- Grid-parity shares per country and storage price --------------------
@@ -40,11 +40,7 @@ for name in countries:
 print(f"\nLCOU spread at 150 EUR/kWh (EUR/kWh):")
 print(f"{'country':<10} {'min':>7} {'q1':>7} {'median':>7} {'q3':>7} {'max':>7}")
 for name in countries:
-    values = [
-        r.lcou for r in results
-        if r.scenario.country == name and r.scenario.bess_price_eur_per_kwh == 150.0
-    ]
-    s = box_stats(values)
+    s = box_stats(results.lcou[results.where(country=name, bess_price_eur_per_kwh=150.0)])
     print(f"{name:<10} {s.minimum:7.4f} {s.q1:7.4f} {s.median:7.4f} {s.q3:7.4f} {s.maximum:7.4f}")
 
 # --- Which PV size minimizes the LCOU? ------------------------------------

@@ -68,7 +68,9 @@ from .sweep import (
     PV_RANGE_KWP,
     BoxStats,
     ProfileSource,
+    ResultsTable,
     Scenario,
+    ScenarioGrid,
     ScenarioResult,
     best_pv_size,
     box_stats,

@@ -43,7 +43,6 @@ from .sweep import (
     PROSUMER_TYPES,
     PV_RANGE_KWP,
     ProfileSource,
-    ResultsTable,
     Scenario,
     _fmt_axis,
     best_pv_size,
@@ -460,8 +459,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures=failures,
     )
 
-    table = ResultsTable.from_results(results)  # one sort for both summary CSVs and stdout
-    texts = (results_to_csv(results), parity_shares_to_csv(table), box_stats_to_csv(table))
+    # a ResultsTable: one sort serves both summary CSVs and stdout
+    texts = (results_to_csv(results), parity_shares_to_csv(results), box_stats_to_csv(results))
     with _writing(cfg.out_dir):
         # all three always, header-only when nothing was priced, so no file of
         # an earlier run is left beside them
@@ -470,7 +469,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_manifest(cfg, "sweep", {"axes": axes})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")
-    for country, price_label, share in parity_share_table(table):
+    for country, price_label, share in parity_share_table(results):
         print(f"  parity share {country} @ {price_label}: {share:.1f}%")
     if failures:
         print(f"{len(failures)} scenario(s) failed:", file=sys.stderr)

@@ -8,7 +8,6 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ from .dispatch import (
     BatterySpec,
     DispatchTrace,
     EnergyBalance,
+    _distinct,
     annual_balance,
     simulate,
     simulate_balances,
@@ -77,7 +77,7 @@ class Scenario:
     The battery capacity is pv_kwp * ratio_kwh_per_kwp. Sizes outside the
     standard per-type range are representable (callers that enforce the
     range do so explicitly, see in_standard_range). Each rule of
-    __post_init__ reads one field: parse_results_csv relies on that.
+    __post_init__ reads one field: _check_axes relies on that.
     """
 
     country: str
@@ -108,13 +108,7 @@ class Scenario:
 
     @property
     def key(self) -> tuple:
-        return (
-            self.country,
-            self.prosumer_type,
-            self.pv_kwp,
-            self.ratio_kwh_per_kwp,
-            self.bess_price_eur_per_kwh,
-        )
+        return tuple(getattr(self, name) for name in _AXIS_COLUMNS)
 
     def in_standard_range(self) -> bool:
         lo, hi = PV_RANGE_KWP[self.prosumer_type]
@@ -171,17 +165,12 @@ class ResultsTable:
 
     @classmethod
     def from_results(cls, results: Sequence[ScenarioResult]) -> ResultsTable:
-        """The table of run_sweep's (or any) results."""
-        n = len(results)
-        scenarios = list(map(attrgetter("scenario"), results))
+        """The table of any ScenarioResults, in their order."""
         country, ptype, kwp, ratio, price = (
-            list(map(attrgetter(name), scenarios)) for name in _AXIS_COLUMNS
-        )
-        return cls(
-            country, ptype, np.fromiter(kwp, np.int64, n), ratio, price,
-            *(np.fromiter(map(attrgetter(name), results), float, n) for name in _METRIC_COLUMNS),
-            np.fromiter(map(attrgetter("grid_parity"), results), bool, n),
-        )
+            [getattr(r.scenario, name) for r in results] for name in _AXIS_COLUMNS)
+        metrics = (np.array([getattr(r, name) for r in results], float) for name in _METRIC_COLUMNS)
+        return cls(country, ptype, np.array(kwp, np.int64), ratio, price, *metrics,
+                   np.array([r.grid_parity for r in results], bool))
 
     def rows(self) -> list[ScenarioResult]:
         """The results as ScenarioResults, in row order."""
@@ -190,23 +179,58 @@ class ResultsTable:
         metrics = (getattr(self, name).tolist() for name in _METRIC_COLUMNS)
         return list(map(ScenarioResult, scenarios, *metrics, self.grid_parity.tolist()))
 
+    def where(self, **columns) -> np.ndarray:
+        """The mask of the rows whose named columns equal the given values, as == tells."""
+        mask = np.ones(len(self), bool)
+        for name, value in columns.items():
+            mask &= np.array(getattr(self, name), dtype=object) == value
+        return mask
+
 
 def _table(results: ResultsTable | Sequence[ScenarioResult]) -> ResultsTable:
     """The results as a table, built from ScenarioResults if need be."""
     return results if isinstance(results, ResultsTable) else ResultsTable.from_results(results)
 
 
-def build_grid(
-    countries: Iterable[str],
-    prosumer_types: Iterable[str] = PROSUMER_TYPES,
-    ratios: Iterable[float] = DEFAULT_RATIOS,
-    bess_prices: Iterable[float] = DEFAULT_BESS_PRICES,
-) -> list[Scenario]:
+class ScenarioGrid:
+    """The product of the sweep's axes: build_grid's scenarios, as axes.
+
+    systems are the (prosumer type, PV size) pairs of the types' ranges. The
+    rows nest country, system, ratio and BESS price, outermost first.
+    """
+
+    __slots__ = ("countries", "prosumer_types", "ratios", "bess_prices", "systems", "shape")
+
+    def __init__(self, countries, prosumer_types, ratios, bess_prices) -> None:
+        self.countries, self.prosumer_types = list(countries), list(prosumer_types)
+        self.ratios, self.bess_prices = list(ratios), list(bess_prices)
+        self.systems = [(t, kwp) for t in self.prosumer_types for kwp in pv_sizes_for_type(t)]
+        self.shape = (len(self.countries), len(self.systems), len(self.ratios),
+                      len(self.bess_prices))
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def row(self, i: int) -> Scenario:
+        """The grid's i-th scenario."""
+        country, system, ratio, price = map(int, np.unravel_index(i, self.shape))
+        return Scenario(self.countries[country], *self.systems[system], self.ratios[ratio],
+                        self.bess_prices[price])
+
+    def rows(self) -> list[Scenario]:
+        """The grid's scenarios, in row order."""
+        return list(map(self.row, range(len(self))))
+
+
+def build_grid(countries: Iterable[str], prosumer_types: Iterable[str] = PROSUMER_TYPES,
+               ratios: Iterable[float] = DEFAULT_RATIOS,
+               bess_prices: Iterable[float] = DEFAULT_BESS_PRICES) -> ScenarioGrid:
     """Cartesian product of the axes with per-type PV sizes, sorted.
 
     Duplicate axis entries are dropped, the first of equal values (0.0 and
     -0.0) kept. Each axis is sorted and the loops nest in key order, so the
-    result is in lexicographic order of the scenario key.
+    rows are in lexicographic order of the scenario key. Each axis value is
+    checked once: see _check_axes.
     """
     axes = {
         "countries": sorted(dict.fromkeys(countries)),
@@ -217,14 +241,21 @@ def build_grid(
     for name, values in axes.items():
         if not values:
             raise EmptyAxisError(f"axis {name} is empty")
-    return [
-        Scenario(country, ptype, kwp, ratio, price)
-        for country in axes["countries"]
-        for ptype in axes["prosumer_types"]
-        for kwp in pv_sizes_for_type(ptype)
-        for ratio in axes["ratios"]
-        for price in axes["bess_prices"]
-    ]
+    countries, types, ratios, prices = axes.values()
+    _check_axes([countries, types, [1], ratios, prices])  # every PV size passes, as 1 does
+    return ScenarioGrid(countries, types, ratios, prices)
+
+
+def _check_axes(axes: Sequence[list]) -> None:
+    """Raise the error of the first scenario of the axes' product that Scenario rejects.
+
+    Each rule of Scenario reads one field, so that is the first scenario, else
+    the innermost axis's first bad value with the others at their first.
+    """
+    first = [values[0] for values in axes]
+    for i in reversed(range(len(axes))):
+        for value in axes[i]:
+            Scenario(*first[:i], value, *first[i + 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +312,11 @@ def simulate_scenario(
     battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **(battery_kwargs or {}))
     trace = simulate(pv, load, battery)
     balance = annual_balance(trace, source.step_hours)
-    (outcome,) = _price_results([(scenario, data, balance)], econ)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return trace, outcome
+    cell = (scenario.pv_kwp, scenario.bess_kwh, data, balance)
+    metrics, parity, errors = _price([cell], [scenario.bess_price_eur_per_kwh], econ)
+    if errors:
+        raise errors[0]
+    return trace, ScenarioResult(scenario, *metrics[:, 0].tolist(), bool(parity[0]))
 
 
 def run_scenario(
@@ -297,13 +329,6 @@ def run_scenario(
 ) -> ScenarioResult:
     """simulate_scenario's result alone."""
     return simulate_scenario(scenario, data, econ, source, battery_kwargs)[1]
-
-
-def _dispatch_key(scenario: Scenario, data: CountryData) -> tuple:
-    # The BESS price only enters the finance; battery settings are per call.
-    return (
-        data.annual_yield_kwh_per_kwp, scenario.prosumer_type, scenario.pv_kwp, scenario.bess_kwh
-    )
 
 
 def _failure(exc: Exception) -> str:
@@ -348,38 +373,36 @@ def _dispatch_keys(
     return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 
-def run_sweep(
-    grid: Sequence[Scenario],
-    data: Mapping[str, CountryData],
-    econ: EconomicParams,
-    source: ProfileSource | None = None,
-    *,
-    battery_kwargs: Mapping | None = None,
-    parallel: int | None = None,
-    failures: list | None = None,
-) -> list[ScenarioResult]:
-    """Evaluate every scenario of the grid, in grid order.
+def run_sweep(grid: ScenarioGrid, data: Mapping[str, CountryData], econ: EconomicParams,
+              source: ProfileSource | None = None, *, battery_kwargs: Mapping | None = None,
+              parallel: int | None = None, failures: list | None = None) -> ResultsTable:
+    """Evaluate every scenario of the grid: the results table, in grid order.
 
-    Scenarios sharing a dispatch key (country yield, prosumer type, PV size,
-    BESS capacity) are dispatched once, all keys in one batched kernel call,
-    or one contiguous slice of keys per worker of a process pool of
-    ``parallel`` workers, at most one per usable CPU and per key, with identical
-    output. Every dispatched scenario is then priced in one financial_results
-    call. A scenario's ValueError (StorParityError included) leaves it out of
-    the results: the failure is appended to ``failures`` as a (scenario,
-    message) pair when that list is given, and logged otherwise. Other
+    The BESS price only enters the finance, so each cell of the other axes
+    has one dispatch key (country yield, prosumer type, PV size, BESS
+    capacity). Each key is dispatched once, all in one batched kernel call,
+    or a contiguous slice of keys per worker of a pool of ``parallel``
+    processes, at most one per usable CPU and per key, with identical
+    output; then every scenario is priced at once (see _price). A scenario's
+    ValueError (StorParityError included) leaves it out of the results: the
+    failure goes to ``failures`` as a (scenario, message) pair, in grid
+    order, when that list is given, and to the log otherwise. Other
     exceptions propagate.
     """
     index: dict[tuple, int] = {}  # dispatch key -> its position in keys
     keys: list[Scenario] = []  # the first scenario of each key
-    slots: list[int | str] = []  # per scenario: its key's position, or why it failed
-    for scenario in grid:
-        if scenario.country not in data:
-            slots.append(f"KeyError: country {scenario.country!r} not in data")
-            continue
-        slots.append(index.setdefault(_dispatch_key(scenario, data[scenario.country]), len(keys)))
-        if slots[-1] == len(keys):
-            keys.append(scenario)
+    cells: list[tuple | str] = []  # per cell: (key position, kWp, BESS kWh, country), or why not
+    for country in grid.countries:
+        c = data.get(country)
+        for ptype, kwp in grid.systems:
+            for ratio in grid.ratios:
+                if c is None:
+                    cells.append(f"KeyError: country {country!r} not in data")
+                    continue
+                key = (c.annual_yield_kwh_per_kwp, ptype, kwp, kwp * ratio)
+                if index.setdefault(key, len(keys)) == len(keys):
+                    keys.append(Scenario(country, ptype, kwp, ratio, grid.bess_prices[0]))
+                cells.append((index[key], kwp, kwp * ratio, c))
     source = source if source is not None else ProfileSource()
     work = partial(_dispatch_keys, source, dict(battery_kwargs or {}), data)
     # the CPUs this process may run on, where the platform tells; else all of them
@@ -396,93 +419,83 @@ def run_sweep(
     else:
         outcomes = work(keys)
 
-    dispatched = [outcomes[slot] if isinstance(slot, int) else slot for slot in slots]
-    priced = iter(_price_results(
-        [(s, data[s.country], b) for s, b in zip(grid, dispatched) if not isinstance(b, str)],
-        econ,
-    ))
-
-    results: list[ScenarioResult] = []
-    for scenario, outcome in zip(grid, dispatched):
-        outcome = outcome if isinstance(outcome, str) else next(priced)
-        if isinstance(outcome, ScenarioResult):
-            results.append(outcome)
-            continue
-        message = outcome if isinstance(outcome, str) else _failure(outcome)
+    prices = grid.shape[3]
+    failed: list[tuple[int, str]] = []  # (grid row, message) of each failed scenario
+    starts, priced = [], []  # the first grid row of each dispatched cell, and its _price cell
+    for i, cell in enumerate(cells):
+        outcome = cell if isinstance(cell, str) else outcomes[cell[0]]
+        if isinstance(outcome, str):
+            failed += [(i * prices + p, outcome) for p in range(prices)]
+        else:
+            starts.append(i * prices)
+            priced.append((*cell[1:], outcome))
+    metrics, parity, errors = _price(priced, grid.bess_prices, econ)
+    rows = np.add.outer(np.array(starts, np.intp), np.arange(prices)).ravel()
+    failed += [(int(rows[i]), _failure(exc)) for i, exc in errors.items()]
+    for row, message in sorted(failed):
+        scenario = grid.row(row)
         if failures is None:
             log.warning("scenario %s failed: %s", scenario.key, message)
         else:
             failures.append((scenario, message))
-    return results
 
-
-def _price_results(
-    rows: Sequence[tuple[Scenario, CountryData, EnergyBalance]], econ: EconomicParams
-) -> list[ScenarioResult | ValueError]:
-    """Price every (scenario, country, balance) row in one batch: its result, or its error.
-
-    The scenario's BESS price always overrides econ's; the country VAT is
-    used unless econ carries an explicit override. A row with a NaN or
-    infinite metric is an error, as parse_results_csv would reject it. A
-    row's result or error does not depend on the other rows.
-    """
-    if not rows:
-        return []
-    scenarios, countries, balances = zip(*rows)
-    scr = [b.scr for b in balances]
-    fin = financial_results(
-        [s.pv_kwp for s in scenarios],
-        [s.bess_kwh for s in scenarios],
-        [s.bess_price_eur_per_kwh for s in scenarios],
-        [c.vat_rate if econ.vat_rate is None else econ.vat_rate for c in countries],
-        [b.e_produced for b in balances],
-        scr,
-        [c.retail_price_eur_per_kwh for c in countries],
-        econ,
+    kept = np.ones(len(rows), bool)
+    kept[list(errors)] = False
+    country, system, ratio, price = np.unravel_index(rows[kept], grid.shape)
+    return ResultsTable(
+        _take(grid.countries, country), _take([t for t, _ in grid.systems], system),
+        np.array([k for _, k in grid.systems], np.int64)[system],
+        _take(grid.ratios, ratio), _take(grid.bess_prices, price),
+        *metrics[:, kept], parity[kept],
     )
-    metrics = np.stack([scr, [b.ssr for b in balances], fin.lcoe_eur_per_kwh,
-                        fin.lcou_eur_per_kwh, fin.npv_eur], axis=1)
-    finite = np.isfinite(metrics).all(axis=1).tolist()
-    priced = zip(scenarios, metrics.tolist(), fin.grid_parity.tolist(), finite)
-    return [
-        fin.errors.get(i) or (ScenarioResult(s, *values, parity) if ok else _non_finite(values))
-        for i, (s, values, parity, ok) in enumerate(priced)
-    ]
 
 
-def _non_finite(metrics: Sequence[float]) -> ValueError | None:
-    """The error naming the first results metric (scr .. npv) that is NaN or inf, if any."""
-    for name, value in zip(_METRIC_COLUMNS, metrics):
-        if not math.isfinite(value):
-            return ValueError(f"{name} must be finite, got {value}")
-    return None
+def _take(values: Sequence, at: np.ndarray) -> list:
+    """[values[i] for i in at]."""
+    return np.array(values, dtype=object)[at].tolist()
 
 
-def parity_share(
-    results: Sequence[ScenarioResult],
-    country: str | None = None,
-    bess_price: float | None = None,
-) -> float:
+def _price(cells: Sequence[tuple], prices: Sequence[float], econ: EconomicParams) -> tuple:
+    """Price each (PV kWp, BESS kWh, CountryData, EnergyBalance) cell at every BESS price.
+
+    Rows run cell by cell, prices within, all in one financial_results call,
+    at the country's VAT unless econ overrides it. Returns the metrics (a
+    row each of scr, ssr, lcoe, lcou, npv), the grid parity and each failed
+    row's error: financial_results', else one naming the row's first NaN or
+    infinite metric, as parse_results_csv would. Rows do not interact.
+    """
+    columns = [(kwp, kwh, c.vat_rate if econ.vat_rate is None else econ.vat_rate,
+                c.retail_price_eur_per_kwh, b.e_produced, b.scr, b.ssr) for kwp, kwh, c, b in cells]
+    kwp, bess, vat, retail, produced, scr, ssr = np.repeat(
+        np.array(columns, float).reshape(-1, 7), len(prices), axis=0).T
+    fin = financial_results(kwp, bess, np.tile(prices, len(cells)), vat, produced, scr, retail,
+                            econ)
+    metrics = np.array([scr, ssr, fin.lcoe_eur_per_kwh, fin.lcou_eur_per_kwh, fin.npv_eur])
+    finite = np.isfinite(metrics)
+    for i in np.flatnonzero(~finite.all(axis=0)).tolist():
+        name = int(finite[:, i].argmin())
+        fin.errors.setdefault(i, ValueError(
+            f"{_METRIC_COLUMNS[name]} must be finite, got {float(metrics[name, i])}"))
+    return metrics, fin.grid_parity, fin.errors
+
+
+def parity_share(results: ResultsTable | Sequence[ScenarioResult], country: str | None = None,
+                 bess_price: float | None = None) -> float:
     """Percentage of the filtered results that reach grid parity."""
-    selected = [
-        r
-        for r in results
-        if (country is None or r.scenario.country == country)
-        and (bess_price is None or r.scenario.bess_price_eur_per_kwh == bess_price)
-    ]
-    if not selected:
-        raise EmptySelectionError(
-            f"no results for country={country!r}, bess_price={bess_price!r}"
-        )
-    return 100.0 * sum(1 for r in selected if r.grid_parity) / len(selected)
+    table = _table(results)
+    wanted = {"country": country, "bess_price_eur_per_kwh": bess_price}
+    selected = table.where(**{name: value for name, value in wanted.items() if value is not None})
+    if not selected.any():
+        raise EmptySelectionError(f"no results for country={country!r}, bess_price={bess_price!r}")
+    return 100.0 * int(table.grid_parity[selected].sum()) / int(selected.sum())
 
 
 def box_stats(values: Sequence[float]) -> BoxStats:
-    """Five-number summary of the values (inclusive quartile method)."""
+    """Five-number summary of the values (inclusive quartile method); see _box_rows."""
     arr = np.sort(np.asarray(list(values), dtype=float))
     if arr.size == 0:
         raise EmptySelectionError("box_stats needs at least one value")
-    (row,) = _five_numbers(arr, np.array([0]), np.array([arr.size])).tolist()
+    (row,) = _box_rows(arr, np.array([0]), np.array([arr.size]), lambda i: "values")
     return BoxStats(*row)
 
 
@@ -510,27 +523,17 @@ def _five_numbers(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
     return stats
 
 
-def best_pv_size(
-    results: Sequence[ScenarioResult],
-    country: str,
-    prosumer_type: str,
-    ratio: float,
-    bess_price: float,
-) -> int:
+def best_pv_size(results: ResultsTable | Sequence[ScenarioResult], country: str,
+                 prosumer_type: str, ratio: float, bess_price: float) -> int:
     """PV size with the lowest LCOU; ties break toward the smaller size."""
-    selected = [
-        r
-        for r in results
-        if r.scenario.country == country
-        and r.scenario.prosumer_type == prosumer_type
-        and r.scenario.ratio_kwh_per_kwp == ratio
-        and r.scenario.bess_price_eur_per_kwh == bess_price
-    ]
-    if not selected:
+    table = _table(results)
+    selected = table.where(country=country, prosumer_type=prosumer_type,
+                           ratio_kwh_per_kwp=ratio, bess_price_eur_per_kwh=bess_price)
+    if not selected.any():
         raise EmptySelectionError(
             f"no results for {country}/{prosumer_type}/ratio {ratio}/price {bess_price}"
         )
-    return min((r.lcou, r.scenario.pv_kwp) for r in selected)[1]
+    return min(zip(table.lcou[selected].tolist(), table.pv_kwp[selected].tolist()))[1]
 
 
 def best_pv_sizes(
@@ -554,14 +557,25 @@ def _fmt_axis(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-def results_to_csv(results: Sequence[ScenarioResult]) -> str:
-    return write_rows(RESULTS_CSV_HEADER, (
-        f"{s.country},{s.prosumer_type},{s.pv_kwp},"
-        f"{_fmt_axis(s.ratio_kwh_per_kwp)},{_fmt_axis(s.bess_price_eur_per_kwh)},"
-        f"{r.scr:.6f},{r.ssr:.6f},{r.lcoe:.6f},{r.lcou:.6f},{r.npv:.6f},"
-        f"{'true' if r.grid_parity else 'false'}"
-        for r in results for s in [r.scenario]
-    ))
+#: One results CSV row, from the columns of results_to_csv.
+_RESULTS_ROW = "%s,%s,%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s"
+
+
+def results_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:
+    table = _table(results)
+    columns = (
+        table.country, table.prosumer_type, table.pv_kwp.tolist(),
+        _axis_labels(table.ratio_kwh_per_kwp), _axis_labels(table.bess_price_eur_per_kwh),
+        *(getattr(table, name).tolist() for name in _METRIC_COLUMNS),
+        np.where(table.grid_parity, "true", "false").tolist(),
+    )
+    return write_rows(RESULTS_CSV_HEADER, map(_RESULTS_ROW.__mod__, zip(*columns)))
+
+
+def _axis_labels(values: Sequence[float]) -> list[str]:
+    """_fmt_axis of each value, called once per distinct value (-0.0 apart from 0.0)."""
+    bits, at = _distinct(np.array(values, dtype=float).view(np.int64))
+    return _take([_fmt_axis(x) for x in bits.view(float).tolist()], at)
 
 
 def parse_results_csv(text: str) -> ResultsTable:
@@ -571,45 +585,27 @@ def parse_results_csv(text: str) -> ResultsTable:
     and its kWp must fit the table's int64 column.
     """
     try:
-        results = _results_columns(text)
-    except ValueError:  # a bad number
-        results = None
-    if results is None:
+        return _results_columns(text)
+    except ValueError:  # a bad number or a failed check: the row reader names its line
         reject(_results_rows, text)
-    return results
 
 
-def _results_columns(text: str) -> ResultsTable | None:
-    """The results, checked column by column; None if a check fails."""
+def _results_columns(text: str) -> ResultsTable:
+    """The results, checked column by column; raises ValueError if a check fails."""
     countries, types, kwps, ratios, prices, *metrics, parity = read_columns(
         text, RESULTS_CSV_HEADER, "results CSV"
     )
     axes = (countries, types, list(map(int, kwps)), list(map(float, ratios)),
             list(map(float, prices)))
     metrics = np.array([list(map(float, column)) for column in metrics])
-    if (not countries or not -2**63 <= min(axes[2]) <= max(axes[2]) < 2**63
-            or not _scenarios_accept(axes) or len(set(zip(*axes))) < len(countries)
-            or not np.isfinite(metrics).all() or set(parity) - {"true", "false"}):
-        return None
+    if not countries or not -2**63 <= min(axes[2]) <= max(axes[2]) < 2**63:
+        raise ValueError("no rows, or a kWp outside int64")
+    _check_axes([list(dict.fromkeys(column)) for column in axes])
+    if (len(set(zip(*axes))) < len(countries) or not np.isfinite(metrics).all()
+            or set(parity) - {"true", "false"}):
+        raise ValueError("a repeated scenario, a metric not finite or a bad grid_parity")
     return ResultsTable(*axes[:2], np.array(axes[2], np.int64), *axes[3:], *metrics,
                         np.array(parity) == "true")
-
-
-def _scenarios_accept(axes: Sequence[list]) -> bool:
-    """Whether Scenario accepts every row of the axis columns, each distinct value checked once.
-
-    Each of Scenario's rules reads one field, so every row passes exactly
-    when a few Scenarios that between them hold each distinct value of each
-    axis (the first value filling in) pass.
-    """
-    distinct = [list(dict.fromkeys(column)) for column in axes]
-    width = max(map(len, distinct))
-    try:
-        for row in zip(*(values + values[:1] * (width - len(values)) for values in distinct)):
-            Scenario(*row)
-    except ValueError:
-        return False
-    return True
 
 
 def _results_rows(text: str) -> list[ScenarioResult]:
@@ -624,11 +620,11 @@ def _results_rows(text: str) -> list[ScenarioResult]:
                 raise ValueError(f"pv_kwp must fit in 64 bits, got {axes[2]}")
             scenario = Scenario(*axes)
             metrics = [float(m) for m in metrics]
+            for name, value in zip(_METRIC_COLUMNS, metrics):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        error = _non_finite(metrics)
-        if error is not None:
-            raise ValueError(f"line {lineno}: {error}")
         if parity not in ("true", "false"):
             raise ValueError(f"line {lineno}: grid_parity must be true/false, got {parity!r}")
         if scenario.key in seen:
@@ -659,26 +655,29 @@ def _cells(columns: Sequence[Sequence], *within: np.ndarray) -> tuple:
 def box_stats_by_country_price(
     results: ResultsTable | Sequence[ScenarioResult],
 ) -> list[tuple[str, float, BoxStats]]:
-    """LCOU five-number summary per (country, BESS price), sorted.
+    """LCOU five-number summary per (country, BESS price), sorted; see _box_rows.
 
-    The table's one sort orders every result by cell, then by LCOU. Raises
-    ValueError naming the first cell of finite LCOUs whose quartiles are
-    not: two neighbours in it are further apart than a float holds.
+    The table's one sort orders every result by cell, then by LCOU.
     """
     table = _table(results)
     cells, order, starts, counts = table.by_country_price
-    ordered = table.lcou[order]
+    rows = _box_rows(table.lcou[order], starts, counts, lambda i: f"LCOUs of {cells[i][0]} "
+                     f"at BESS price {_fmt_axis(cells[i][1])}")
+    return [(*key, BoxStats(*row)) for key, row in zip(cells, rows)]
+
+
+def _box_rows(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray, name) -> list:
+    """_five_numbers of the sorted runs, as lists; raises ValueError naming, by name(i), the
+    first run i of finite values whose quartiles are not: two neighbours too far apart."""
     with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range
         stats = _five_numbers(ordered, starts, counts)
     lowest, highest = ordered[starts], ordered[starts + counts - 1]
     too_wide = ~np.isfinite(stats).all(axis=1) & np.isfinite(lowest) & np.isfinite(highest)
     if too_wide.any():
         i = int(too_wide.argmax())
-        country, price = cells[i]
-        raise ValueError(f"LCOUs of {country} at BESS price {_fmt_axis(price)} span "
-                         f"{float(lowest[i])!r} to {float(highest[i])!r}, "
+        raise ValueError(f"{name(i)} span {float(lowest[i])!r} to {float(highest[i])!r}, "
                          "too wide for float quartiles")
-    return [(*key, BoxStats(*row)) for key, row in zip(cells, stats.tolist())]
+    return stats.tolist()
 
 
 def box_stats_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:

@@ -33,7 +33,9 @@ from storparity.sweep import (
     Scenario,
     ScenarioResult,
     best_pv_sizes,
+    build_grid,
     parity_share_table,
+    run_scenario,
     run_sweep,
 )
 
@@ -374,6 +376,24 @@ class TestSweep:
         assert (out / "parity_shares.csv").read_text() == PARITY_CSV_HEADER + "\n"
         assert (out / "box_stats.csv").read_text() == BOX_CSV_HEADER + "\n"
         assert "parity share" not in capsys.readouterr().out
+
+    def test_every_failure_kind_keeps_its_stderr_lines(self, tmp_path, two_country_csv, capsys):
+        # batteries past the float range and infinite LCOEs, in grid order, each worded
+        # as the one-scenario path words it
+        out = tmp_path / "out"
+        argv = self.sweep_argv(out, two_country_csv, (
+            "--types", "A", "--ratios", "1e308,0,1,-0", "--bess-prices", "1e308,150"))
+        assert main(argv) == 1
+        data, econ = storparity.load_country_data(two_country_csv), storparity.EconomicParams()
+        expected = []
+        for scenario in build_grid(data, ["A"], [0.0, 1.0, 1e308], [150.0, 1e308]).rows():
+            try:
+                run_scenario(scenario, data[scenario.country], econ)
+            except ValueError as exc:
+                expected.append(f"  {scenario.key}: {type(exc).__name__}: {exc}")
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{len(expected)} scenario(s) failed:", *expected]
+        assert captured.out.startswith("evaluated 32 of 60 scenarios\n")
 
     @pytest.mark.parametrize("flag, value, failed", [
         ("--bess-prices", "1e308", 8), ("--discount-rate", "1e308", 16),

@@ -21,7 +21,9 @@ from storparity import (
     IncompatibleProfilesError,
     PV_RANGE_KWP,
     ProfileKind,
+    ResultsTable,
     Scenario,
+    ScenarioGrid,
     ScenarioResult,
     TimeSeriesProfile,
     ZeroEnergyError,
@@ -75,19 +77,19 @@ class TestBuildGrid:
     def test_full_grid_has_612_unique_scenarios(self):
         grid = build_grid(COUNTRIES)
         assert len(grid) == 612
-        assert len({s.key for s in grid}) == 612
+        assert len({s.key for s in grid.rows()}) == 612
 
     def test_lexicographic_order(self):
-        grid = build_grid(reversed(COUNTRIES), ratios=(2.0, 0.5, 1.0))
+        grid = build_grid(reversed(COUNTRIES), ratios=(2.0, 0.5, 1.0)).rows()
         assert grid == sorted(grid)
 
     def test_single_axis_counts(self):
         grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1.0], bess_prices=[150.0])
         assert len(grid) == 5
-        assert [s.pv_kwp for s in grid] == [1, 2, 3, 4, 5]
+        assert [s.pv_kwp for s in grid.rows()] == [1, 2, 3, 4, 5]
 
     def test_type_ranges(self):
-        grid = build_grid(["Spain"], ratios=[1.0], bess_prices=[150.0])
+        grid = build_grid(["Spain"], ratios=[1.0], bess_prices=[150.0]).rows()
         sizes = {t: [s.pv_kwp for s in grid if s.prosumer_type == t] for t in "ABC"}
         assert sizes["A"] == list(range(1, 6))
         assert sizes["B"] == list(range(3, 9))
@@ -97,7 +99,7 @@ class TestBuildGrid:
         grid = build_grid(["Cyprus", "Cyprus"], prosumer_types=["A", "A"],
                           ratios=[1.0, 1.0], bess_prices=[150.0, 150.0])
         assert len(grid) == 5
-        assert len({s.key for s in grid}) == 5
+        assert len({s.key for s in grid.rows()}) == 5
 
     def test_empty_axis_rejected(self):
         with pytest.raises(EmptyAxisError):
@@ -125,7 +127,29 @@ class TestBuildGrid:
             for price in dict.fromkeys(prices)
         ]
         grid = build_grid(countries, types, ratios, prices)
-        assert list(map(repr, grid)) == list(map(repr, sorted(product)))
+        assert len(grid) == len(product)
+        assert list(map(repr, grid.rows())) == list(map(repr, sorted(product)))
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from(["Spain", "Cyprus", "Italy"]), min_size=1, max_size=5),
+        st.lists(st.sampled_from("CBA"), min_size=1, max_size=5),
+        *[st.lists(st.sampled_from([0.0, -0.0, 2.5, 0.5, 1e308]), min_size=1, max_size=6)] * 2,
+    )
+    def test_rows_are_the_sorted_product_of_the_raw_axes(self, countries, types, ratios, prices):
+        # unsorted axes with repeats; of equal scenarios the product's first is kept
+        product = dict.fromkeys(
+            Scenario(country, ptype, kwp, ratio, price)
+            for country, ptype, ratio, price in itertools.product(countries, types, ratios, prices)
+            for kwp in sweep_module.pv_sizes_for_type(ptype)
+        )
+        grid = build_grid(countries, types, ratios, prices)
+        assert list(map(repr, grid.rows())) == list(map(repr, sorted(product)))
+        assert len(grid) == len(product) == math.prod(grid.shape)
+        assert [repr(grid.row(i)) for i in (0, len(grid) - 1)] == [
+            repr(min(product)), repr(max(product))]
+        assert grid.ratios == sorted(dict.fromkeys(ratios)) and grid.countries == sorted(
+            set(countries))
 
 
 class TestScenario:
@@ -243,7 +267,7 @@ class TestProfileSource:
         hourly_pv = synthesize_pv_profile(1.0, 1000.0)
         quarter = TimeSeriesProfile(0.25, np.tile([0.2, 0.4, 0.6, 0.8], 8760), ProfileKind.LOAD)
         quarter_pv = TimeSeriesProfile(0.25, quarter.values, ProfileKind.PV)
-        grid = build_grid(["Cyprus", "Spain"], ratios=[1.0], bess_prices=[150.0])
+        grid = build_grid(["Cyprus", "Spain"], ratios=[1.0], bess_prices=[150.0]).rows()
         for load, pv in ((quarter, hourly_pv), (None, quarter_pv), (quarter, None)):
             for rescale in (True, False):
                 source = ProfileSource(load=load, pv=pv, rescale=rescale)
@@ -266,11 +290,12 @@ class TestRunSweep:
         assert len({r.scenario.key for r in results}) == 612
 
     def test_empty_grid(self, country_data, default_econ):
-        assert run_sweep([], country_data, default_econ) == []
+        empty = run_sweep(ScenarioGrid([], [], [], []), country_data, default_econ)
+        assert len(empty) == 0 and empty.rows() == []
 
     def test_rerun_is_identical(self, full_sweep, country_data, default_econ):
-        grid, results, _ = full_sweep
-        again = run_sweep(grid, country_data, default_econ)
+        _, results, _ = full_sweep
+        again = run_sweep(build_grid(list(country_data)), country_data, default_econ)
         assert results_to_csv(again) == results_to_csv(results)
 
     def test_parallel_matches_serial(self, country_data, default_econ):
@@ -322,7 +347,7 @@ class TestRunSweep:
         "name, evaluate",
         [
             # simulate is the one-scenario path; the sweep dispatches through the kernel
-            ("simulate", lambda grid, data, econ: run_scenario(grid[0], data["Cyprus"], econ)),
+            ("simulate", lambda grid, data, econ: run_scenario(grid.row(0), data["Cyprus"], econ)),
             ("simulate_balances", run_sweep),
         ],
         ids=["simulate", "simulate_balances"],
@@ -342,7 +367,7 @@ class TestRunSweep:
         grid = build_grid(["Cyprus", "Ruritania"], prosumer_types=["A"],
                           ratios=[1.0], bess_prices=[150.0])
         failures = []
-        results = run_sweep(grid, country_data, default_econ, failures=failures)
+        results = run_sweep(grid, country_data, default_econ, failures=failures).rows()
         assert len(results) == 5
         assert all(r.scenario.country == "Cyprus" for r in results)
         assert len(failures) == 5
@@ -358,7 +383,7 @@ class TestRunSweep:
     ):
         # every batched dispatch of the default grid against simulate's trace path
         firsts = {}
-        for scenario in build_grid(list(country_data)):
+        for scenario in build_grid(list(country_data)).rows():
             firsts.setdefault(scenario.key[:4], scenario)  # all but the BESS price
         assert len(firsts) == 306
         batched = sweep_module._dispatch_keys(
@@ -376,13 +401,14 @@ class TestRunSweep:
     def test_batch_pricing_matches_one_scenario_path_bit_for_bit(
         self, country_data, default_econ, axes
     ):
-        grid = build_grid(list(country_data), **axes)
+        grid = build_grid(list(country_data), **axes).rows()
         firsts = {}
         for scenario in grid:
             firsts.setdefault(scenario.key[:4], scenario)  # all but the BESS price
         balances = dict(zip(firsts, sweep_module._dispatch_keys(
             ProfileSource(), {}, country_data, list(firsts.values()))))
-        results = run_sweep(grid, country_data, default_econ)
+        results = run_sweep(build_grid(list(country_data), **axes), country_data,
+                            default_econ).rows()
         assert len(results) == len(grid) in (612, 2160)
         for scenario, result in zip(grid, results):
             data, balance = country_data[scenario.country], balances[scenario.key[:4]]
@@ -393,9 +419,10 @@ class TestRunSweep:
             alone = ScenarioResult(scenario, balance.scr, balance.ssr, fin.lcoe_eur_per_kwh,
                                    fin.lcou_eur_per_kwh, fin.npv_eur, fin.grid_parity)
             assert repr(result) == repr(alone)  # repr keeps every bit of a float
-            # the same balance priced in a batch of one row
-            (one,) = sweep_module._price_results([(scenario, data, balance)], default_econ)
-            assert repr(one) == repr(alone)
+        # the one-scenario path prices its row through the same columns
+        for scenario, result in list(zip(grid, results))[::37]:
+            assert repr(run_scenario(scenario, country_data[scenario.country],
+                                     default_econ)) == repr(result)
 
     def test_pricing_failures_stay_per_scenario(self, country_data, default_econ):
         hour = np.arange(8760) % 24
@@ -404,13 +431,15 @@ class TestRunSweep:
         zero_pv = TimeSeriesProfile(1.0, np.zeros(8760), ProfileKind.PV)
         grid = build_grid(["Cyprus", "Ruritania", "Spain"], prosumer_types=["A"],
                           ratios=[0.0, 1.0], bess_prices=[150.0])
+        scenarios = grid.rows()
         # night_pv runs only while there is no load: without a battery nothing is self-consumed
         for pv, failing in ((night_pv, "ZeroSelfConsumptionError"), (zero_pv, "ZeroEnergyError")):
             source = ProfileSource(load=load, pv=pv, rescale=False)
             failures = []
-            results = run_sweep(grid, country_data, default_econ, source, failures=failures)
+            results = run_sweep(grid, country_data, default_econ, source,
+                                failures=failures).rows()
             expected_results, expected_failures = [], []
-            for scenario in grid:
+            for scenario in scenarios:
                 if scenario.country not in country_data:
                     message = f"KeyError: country {scenario.country!r} not in data"
                     expected_failures.append((scenario, message))
@@ -430,11 +459,44 @@ class TestRunSweep:
         source = ProfileSource(load=load, pv=tiny_pv, rescale=False)
         steep = EconomicParams(discount_rate=1.5)
         failures = []
-        assert run_sweep(grid, country_data, steep, source, failures=failures) == []
+        assert run_sweep(grid, country_data, steep, source, failures=failures).rows() == []
         assert [m for s, m in failures if s.country != "Ruritania"] == [
             "ZeroEnergyError: no energy produced over the horizon"] * 20
         with pytest.raises(ZeroEnergyError, match="^no energy produced over the horizon$"):
-            run_scenario(grid[0], country_data["Cyprus"], steep, source)
+            run_scenario(scenarios[0], country_data["Cyprus"], steep, source)
+
+    def test_every_failure_kind_matches_the_row_path(self, country_data, default_econ, caplog):
+        # an unknown country; batteries of kWp x 1e308 past the float range; and at a
+        # BESS price of 1e308 an infinite LCOE, but for the batteries of 0 kWh
+        grid = build_grid(["Spain", "Ruritania", "Cyprus"], ["A"], [1e308, 0.0, 1.0],
+                          [1e308, 150.0])
+        failures = []
+        results = run_sweep(grid, country_data, default_econ, failures=failures).rows()
+        expected_results, expected_failures = [], []
+        for scenario in grid.rows():
+            if scenario.country not in country_data:
+                message = f"KeyError: country {scenario.country!r} not in data"
+                expected_failures.append((scenario, message))
+                continue
+            try:
+                expected_results.append(
+                    run_scenario(scenario, country_data[scenario.country], default_econ))
+            except ValueError as exc:
+                expected_failures.append((scenario, f"{type(exc).__name__}: {exc}"))
+        assert [repr(r) for r in results] == [repr(r) for r in expected_results]
+        assert [(repr(s), m) for s, m in failures] == [
+            (repr(s), m) for s, m in expected_failures]
+        assert {m for _, m in failures} == {
+            "KeyError: country 'Ruritania' not in data",
+            "ValueError: capacity_kwh must be finite, got inf",
+            "ValueError: lcoe must be finite, got inf",
+        }
+        # per country: ratio 0 at both prices, ratio 1 at 150 EUR/kWh, and 1 kWh at 1e308
+        assert len(results) == 2 * (5 * 2 + 5 + 1)
+        # without a list, the same failures go to the log, in the same order
+        run_sweep(grid, country_data, default_econ)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"scenario {s.key} failed: {m}" for s, m in failures]
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_key_failures_stay_per_key(self, country_data, default_econ, parallel):
@@ -442,11 +504,11 @@ class TestRunSweep:
         grid = build_grid(["Cyprus", "Spain"], prosumer_types=["A"], ratios=[0.5, 1.0])
         failures = []
         results = run_sweep(grid, country_data, default_econ, source,
-                            parallel=parallel, failures=failures)
+                            parallel=parallel, failures=failures).rows()
         failed = [s for s, _ in failures]
-        assert failed == [s for s in grid if s.pv_kwp == 2] and len(failed) == 8
+        assert failed == [s for s in grid.rows() if s.pv_kwp == 2] and len(failed) == 8
         assert all(message == "ValueError: no PV year for 2 kWp" for _, message in failures)
-        assert [r.scenario for r in results] == [s for s in grid if s.pv_kwp != 2]
+        assert [r.scenario for r in results] == [s for s in grid.rows() if s.pv_kwp != 2]
         for r in results:  # the batch agrees exactly with the one-scenario path
             data = country_data[r.scenario.country]
             assert r == run_scenario(r.scenario, data, default_econ, source)
@@ -510,6 +572,16 @@ class TestBoxStats:
     def test_empty_rejected(self):
         with pytest.raises(EmptySelectionError):
             box_stats([])
+
+    @pytest.mark.parametrize("values", [[1e308, -1e308], [1e308, -1e308, -1e308]])
+    def test_values_further_apart_than_a_float_holds_name_their_span(self, values):
+        # one cell of box_stats_by_country_price: no RuntimeWarning, the same error
+        with pytest.raises(ValueError, match=r"^values span -1e\+308 to 1e\+308, "
+                                             "too wide for float quartiles$"):
+            box_stats(values)
+        results = [_mk_result("Cyprus", "A", kwp, 1.0, 150.0, v) for kwp, v in enumerate(values, 1)]
+        with pytest.raises(ValueError, match=r"^LCOUs of Cyprus at BESS price 150 span -1e\+308 "):
+            box_stats_by_country_price(results)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_by_country_price_matches_per_cell_filter(self, seed):
@@ -674,6 +746,36 @@ class TestBestPvSize:
         assert best_pv_sizes(results) == expected
 
 
+class TestTableAndRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_table_and_its_rows_give_equal_answers(self, seed, country_data, default_econ):
+        if seed:
+            table = ResultsTable.from_results(_random_results(seed))
+        else:  # a sweep's own table
+            grid = build_grid(["Cyprus", "France"], ["A", "B"], [1.0, 0.0], [500.0, 150.0])
+            table = run_sweep(grid, country_data, default_econ)
+        rows = table.rows()
+
+        def outcome(f, *args):
+            try:
+                return repr(f(*args))
+            except EmptySelectionError as exc:
+                return str(exc)
+
+        cells = _cells(rows, "country", "prosumer_type", "ratio_kwh_per_kwp",
+                       "bess_price_eur_per_kwh")
+        for country, ptype, ratio, price in [*cells, ("Atlantis", "A", 1.0, 150.0)]:
+            for args in ((), (country,), (country, price), (None, price)):
+                assert outcome(parity_share, table, *args) == outcome(parity_share, rows, *args)
+            cell = (country, ptype, ratio, price)
+            assert outcome(best_pv_size, table, *cell) == outcome(best_pv_size, rows, *cell)
+            lcous = [r.lcou for r in rows if r.scenario.country == country
+                     and r.scenario.bess_price_eur_per_kwh == price]
+            selected = table.lcou[table.where(country=country, bess_price_eur_per_kwh=price)]
+            assert outcome(box_stats, selected) == outcome(box_stats, lcous)
+        assert results_to_csv(table) == results_to_csv(rows)
+
+
 class TestSummaryCells:
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
     def test_signed_zero_prices_share_a_cell_named_by_the_first_seen(self, first, second):
@@ -763,11 +865,11 @@ class TestResultsCsv:
             st.tuples(metric, metric, metric, metric, metric, st.booleans()),
             min_size=len(grid), max_size=len(grid),
         ))
-        text = results_to_csv([ScenarioResult(s, *row) for s, row in zip(grid, rows)])
+        text = results_to_csv([ScenarioResult(s, *row) for s, row in zip(grid.rows(), rows)])
         mangled = "\ufeff" + text.replace("\n", "\r\n\r\n")
         for parsed in (parse_results_csv(text).rows(), parse_results_csv(mangled).rows()):
             assert results_to_csv(parsed) == text
-            assert [r.scenario for r in parsed] == grid  # the axes read back losslessly
+            assert [r.scenario for r in parsed] == grid.rows()  # the axes read back losslessly
 
     def test_bom_and_blank_lines_ignored_and_errors_name_the_physical_line(self):
         row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
@@ -782,8 +884,7 @@ class TestResultsCsv:
     def test_column_checks_agree_with_the_row_reader(self, data):
         text = data.draw(results_documents())
         try:
-            table = sweep_module._results_columns(text)
-            columns = None if table is None else table.rows()
+            columns = sweep_module._results_columns(text).rows()
         except ValueError:
             columns = None
         try:
@@ -848,7 +949,7 @@ class TestResultsCsv:
         grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1 / 3], bess_prices=prices)
         results = run_sweep(grid, country_data, default_econ)
         parsed = parse_results_csv(results_to_csv(results)).rows()
-        assert [r.scenario for r in parsed] == [r.scenario for r in results]
+        assert [r.scenario for r in parsed] == [r.scenario for r in results.rows()]
         lines = parity_shares_to_csv(results).strip().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["123.4567", "123.4568", "pooled"]
         assert [line.split(",")[4] for line in lines] == ["5", "5", "10"]
