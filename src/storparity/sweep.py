@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -108,7 +109,13 @@ class Scenario:
 
     @property
     def key(self) -> tuple:
-        return tuple(getattr(self, name) for name in _AXIS_COLUMNS)
+        return (
+            self.country,
+            self.prosumer_type,
+            self.pv_kwp,
+            self.ratio_kwh_per_kwp,
+            self.bess_price_eur_per_kwh,
+        )
 
     def in_standard_range(self) -> bool:
         lo, hi = PV_RANGE_KWP[self.prosumer_type]
@@ -166,11 +173,16 @@ class ResultsTable:
     @classmethod
     def from_results(cls, results: Sequence[ScenarioResult]) -> ResultsTable:
         """The table of any ScenarioResults, in their order."""
+        n = len(results)
+        scenarios = list(map(attrgetter("scenario"), results))
         country, ptype, kwp, ratio, price = (
-            [getattr(r.scenario, name) for r in results] for name in _AXIS_COLUMNS)
-        metrics = (np.array([getattr(r, name) for r in results], float) for name in _METRIC_COLUMNS)
-        return cls(country, ptype, np.array(kwp, np.int64), ratio, price, *metrics,
-                   np.array([r.grid_parity for r in results], bool))
+            list(map(attrgetter(name), scenarios)) for name in _AXIS_COLUMNS
+        )
+        return cls(
+            country, ptype, np.fromiter(kwp, np.int64, n), ratio, price,
+            *(np.fromiter(map(attrgetter(name), results), float, n) for name in _METRIC_COLUMNS),
+            np.fromiter(map(attrgetter("grid_parity"), results), bool, n),
+        )
 
     def rows(self) -> list[ScenarioResult]:
         """The results as ScenarioResults, in row order."""
@@ -193,17 +205,30 @@ def _table(results: ResultsTable | Sequence[ScenarioResult]) -> ResultsTable:
 
 
 class ScenarioGrid:
-    """The product of the sweep's axes: build_grid's scenarios, as axes.
+    """The Cartesian product of the axes with per-type PV sizes, as axes.
 
-    systems are the (prosumer type, PV size) pairs of the types' ranges. The
-    rows nest country, system, ratio and BESS price, outermost first.
+    Duplicate axis entries are dropped, the first of equal values (0.0 and
+    -0.0) kept, and each axis is sorted. systems are the (prosumer type, PV
+    size) pairs of the types' ranges. The rows nest country, system, ratio
+    and BESS price, outermost first, so they are in lexicographic order of
+    the scenario key. Each axis value is checked once: see _check_axes.
     """
 
     __slots__ = ("countries", "prosumer_types", "ratios", "bess_prices", "systems", "shape")
 
     def __init__(self, countries, prosumer_types, ratios, bess_prices) -> None:
-        self.countries, self.prosumer_types = list(countries), list(prosumer_types)
-        self.ratios, self.bess_prices = list(ratios), list(bess_prices)
+        axes = {
+            "countries": sorted(dict.fromkeys(countries)),
+            "prosumer_types": sorted(dict.fromkeys(prosumer_types)),
+            "ratios": sorted(map(float, dict.fromkeys(ratios))),
+            "bess_prices": sorted(map(float, dict.fromkeys(bess_prices))),
+        }
+        for name, values in axes.items():
+            if not values:
+                raise EmptyAxisError(f"axis {name} is empty")
+            setattr(self, name, values)
+        # every PV size passes, as 1 does
+        _check_axes([self.countries, self.prosumer_types, [1], self.ratios, self.bess_prices])
         self.systems = [(t, kwp) for t in self.prosumer_types for kwp in pv_sizes_for_type(t)]
         self.shape = (len(self.countries), len(self.systems), len(self.ratios),
                       len(self.bess_prices))
@@ -222,28 +247,14 @@ class ScenarioGrid:
         return list(map(self.row, range(len(self))))
 
 
-def build_grid(countries: Iterable[str], prosumer_types: Iterable[str] = PROSUMER_TYPES,
-               ratios: Iterable[float] = DEFAULT_RATIOS,
-               bess_prices: Iterable[float] = DEFAULT_BESS_PRICES) -> ScenarioGrid:
-    """Cartesian product of the axes with per-type PV sizes, sorted.
-
-    Duplicate axis entries are dropped, the first of equal values (0.0 and
-    -0.0) kept. Each axis is sorted and the loops nest in key order, so the
-    rows are in lexicographic order of the scenario key. Each axis value is
-    checked once: see _check_axes.
-    """
-    axes = {
-        "countries": sorted(dict.fromkeys(countries)),
-        "prosumer_types": sorted(dict.fromkeys(prosumer_types)),
-        "ratios": sorted(map(float, dict.fromkeys(ratios))),
-        "bess_prices": sorted(map(float, dict.fromkeys(bess_prices))),
-    }
-    for name, values in axes.items():
-        if not values:
-            raise EmptyAxisError(f"axis {name} is empty")
-    countries, types, ratios, prices = axes.values()
-    _check_axes([countries, types, [1], ratios, prices])  # every PV size passes, as 1 does
-    return ScenarioGrid(countries, types, ratios, prices)
+def build_grid(
+    countries: Iterable[str],
+    prosumer_types: Iterable[str] = PROSUMER_TYPES,
+    ratios: Iterable[float] = DEFAULT_RATIOS,
+    bess_prices: Iterable[float] = DEFAULT_BESS_PRICES,
+) -> ScenarioGrid:
+    """Cartesian product of the axes with per-type PV sizes, sorted: see ScenarioGrid."""
+    return ScenarioGrid(countries, prosumer_types, ratios, bess_prices)
 
 
 def _check_axes(axes: Sequence[list]) -> None:
@@ -373,9 +384,16 @@ def _dispatch_keys(
     return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 
-def run_sweep(grid: ScenarioGrid, data: Mapping[str, CountryData], econ: EconomicParams,
-              source: ProfileSource | None = None, *, battery_kwargs: Mapping | None = None,
-              parallel: int | None = None, failures: list | None = None) -> ResultsTable:
+def run_sweep(
+    grid: ScenarioGrid,
+    data: Mapping[str, CountryData],
+    econ: EconomicParams,
+    source: ProfileSource | None = None,
+    *,
+    battery_kwargs: Mapping | None = None,
+    parallel: int | None = None,
+    failures: list | None = None,
+) -> ResultsTable:
     """Evaluate every scenario of the grid: the results table, in grid order.
 
     The BESS price only enters the finance, so each cell of the other axes
@@ -479,8 +497,11 @@ def _price(cells: Sequence[tuple], prices: Sequence[float], econ: EconomicParams
     return metrics, fin.grid_parity, fin.errors
 
 
-def parity_share(results: ResultsTable | Sequence[ScenarioResult], country: str | None = None,
-                 bess_price: float | None = None) -> float:
+def parity_share(
+    results: ResultsTable | Sequence[ScenarioResult],
+    country: str | None = None,
+    bess_price: float | None = None,
+) -> float:
     """Percentage of the filtered results that reach grid parity."""
     table = _table(results)
     wanted = {"country": country, "bess_price_eur_per_kwh": bess_price}
@@ -523,8 +544,13 @@ def _five_numbers(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
     return stats
 
 
-def best_pv_size(results: ResultsTable | Sequence[ScenarioResult], country: str,
-                 prosumer_type: str, ratio: float, bess_price: float) -> int:
+def best_pv_size(
+    results: ResultsTable | Sequence[ScenarioResult],
+    country: str,
+    prosumer_type: str,
+    ratio: float,
+    bess_price: float,
+) -> int:
     """PV size with the lowest LCOU; ties break toward the smaller size."""
     table = _table(results)
     selected = table.where(country=country, prosumer_type=prosumer_type,

@@ -106,6 +106,8 @@ class TestBuildGrid:
             build_grid([])
         with pytest.raises(EmptyAxisError):
             build_grid(["Cyprus"], ratios=[])
+        with pytest.raises(EmptyAxisError, match="bess_prices"):
+            ScenarioGrid(["Cyprus"], ["A"], [1.0], [])
 
     @settings(deadline=None)
     @given(
@@ -145,6 +147,9 @@ class TestBuildGrid:
         )
         grid = build_grid(countries, types, ratios, prices)
         assert list(map(repr, grid.rows())) == list(map(repr, sorted(product)))
+        # the constructor is build_grid without its defaults: every grid is sorted
+        made = ScenarioGrid(countries, types, ratios, prices)
+        assert list(map(repr, made.rows())) == list(map(repr, sorted(product)))
         assert len(grid) == len(product) == math.prod(grid.shape)
         assert [repr(grid.row(i)) for i in (0, len(grid) - 1)] == [
             repr(min(product)), repr(max(product))]
@@ -169,6 +174,9 @@ class TestScenario:
             Scenario("Cyprus", "A", 0, 1.0, 150.0)
         with pytest.raises(ValueError):
             Scenario("Cyprus", "A", 3, -1.0, 150.0)
+        # so is a grid that would hold one, when it is made
+        with pytest.raises(ValueError, match="ratio_kwh_per_kwp must be >= 0, got -1.0"):
+            ScenarioGrid(["Cyprus"], ["A"], [1.0, -1.0], [150.0])
 
 
 CYPRUS_A3 = {"country": "Cyprus", "prosumer_type": "A", "pv_kwp": 3}
@@ -290,8 +298,12 @@ class TestRunSweep:
         assert len({r.scenario.key for r in results}) == 612
 
     def test_empty_grid(self, country_data, default_econ):
-        empty = run_sweep(ScenarioGrid([], [], [], []), country_data, default_econ)
-        assert len(empty) == 0 and empty.rows() == []
+        # a grid has a value on every axis; a sweep that prices no row returns an empty table
+        failures = []
+        empty = run_sweep(build_grid(["Ruritania"], ["A"], [1.0], [150.0]), country_data,
+                          default_econ, failures=failures)
+        assert len(empty) == 0 and empty.rows() == [] and len(failures) == 5
+        assert results_to_csv(empty) == results_to_csv([])
 
     def test_rerun_is_identical(self, full_sweep, country_data, default_econ):
         _, results, _ = full_sweep
@@ -419,6 +431,12 @@ class TestRunSweep:
             alone = ScenarioResult(scenario, balance.scr, balance.ssr, fin.lcoe_eur_per_kwh,
                                    fin.lcou_eur_per_kwh, fin.npv_eur, fin.grid_parity)
             assert repr(result) == repr(alone)  # repr keeps every bit of a float
+            # the same balance priced in a batch of one row
+            metrics, parity, errors = sweep_module._price(
+                [(scenario.pv_kwp, scenario.bess_kwh, data, balance)],
+                [scenario.bess_price_eur_per_kwh], default_econ)
+            one = ScenarioResult(scenario, *metrics[:, 0].tolist(), bool(parity[0]))
+            assert not errors and repr(one) == repr(alone)
         # the one-scenario path prices its row through the same columns
         for scenario, result in list(zip(grid, results))[::37]:
             assert repr(run_scenario(scenario, country_data[scenario.country],
