@@ -24,6 +24,7 @@ from .dispatch import (
 from .errors import (
     EmptyAxisError,
     EmptySelectionError,
+    EnergyBooksError,
     IncompatibleProfilesError,
     InvalidShapeError,
     MalformedRowError,

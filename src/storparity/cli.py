@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage or
 configuration errors, an input file that cannot be read or an output that
-cannot be written; main prints those as one ``error:`` line. Every run
+cannot be written; main prints those as one ``error:`` line, and a
+dispatch whose energy books do not balance, a bug, as one ``internal
+error:`` line with exit 1. Every run
 writes a ``run-manifest.json`` echoing all parameters actually used, so
 results are reproducible byte for byte from the same configuration.
 """
@@ -25,6 +27,7 @@ from . import __version__
 # Names imported below that cli itself does not call stay importable from
 # it: the benchmark's span recorder (perfbench/spans.py) wraps them here.
 from .dispatch import BatterySpec, annual_balance, simulate, write_trace_csv
+from .errors import EnergyBooksError
 from .finance import CountryData, EconomicParams, load_country_data
 from .profiles import (
     ProfileKind,
@@ -97,9 +100,22 @@ def _list_of(check):
 #: A setting's type: its name, its flag-text parser and its JSON value check.
 Kind = namedtuple("Kind", "label parse from_json")
 
+
+def _path(text: str) -> Path:
+    """text as a Path; "" is a ValueError, not the working directory Path makes of it."""
+    if not text:
+        raise ValueError("an empty path")
+    return Path(text)
+
+
+def _a(label: str) -> str:
+    """label after its indefinite article."""
+    return f"{'an' if label[0] in 'aeiou' else 'a'} {label}"
+
+
 NUMBER = Kind("number", float, _of_type(int, float))
 INTEGER = Kind("integer", int, _of_type(int))
-PATH = Kind("path string", Path, lambda value: Path(_of_type(str)(value)))
+PATH = Kind("non-empty path string", _path, lambda value: _path(_of_type(str)(value)))
 NAMES = Kind("list of strings", _items, _list_of(_of_type(str)))
 NUMBERS = Kind("list of numbers", number_list, _list_of(lambda v: float(_of_type(int, float)(v))))
 
@@ -165,6 +181,22 @@ class RunConfig:
     out_dir: Path
 
 
+def _path_arg(name: str):
+    """The argparse type of the path flag or argument name.
+
+    A bad path is a ConfigError, which argparse lets through, unlike a
+    ValueError: main prints it in one line, as it does a bad config key.
+    """
+
+    def parse(text: str) -> Path:
+        try:
+            return PATH.parse(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be {_a(PATH.label)}, got {text!r}") from None
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storparity",
@@ -179,11 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
         "report": sub.add_parser("report", help="summarize a results CSV"),
     }
     for name, command in commands.items():
-        command.add_argument("--config", type=Path, help="flat JSON config file; flags win over it")
-        command.add_argument("--out", type=Path, help="output directory (default: .)")
+        command.add_argument("--config", type=_path_arg("--config"),
+                             help="flat JSON config file; flags win over it")
+        command.add_argument("--out", type=_path_arg("--out"),
+                             help="output directory (default: .)")
         for opt in OPTIONS.values():
             if opt.flag is not None and name in opt.commands:
-                command.add_argument(opt.flag, dest=opt.key, type=opt.kind.parse, help=opt.help)
+                parse = _path_arg(opt.flag) if opt.kind is PATH else opt.kind.parse
+                command.add_argument(opt.flag, dest=opt.key, type=parse, help=opt.help)
 
     p_sim = commands["simulate"]
     p_sim.add_argument("--country", required=True)
@@ -196,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept PV sizes outside the standard per-type range",
     )
-    p_sim.add_argument("--trace", type=Path, help="also write the dispatch trace CSV here")
-    commands["report"].add_argument("results_csv", type=Path)
+    p_sim.add_argument("--trace", type=_path_arg("--trace"),
+                       help="also write the dispatch trace CSV here")
+    commands["report"].add_argument("results_csv", type=_path_arg("results_csv"))
     return parser
 
 
@@ -257,7 +293,7 @@ def _load_config_file(path: Path) -> dict:
             config[key] = kind.from_json(value)
         except ValueError:
             raise ConfigError(
-                f"config key {key} in {path} must be a {kind.label}, got {value!r}"
+                f"config key {key} in {path} must be {_a(kind.label)}, got {value!r}"
             ) from None
     return config
 
@@ -567,16 +603,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {"simulate": cmd_simulate, "sweep": cmd_sweep, "report": cmd_report}
     try:
+        args = parser.parse_args(argv)  # raises ConfigError for an empty path
         return handlers[args.command](args)
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EnergyBooksError as exc:  # a bug: no result is written
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

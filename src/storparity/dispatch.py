@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    EnergyBooksError,
     NegativePowerError,
     UnalignedProfilesError,
     ZeroProductionError,
@@ -359,7 +360,10 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     every config side by side, each from soc_min, with simulate_series' rule
     and floating-point operations, one numpy call per operation. It keeps,
     per run and config, the SOC at the run's end and the sums of the four
-    flows. Pass 2 walks each config's runs in time order with the true SOC.
+    flows. Then every chunk whose predecessor pass 1 ended off soc_min has
+    its first run stepped again from that end, all in one batch; where that
+    run ends where pass 1 ended it, bit for bit, its sums and its start are
+    kept. Pass 2 walks each config's runs in time order with the true SOC.
     A run that started from it bit for bit is exact, and so is the rest of
     its chunk; any other run is stepped again from the true SOC, all walking
     configs side by side. The run sums are then added in order.
@@ -444,8 +448,25 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
     end_soc = end_soc.reshape(chunks * length, k)
     run_sums = run_sums.reshape(chunks * length, 4, k)[:runs_total]
 
+    # the batched repair: where pass 1 ended a chunk off soc_min, step the next
+    # chunk's first run again from there, all such columns at once; keep it where
+    # it ends where pass 1 ended that run, so the rest of the chunk holds from it
+    started = np.tile(soc_min, (chunks, 1))  # per chunk and config: its first run's start
+    guess = end_soc[length - 1::length][:-1]  # pass 1's end of chunks 0 .. C-2
+    chunk, key = np.nonzero(guess.view(np.int64) != soc_min.view(np.int64))
+    if chunk.size:
+        first = (chunk + 1) * length
+        runs, window = _distinct(first)
+        soc = guess[chunk, key]
+        # a buffer of its own: every flow stays C-contiguous (numpy 2.4's
+        # negative writes wrong values into a strided (steps, 1) view)
+        sums = step(runs, columns(key, window), soc, np.empty((4, _SUB, chunk.size)))
+        kept = soc.view(np.int64) == end_soc[first, key].view(np.int64)
+        started[chunk[kept] + 1, key[kept]] = guess[chunk[kept], key[kept]]
+        run_sums[first[kept], :, key[kept]] = sums.T[kept]
+
     # pass 2: walk each config's runs from chunk 1 on with the true SOC;
-    # pass 1 started a chunk's first run at soc_min and each other where the last ended
+    # a chunk's first run started at its entry in started, each other run where the last ended
     at_run = np.full(k, length)  # per config: the next run to check
     soc = end_soc[length - 1].copy()
     while True:
@@ -453,8 +474,9 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         while True:  # skip every run that started from the true SOC, and the rest of its chunk
             walking = walking[at_run[walking] < runs_total]
             run = at_run[walking]
-            started = np.where(run % length == 0, soc_min[walking], end_soc[run - 1, walking])
-            exact = soc[walking].view(np.int64) == started.view(np.int64)
+            began = np.where(run % length == 0, started[run // length, walking],
+                             end_soc[run - 1, walking])
+            exact = soc[walking].view(np.int64) == began.view(np.int64)
             if not exact.any():
                 break
             done = walking[exact]
@@ -472,19 +494,56 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         soc[walking] = walked
         at_run[walking] += 1
 
-    totals = (_in_order(run_sums) * dt).T.tolist()
+    totals = _in_order(run_sums) * dt  # (4, k)
+    produced = np.array([row.sum() * dt for row in pv_rows])[pv_index]
+    consumed = np.array([row.sum() * dt for row in load_rows])[load_index]
+    pairs: dict[tuple[int, int], float] = {}
+    for p, l, _ in configs:
+        if (p, l) not in pairs:
+            pairs[p, l] = np.minimum(pv_rows[p], load_rows[l]).sum() * dt
+    direct = np.array([pairs[p, l] for p, l, _ in configs])
+    _check_books(totals, produced, consumed, direct, params)
+    return [
+        EnergyBalance(e_produced, e_direct, charged, discharged, imported, curtailed, e_consumed)
+        for e_produced, e_direct, charged, discharged, curtailed, imported, e_consumed
+        in zip(produced.tolist(), direct.tolist(), *totals.tolist(), consumed.tolist())
+    ]
 
-    produced = [float(row.sum() * dt) for row in pv_rows]
-    consumed = [float(row.sum() * dt) for row in load_rows]
-    direct: dict[tuple[int, int], float] = {}
-    balances = []
-    for (p, l, _), (charged, discharged, curtailed, imported) in zip(configs, totals):
-        if (p, l) not in direct:
-            direct[p, l] = float(np.minimum(pv_rows[p], load_rows[l]).sum() * dt)
-        balances.append(EnergyBalance(
-            produced[p], direct[p, l], charged, discharged, imported, curtailed, consumed[l]
-        ))
-    return balances
+
+def _check_books(totals, produced, consumed, direct, params) -> None:
+    """Raise EnergyBooksError, naming the first config whose annual energies do not add up.
+
+    totals holds the configs' charged, delivered, curtailed and imported
+    energies, (4, configs); produced, consumed and direct hold one value per
+    config, and params is _chunked_balances' (capacity, soc_min, eta_c and
+    eta_d first). What the PV gave and what the load took must each be
+    matched by its flows within 1e-9 of the larger of the two, and the
+    energy left stored, eta_c * charged - delivered / eta_d, must lie within
+    the usable capacity, give or take 1e-9 of the capacity: the SOC, which
+    is rounded at that size, may sit far above a small usable part. Each
+    bound also allows the smallest normal float, the rounding of subnormal
+    sizes. A year whose energy overflows a float is not checked.
+    """
+    charged, delivered, curtailed, imported = totals
+    cap, soc_min, eta_c, eta_d = params[:4]
+    scale = np.maximum(produced, consumed)
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):  # inf - inf in an overflowed year
+        pv_side = np.abs(produced - direct - charged - curtailed)
+        load_side = np.abs(consumed - direct - delivered - imported)
+        stored = eta_c * charged - delivered / eta_d
+        usable, slack = cap - soc_min, 1e-9 * cap + tiny
+        kept = ((pv_side <= 1e-9 * scale + tiny) & (load_side <= 1e-9 * scale + tiny)
+                & (stored >= -slack) & (stored <= usable + slack))
+    bad = np.flatnonzero(~kept & np.isfinite(scale))
+    if bad.size:
+        i = int(bad[0])
+        raise EnergyBooksError(
+            f"energy books of dispatch config {i} do not balance: residuals {pv_side[i]:.3g} "
+            f"kWh (PV side) and {load_side[i]:.3g} kWh (load side) in a year of "
+            f"{scale[i]:.6g} kWh, {stored[i]:.6g} kWh left stored of {usable[i]:.6g} kWh usable",
+            i,
+        )
 
 
 def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:

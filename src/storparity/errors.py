@@ -37,6 +37,21 @@ def _is_real(cls: type) -> bool:
     return issubclass(cls, Real)
 
 
+class EnergyBooksError(RuntimeError):
+    """A dispatch whose annual energies do not add up: a bug, never bad input.
+
+    Not a ValueError, so no sweep takes it for one scenario's failure. config
+    is the position of the config that failed among those of its batch.
+    """
+
+    def __init__(self, message: str, config: int) -> None:
+        super().__init__(message, config)  # both, so a pool worker's error unpickles
+        self.config = config
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 class StorParityError(ValueError):
     """Base class for all errors raised by storparity."""
 

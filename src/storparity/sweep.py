@@ -22,7 +22,7 @@ from .dispatch import (
     simulate,
     simulate_balances,
 )
-from .errors import EmptyAxisError, EmptySelectionError, check_finite
+from .errors import EmptyAxisError, EmptySelectionError, EnergyBooksError, check_finite
 # financial_result is not called here: perfbench/spans.py wraps this name.
 from .finance import (
     CountryData,
@@ -356,7 +356,8 @@ def _dispatch_keys(
 
     Each PV series (country yield and kWp) and each load (prosumer type) is
     built once, at the source's step. A ValueError while building a key's
-    profiles or battery fails that key alone; other exceptions propagate.
+    profiles or battery fails that key alone; other exceptions propagate,
+    an EnergyBooksError named by the key's scenario.
     """
     index: dict = {}  # prosumer type -> its load's row, (yield, kWp) -> its PV's row
     pv_rows: list[np.ndarray] = []
@@ -380,7 +381,12 @@ def _dispatch_keys(
             continue
         outcomes.append(len(configs))
         configs.append((index[pv_key], index[load_key], battery))
-    balances = simulate_balances(pv_rows, load_rows, configs, source.step_hours) if configs else []
+    try:
+        balances = simulate_balances(pv_rows, load_rows, configs, source.step_hours)
+    except EnergyBooksError as exc:  # name the key, not its position in the batch
+        s = scenarios[outcomes.index(exc.config)]
+        raise EnergyBooksError(f"{s.country} type {s.prosumer_type}, {s.pv_kwp} kWp, "
+                               f"{_fmt_axis(s.bess_kwh)} kWh: {exc}", exc.config) from None
     return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 

@@ -454,6 +454,10 @@ class TestSweep:
         ({"parallel": 1.5}, [], "parallel"),
         (None, ["--ratios", "a,b"], "--ratios"),
         (None, ["--ratios", "-1"], "ratio_kwh_per_kwp"),
+        # an empty path would name the working directory
+        ({"countries_csv": ""}, [], "countries_csv"),
+        ({"load_profile_csv": ""}, [], "load_profile_csv"),
+        ({"pv_profile_csv": ""}, [], "pv_profile_csv"),
     ],
 )
 def test_bad_values_exit_2_with_one_line_message(tmp_path, capsys, config, flags, named):
@@ -469,6 +473,23 @@ def test_bad_values_exit_2_with_one_line_message(tmp_path, capsys, config, flags
     assert "error" in err.splitlines()[-1] and named in err.splitlines()[-1]
     if config is not None:
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("parallel", 1.5, "an integer"),
+    ("discount_rate", "0.05", "a number"),
+    ("countries_csv", 3, "a non-empty path string"),
+    ("countries_csv", "", "a non-empty path string"),
+    ("ratios", 1, "a list of numbers"),
+    ("prosumer_types", "A", "a list of strings"),
+])
+def test_config_type_errors_name_the_kind_with_its_article(tmp_path, capsys, key, value, kind):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key {key} in {path} must be {kind}, got {value!r}\n"
+    )
 
 
 ONE_RESULT_CSV = RESULTS_CSV_HEADER + "\nCyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true\n"
@@ -522,7 +543,15 @@ COMMAND_ARGV = {
     # a kWp past the float range, and one cell's LCOUs of +-1e308, whose quartiles overflow
     ("simulate", ["--pv-kwp", "{huge}"]),
     ("report", ["{wide}"]),
-], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    # an empty path, which would name the working directory
+    ("sweep", ["--out", ""]),
+    ("sweep", ["--countries", ""]),
+    ("simulate", ["--load-profile", ""]),
+    ("sweep", ["--pv-profile", ""]),
+    ("simulate", ["--trace", ""]),
+    ("sweep", ["--config", ""]),
+    ("report", [""]),
+], ids=lambda value: value if isinstance(value, str) else " ".join(a or "''" for a in value))
 def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     tmp_path, capsys, monkeypatch, command, args
 ):
@@ -582,6 +611,9 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     if "{wide}" in args:
         assert err == (f"error: results CSV {paths['wide']}: LCOUs of Cyprus at BESS price 150 "
                        "span -1e+308 to 1e+308, too wide for float quartiles\n")
+    if "" in args:
+        name = "results_csv" if args == [""] else args[args.index("") - 1]
+        assert err == f"error: {name} must be a non-empty path string, got ''\n"
     if "{pv24}" in args or "{load24}" in args:
         assert err == ("error: load and PV profile steps do not align: "
                        "step ratio 2.5 is not an integer (1.0 h vs 0.4 h)\n")
@@ -904,14 +936,41 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
 
 
 def test_sweep_and_report_leave_numpy_ma_unloaded(tmp_path):
-    # numpy's percentile imports numpy.ma on its first call; the quartiles need neither
+    # numpy's percentile imports numpy.ma on its first call; the quartiles need neither.
+    # numpy before 2.0 imports numpy.ma itself, so what a bare import loads is allowed.
     sweep = ["sweep", "--out", str(tmp_path), "--types", "A", "--ratios", "1"]
     report = ["report", str(tmp_path / "results.csv"), "--out", str(tmp_path)]
-    code = (f"import sys, storparity.cli; assert storparity.cli.main({sweep!r}) == 0; "
-            f"assert storparity.cli.main({report!r}) == 0; sys.exit('numpy.ma' in sys.modules)")
+    code = "\n".join([
+        "import sys, numpy",
+        "loaded = lambda: {m for m in sys.modules if (m + '.').startswith('numpy.ma.')}",
+        "bare = loaded()",
+        "import storparity.cli",
+        f"assert storparity.cli.main({sweep!r}) == 0",
+        f"assert storparity.cli.main({report!r}) == 0",
+        "sys.exit(f'numpy.ma modules loaded: {sorted(loaded() - bare)}' if loaded() - bare else 0)",
+    ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             cwd=Path(storparity.__file__).parents[1])
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unbalanced_books_exit_1_in_one_line(tmp_path, capsys, monkeypatch, workers):
+    # every flow sum half as large again: the PV side of each key with a flow stops
+    # balancing; a pool worker forked from here runs the same corrupted sums
+    import storparity.dispatch as dispatch_module
+
+    in_order = dispatch_module._in_order
+    monkeypatch.setattr(dispatch_module, "_in_order", lambda sums: in_order(sums) * 1.5)
+    out = tmp_path / "out"
+    argv = ["sweep", "--types", "A", "--ratios", "1", "--bess-prices", "150",
+            "--parallel", workers, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert re.match(r"internal error: \w+ type A, \d kWp, \d kWh: energy books of dispatch "
+                    r"config \d+ do not balance: residuals ", captured.err)
+    assert not out.exists()
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):

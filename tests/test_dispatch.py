@@ -1,4 +1,6 @@
 import math
+import pickle
+from collections import Counter
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from _reference import random_dispatch_instance, reference_flow_sum, reference_simulate
 from storparity import (
     BatterySpec,
+    EnergyBooksError,
     ProfileKind,
     TimeSeriesProfile,
     UnalignedProfilesError,
@@ -27,6 +30,7 @@ from storparity.dispatch import (
     _WIDTH,
     TRACE_CSV_HEADER,
     DispatchTrace,
+    _check_books,
     simulate_balances,
 )
 from storparity.sweep import ANNUAL_LOAD_KWH, DEFAULT_RATIOS, PV_RANGE_KWP
@@ -340,6 +344,43 @@ def wide_batch(n, k, step=1.0):
     return pv_rows, load_rows, configs, step
 
 
+def repair_kinds(pv, load, battery, k):
+    """What repairs each chunk start after the first, for battery among k configs, from traces.
+
+    The chunks are the kernel's, of L runs each. For chunk c, pass 1's end of
+    chunk c - 1 is the end of that chunk's trace from soc_min, and the batch
+    steps chunk c's first run on from there, as one trace of both does. Per
+    chunk whose predecessor pass 1 ended off soc_min: "walked" where that run
+    does not end as pass 1 ended it, so the walk repairs it; "rejoined" where
+    it does and the true SOC arrives where the batch started it; "moved" where
+    it does, but the true SOC arrives elsewhere, so the walk steps it again.
+    """
+    n = len(pv)
+    runs = -(-n // _RUN)
+    span = -(-runs // min(max(_WIDTH // k, 1), runs)) * _RUN  # L runs of steps
+
+    def end(a, b):  # the SOC after steps a .. b - 1, from soc_min at a
+        return simulate_series(pv[a:b], load[a:b], battery, 1.0).soc_kwh[-1].hex()
+
+    soc = simulate_series(pv, load, battery, 1.0).soc_kwh
+    kinds = []
+    for start in range(span, n, span):
+        guess = end(start - span, start)
+        if guess == battery.soc_min_kwh.hex():
+            continue
+        if end(start - span, start + _RUN) != end(start, start + _RUN):
+            kinds.append("walked")
+        else:
+            kinds.append("rejoined" if soc[start - 1].hex() == guess else "moved")
+    return kinds
+
+
+def narrow_rows():
+    """One type B load and the PV of 6 kWp in Cyprus, 8760 hours, as arrays of their own."""
+    return (synthesize_pv_profile(6.0, 1464.85).values.copy(),
+            synthesize_load_profile(ANNUAL_LOAD_KWH["B"]).values.copy())
+
+
 def bits(balance):
     """The hex of every field and of SCR and SSR."""
     return [float(v).hex() for v in (*astuple(balance), balance.scr, balance.ssr)]
@@ -435,6 +476,35 @@ class TestSimulateBalances:
             assert battery.soc_min_kwh < trace.soc_kwh.min()
             assert trace.soc_kwh.max() < battery.capacity_kwh
             assert bits(got) == bits(annual_balance(trace, 1.0))
+
+    def test_batched_repair_rejoins_or_leaves_the_run_to_the_walk(self):
+        # 36 batteries on one pair cut the year into 25 chunks of 5 runs (15 days).
+        # Small batteries empty every night, so most chunk starts pass 1 ended off
+        # soc_min rejoin within the run; the largest seldom do and are walked.
+        pv, load = narrow_rows()
+        configs = [(0, 0, BatterySpec(6.0 * r)) for r in np.linspace(0.25, 10.0, 36).tolist()]
+        kinds = Counter()
+        for (_, _, battery), got in zip(configs, simulate_balances([pv], [load], configs, 1.0)):
+            assert bits(got) == bits(annual_balance(simulate_series(pv, load, battery, 1.0), 1.0))
+            kinds.update(repair_kinds(pv, load, battery, len(configs)))
+        assert kinds["rejoined"] > 0 and kinds["walked"] > 0
+
+    def test_walk_steps_a_rejoined_run_again_where_the_true_soc_arrives_elsewhere(self):
+        # Chunk 3 (days 45 to 59) has a 2 W surplus every hour, so a 12 or 18 kWh
+        # battery neither fills nor empties there, as NEVER_CLAMPS never does: it
+        # ends the chunk where it began plus what it charged, off pass 1's end.
+        # Chunk 4's first run, batched from pass 1's end, empties and rejoins, but
+        # the true SOC reaches chunk 4 elsewhere, and the walk steps the run again.
+        pv, load = narrow_rows()
+        span = 5 * _RUN
+        pv[3 * span:4 * span] = load[3 * span:4 * span] + 0.002
+        configs = [(0, 0, BatterySpec(c)) for c in np.linspace(1.0, 30.0, 34).tolist()]
+        configs += [(0, 0, BatterySpec(12.0)), (0, 0, BatterySpec(18.0))]
+        kinds = Counter()
+        for (_, _, battery), got in zip(configs, simulate_balances([pv], [load], configs, 1.0)):
+            assert bits(got) == bits(annual_balance(simulate_series(pv, load, battery, 1.0), 1.0))
+            kinds.update(repair_kinds(pv, load, battery, len(configs)))
+        assert kinds["moved"] > 0 and kinds["rejoined"] > 0
 
     def test_full_battery_clamped_like_the_trace_path(self):
         battery = BatterySpec(3.15, usable_fraction=1.0, eta_charge=0.84, max_charge_kw=10.0)
@@ -548,6 +618,58 @@ class TestSimulateBalances:
                 simulate_balances(pvs, loads, [(0, 0, battery), (p, l, battery)], 1.0)
         with pytest.raises(UnalignedProfilesError, match=r"^series must be 1-D, got shape \(2, 4\)$"):
             simulate_balances([np.ones((2, 4))], loads, [(0, 0, battery)], 1.0)
+
+
+class TestEnergyBooks:
+    def books(self, pv_rows, load_rows, configs):
+        """_check_books' arguments for configs, from the trace path's balances."""
+        balances = [annual_balance(simulate_series(pv_rows[p], load_rows[l], b, 1.0), 1.0)
+                    for p, l, b in configs]
+        totals = np.array([(b.e_charged, b.e_delivered, b.e_curtail, b.e_import)
+                           for b in balances]).T
+        produced, consumed, direct = (np.array([getattr(b, name) for b in balances])
+                                      for name in ("e_produced", "e_consumed", "e_direct"))
+        params = np.array([(b.capacity_kwh, b.soc_min_kwh, b.eta_charge, b.eta_discharge)
+                           for _, _, b in configs]).T
+        return totals, produced, consumed, direct, params
+
+    def test_balanced_books_pass(self):
+        # a zero battery, a zero year and one of each beside them; the last battery's
+        # SOC is rounded at 1e4 kWh, and it ends 1.4e-9 of its 0.01 usable kWh below empty
+        pv, load = narrow_rows()
+        zero = np.zeros(len(pv))
+        batteries = [BatterySpec(0.0), BatterySpec(12.0), BatterySpec(3.0, usable_fraction=0.5),
+                     BatterySpec(1e4, usable_fraction=1e-6, eta_charge=0.5, eta_discharge=0.5)]
+        configs = [(p, l, b) for p, l in ((0, 0), (1, 1), (0, 1), (1, 0)) for b in batteries]
+        _check_books(*self.books([pv, zero], [load, zero], configs))
+        assert len(simulate_balances([pv, zero], [load, zero], configs, 1.0)) == len(configs)
+
+    @pytest.mark.parametrize("flow, by", [(0, 1e-6), (1, -1e-6), (2, 1e-6), (3, math.nan)])
+    def test_a_corrupted_total_trips_the_check(self, flow, by):
+        pv, load = narrow_rows()
+        configs = [(0, 0, BatterySpec(c)) for c in (0.0, 3.0, 12.0)]
+        totals, *rest = self.books([pv], [load], configs)
+        totals[flow, 2] += by * 4500.0
+        with pytest.raises(EnergyBooksError, match=r"^energy books of dispatch config 2 do "
+                                                   r"not balance: residuals ") as caught:
+            _check_books(totals, *rest)
+        assert caught.value.config == 2 and not isinstance(caught.value, ValueError)
+        copy = pickle.loads(pickle.dumps(caught.value))  # as from a pool worker
+        assert (str(copy), copy.config) == (str(caught.value), 2)
+
+    @pytest.mark.parametrize("moved", [-1e-6, 1.0 + 1e-6])
+    def test_energy_stored_outside_the_usable_capacity_trips_the_check(self, moved):
+        # energy moves from curtailed to charged until moved x the usable capacity is left
+        # stored: each side still balances
+        pv, load = narrow_rows()
+        battery = BatterySpec(6.0, usable_fraction=0.5, eta_charge=0.9, eta_discharge=0.95)
+        totals, *rest = self.books([pv], [load], [(0, 0, battery)])
+        stored = battery.eta_charge * totals[0, 0] - totals[1, 0] / battery.eta_discharge
+        shift = (moved * 3.0 - stored) / battery.eta_charge
+        totals[0, 0] += shift
+        totals[2, 0] -= shift
+        with pytest.raises(EnergyBooksError, match=r"kWh left stored of 3 kWh usable$"):
+            _check_books(totals, *rest)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
