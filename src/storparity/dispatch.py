@@ -186,6 +186,19 @@ def _check_series(pv_rows, load_rows, step_hours: float) -> tuple[list, list]:
     return pv_rows, load_rows
 
 
+def _scale(energy: np.ndarray, dt: float, divide: bool = False) -> np.ndarray:
+    """energy * dt, or energy / dt if divide, in place, with the bits of that operation.
+
+    Nothing runs at dt == 1; a power of two with a finite reciprocal divides
+    by multiplying with 1 / dt, which rounds the same real value once.
+    """
+    if dt == 1.0:
+        return energy
+    if divide and math.frexp(dt)[0] == 0.5 and 1.0 / dt < math.inf:
+        dt, divide = 1.0 / dt, False
+    return (np.divide if divide else np.multiply)(energy, dt, out=energy)
+
+
 def _offers(pv, load, dt: float, charge_cap_e, discharge_cap_e, out):
     """Per step: the surplus and deficit energy, and what the battery is offered and asked for.
 
@@ -195,7 +208,7 @@ def _offers(pv, load, dt: float, charge_cap_e, discharge_cap_e, out):
     """
     surplus_e, deficit_e, offered, wanted = out
     np.subtract(pv, load, out=surplus_e)
-    np.multiply(surplus_e, dt, out=surplus_e)  # (load - pv) * dt is its exact negation
+    _scale(surplus_e, dt)  # (load - pv) * dt is its exact negation
     np.negative(surplus_e, out=deficit_e)
     np.maximum(deficit_e, 0.0, out=deficit_e)
     np.maximum(surplus_e, 0.0, out=surplus_e)
@@ -213,7 +226,8 @@ def simulate_series(
     offered within the headroom, clamp at capacity, deliver what is wanted
     within the available energy, clamp at soc_min. A tie keeps the second
     value, as np.minimum and np.maximum do, so every array is bit for bit
-    what the kernel computes for the same row.
+    what the kernel computes for the same row, but for the sign of a zero
+    flow where the kernel skips a half of the rule.
     """
     (pv,), (load,) = _check_series(
         [np.array(pv_kw, dtype=float)], [np.array(load_kw, dtype=float)], step_hours
@@ -247,7 +261,7 @@ def simulate_series(
     curtailed = np.subtract(surplus_e, charged, out=surplus_e)
     imported = np.subtract(deficit_e, discharged, out=deficit_e)
     for energy in (charged, discharged, curtailed, imported):
-        energy /= dt  # in place: new arrays here raised a long trace's peak RSS
+        _scale(energy, dt, divide=True)  # in place: new arrays raised a long trace's peak RSS
     return DispatchTrace(
         p_pv=pv,
         p_load=load,
@@ -274,20 +288,22 @@ _WIDTH = 1024
 
 
 def _add_lanes(lanes: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Add a (flows, steps, columns) block, step i into lane i % 8 of (8, flows, columns).
+    """Add a (flows, steps, columns) block, step i into lane i % 8 of (flows, 8, columns).
 
     Only elementwise adds, in step order: the order of a reduction over a middle
     axis would depend on the layout, and a run added in pieces, the lanes carried
     from piece to piece, gets the bits of the run added at once.
     """
     for i in range(0, block.shape[1], 8):
-        lanes += block[:, i:i + 8].transpose(1, 0, 2)
+        lanes += block[:, i:i + 8]
     return lanes
 
 
 def _fold(r: np.ndarray) -> np.ndarray:
-    """The eight lanes r added pairwise: the run sums, (flows, columns)."""
-    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    """The lanes r, (flows, 8, columns), added pairwise, a level per add: the run sums."""
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    return r[:, 0] + r[:, 1]
 
 
 def _in_order(run_sums: np.ndarray) -> np.ndarray:
@@ -382,7 +398,7 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         for _, _, b in configs
     ]).T.copy()  # one contiguous row per parameter
     soc_min = params[1]
-    # local names: the loop below makes twelve calls per step
+    # local names: the loop below makes up to twelve calls per step
     sub, div, mul, add, low, high = (
         np.subtract, np.divide, np.multiply, np.add, np.minimum, np.maximum
     )
@@ -404,7 +420,7 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
         cap, soc_min, eta_c, eta_d, charge_cap_e, discharge_cap_e = par
         accepted, delivered, curtailed, imported = flows
         tmp = np.empty(len(window))
-        lanes = np.zeros((8,) + flows[:, 0].shape)
+        lanes = np.zeros((4, 8, len(window)))
         for first in range(0, _RUN, _SUB):
             at = runs * _RUN + np.arange(first, first + _SUB)[:, None]
             pad = at >= n  # zero offers leave the SOC as it is and add 0 to the sums
@@ -414,22 +430,28 @@ def _chunked_balances(pv_rows, load_rows, configs, dt: float) -> list[EnergyBala
             # each step reads what is offered and wanted where it writes the flows
             _offers(curtailed, imported, dt, charge_cap_e, discharge_cap_e,
                     (curtailed, imported, accepted, delivered))
-            for acc, dlv in zip(accepted, delivered):
-                sub(cap, soc, tmp)
-                div(tmp, eta_c, tmp)  # headroom
-                low(acc, tmp, out=acc)
-                mul(acc, eta_c, tmp)
-                add(soc, tmp, soc)
-                low(soc, cap, out=soc)
-                sub(soc, soc_min, tmp)
-                mul(tmp, eta_d, tmp)  # available
-                low(dlv, tmp, out=dlv)
-                div(dlv, eta_d, tmp)
-                sub(soc, tmp, soc)
-                high(soc, soc_min, out=soc)
+            # each half runs only on steps that offer (ask) some column energy: where all
+            # offers are +-0, headroom >= +0 as soc <= cap, so the charge half keeps every
+            # SOC bit and writes +-0 flows, adding nothing to lanes from +0.0; likewise discharge
+            charging, discharging = flows[:2].any(axis=2).tolist()
+            for acc, dlv, charge, discharge in zip(accepted, delivered, charging, discharging):
+                if charge:
+                    sub(cap, soc, tmp)
+                    div(tmp, eta_c, tmp)  # headroom
+                    low(acc, tmp, out=acc)
+                    mul(acc, eta_c, tmp)
+                    add(soc, tmp, soc)
+                    low(soc, cap, out=soc)
+                if discharge:
+                    sub(soc, soc_min, tmp)
+                    mul(tmp, eta_d, tmp)  # available
+                    low(dlv, tmp, out=dlv)
+                    div(dlv, eta_d, tmp)
+                    sub(soc, tmp, soc)
+                    high(soc, soc_min, out=soc)
             sub(curtailed, accepted, curtailed)  # the surplus left over
             sub(imported, delivered, imported)  # the deficit left over
-            div(flows, dt, flows)
+            _scale(flows, dt, divide=True)
             _add_lanes(lanes, flows)
         return _fold(lanes)
 
@@ -558,7 +580,7 @@ def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:
     for padded, flow in zip(block.reshape(4, -1), flows):
         padded[:len(flow)] = flow
     charged, delivered, imported, curtailed = (
-        _in_order(_fold(_add_lanes(np.zeros((8, 4, runs)), block.transpose(0, 2, 1))).T)
+        _in_order(_fold(_add_lanes(np.zeros((4, 8, runs)), block.transpose(0, 2, 1))).T)
         * step_hours
     ).tolist()
     return EnergyBalance(

@@ -31,6 +31,7 @@ from storparity.dispatch import (
     TRACE_CSV_HEADER,
     DispatchTrace,
     _check_books,
+    _scale,
     simulate_balances,
 )
 from storparity.sweep import ANNUAL_LOAD_KWH, DEFAULT_RATIOS, PV_RANGE_KWP
@@ -264,9 +265,11 @@ class TestDispatchProperties:
 
 @st.composite
 def batteries(draw):
-    capacity = draw(st.sampled_from([0.0, 4.0]) | st.floats(0.1, 12.0))
-    usable = draw(st.floats(0.3, 1.0))
-    limit = st.none() | st.just(0.0) | st.floats(0.0, 4.0)  # drawn apart: asymmetric
+    # -0.0 sizes and limits and a usable fraction of 1 (soc_min of +-0) are where the
+    # sign of a zero SOC, headroom or flow could tell a skipped half of the rule apart
+    capacity = draw(st.sampled_from([0.0, -0.0, 4.0]) | st.floats(0.1, 12.0))
+    usable = draw(st.just(1.0) | st.floats(0.3, 1.0))
+    limit = st.none() | st.sampled_from([0.0, -0.0]) | st.floats(0.0, 4.0)  # drawn apart
     return BatterySpec(
         capacity_kwh=capacity,
         usable_fraction=usable,
@@ -282,6 +285,10 @@ def random_rows(rng, count, n, scale):
     rows[rng.uniform(size=(count, n)) < 0.2] = 0.0
     rows[rng.uniform(size=(count, n)) < 0.1] = -0.0
     return list(rows)
+
+
+#: Steps in hours: 1 (no rescaling), powers of two (a reciprocal multiply) and others.
+STEPS = [1.0, 0.25, 0.5, 2.0, 1 / 3, 0.1]
 
 
 @st.composite
@@ -302,7 +309,7 @@ def batches(draw):
                   batteries()),
         min_size=1, max_size=8,
     ))
-    return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1 / 3, 1.0]))
+    return pv_rows, load_rows, configs, draw(st.sampled_from(STEPS))
 
 
 #: A battery that never fills or empties on long_batches() rows, after their
@@ -332,7 +339,7 @@ def long_batches(draw):
                   batteries() | st.just(NEVER_CLAMPS)),
         min_size=1, max_size=8,
     ))
-    return pv_rows, load_rows, configs, draw(st.sampled_from([0.25, 1.0]))
+    return pv_rows, load_rows, configs, draw(st.sampled_from(STEPS))
 
 
 def wide_batch(n, k, step=1.0):
@@ -555,6 +562,33 @@ class TestSimulateBalances:
             scalar = annual_balance(simulate_series(pv_rows[p], load_rows[l], battery, step), step)
             assert bits(got) == bits(scalar)
 
+    @pytest.mark.parametrize("step", [1.0, 0.5, 2.0, 0.1])
+    def test_steps_that_offer_or_ask_no_column_anything(self, step):
+        # 16 configs step 6 chunks of one run each side by side, so a place in a run
+        # is a step of every column. Every run's second sub-run is a night, where the
+        # PV row offers nothing; on every fifth place pv == load in both load rows,
+        # so the configs on that PV row are neither offered nor asked anything. The
+        # second batch puts a config on an all-zero PV row first: the columns of one
+        # config are never offered anything while the others are, as the zero
+        # battery's are in the first.
+        rng = np.random.default_rng(7)
+        n = 5 * _RUN + 7  # 6 runs, the last padded
+        place = np.arange(n) % _RUN
+        pv_rows = [rng.uniform(0.0, 5.0, n), np.zeros(n)]
+        load_rows = [rng.uniform(0.0, 4.0, n) for _ in range(2)]
+        pv_rows[0][place // _SUB == 1] = 0.0
+        for load in load_rows:
+            load[place % 5 == 0] = pv_rows[0][place % 5 == 0]
+        kinds = [BatterySpec(0.0), BatterySpec(-0.0), BatterySpec(3.0, usable_fraction=1.0),
+                 BatterySpec(-0.0, usable_fraction=1.0), BatterySpec(5.0, max_charge_kw=-0.0),
+                 BatterySpec(5.0, max_discharge_kw=0.0), lossless_battery(), BatterySpec(9.0)]
+        configs = [(0, l, battery) for l in range(2) for battery in kinds]
+        for batch in (configs, [(1, 0, BatterySpec(4.0))] + configs):
+            balances = simulate_balances(pv_rows, load_rows, batch, step)
+            for (p, l, battery), got in zip(batch, balances):
+                trace = simulate_series(pv_rows[p], load_rows[l], battery, step)
+                assert bits(got) == bits(annual_balance(trace, step))
+
     def test_default_grid_shape_runs_in_chunks(self):
         # the default grid's 306 keys: 6 yields x 17 (type, kWp) pairs x 3 ratios,
         # at 8760 steps. They share the year in _WIDTH // 306 = 3 chunks of 41 runs.
@@ -700,6 +734,18 @@ def test_step_not_positive_and_finite_rejected(step):
         simulate_series(pv, load, BatterySpec(2.0), step)
     with pytest.raises(ValueError, match=message):
         simulate_balances([pv], [load], [(0, 0, BatterySpec(2.0))], step)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.25, 0.5, 2.0, 2.0**600, 2.0**-1030, 1 / 3, 0.1])
+def test_scale_has_the_bits_of_one_multiply_or_divide(dt):
+    # subnormal and overflowing results too; 2 ** -1030 has no finite reciprocal
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, 3 * 5e-324, 2.2250738585072014e-308, 1.0, 1e300, math.inf],
+        np.random.default_rng(3).uniform(0.0, 10.0, 40) * 10.0 ** np.arange(-320, 300, 15.5),
+    ])
+    with np.errstate(over="ignore", under="ignore"):
+        for divide, want in ((False, values * dt), (True, values / dt)):
+            assert _scale(values.copy(), dt, divide).tobytes() == want.tobytes()
 
 
 #: Trace lengths on each side of the writer's first two block boundaries.
