@@ -179,6 +179,7 @@ class RunConfig:
     battery_kwargs: dict
     profiles: ProfileSource
     out_dir: Path
+    inputs: dict[str, Path | None]  # what each input file is: its path, None if not read
 
 
 def _path_arg(name: str):
@@ -271,6 +272,21 @@ def _check_dir(directory: Path, *names: str) -> None:
             raise ConfigError(f"cannot write {directory / name}: it is a directory")
 
 
+def _check_outputs(outputs: Sequence[tuple[str, Path, Path]],
+                   inputs: Mapping[str, Path | None]) -> None:
+    """Fail before the work, writing nothing, if an output would overwrite an input or output.
+
+    outputs are (flag, its value, a path it writes); inputs map what each input
+    is to its path, or to None. Paths are compared resolved, through symlinks.
+    """
+    taken = {path.resolve(): what for what, path in inputs.items() if path is not None}
+    for flag, value, path in outputs:
+        where = path.resolve()
+        if where in taken:
+            raise ConfigError(f"{flag} {value} would overwrite {path}, {taken[where]}")
+        taken[where] = f"an output of {flag}"
+
+
 def _load_config_file(path: Path) -> dict:
     """The config file's settings, each type-checked; NaN and infinities fail for every key."""
 
@@ -352,7 +368,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         profiles = ProfileSource(load=load, pv=pv, rescale=rescale)
     except ValueError as exc:  # IncompatibleProfilesError
         raise ConfigError(f"load and PV profile steps do not align: {exc}") from exc
-    return RunConfig(values, source, countries, econ, battery_kwargs, profiles, args.out or Path("."))
+    inputs = {"the config file": args.config, "the country CSV": countries_path,
+              "the load profile CSV": load_path, "the PV profile CSV": pv_path}
+    return RunConfig(values, source, countries, econ, battery_kwargs, profiles,
+                     args.out or Path("."), inputs)
 
 
 def _write_manifest(cfg: RunConfig, command: str, extra: dict) -> None:
@@ -423,10 +442,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     outputs = ("scenario_result.csv", MANIFEST_NAME)
     _check_dir(cfg.out_dir, *outputs)
+    writes = [("--out", cfg.out_dir, cfg.out_dir / name) for name in outputs]
     if args.trace is not None:
         _check_dir(args.trace.parent, args.trace.name)
-        if args.trace.resolve() in [(cfg.out_dir / name).resolve() for name in outputs]:
-            raise ConfigError(f"--trace {args.trace} would overwrite simulate's own output")
+        writes.append(("--trace", args.trace, args.trace))
+    _check_outputs(writes, cfg.inputs)
     country = cfg.countries[scenario.country]
     try:
         trace, result = simulate_scenario(
@@ -484,6 +504,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     outputs = ("results.csv", "parity_shares.csv", "box_stats.csv")
     _check_dir(cfg.out_dir, *outputs, MANIFEST_NAME)
+    _check_outputs([("--out", cfg.out_dir, cfg.out_dir / name)
+                    for name in (*outputs, MANIFEST_NAME)], cfg.inputs)
     failures: list = []
     results = run_sweep(
         grid,
@@ -566,6 +588,8 @@ def _json_column(values: list) -> list[str]:
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = args.out or Path(".")
     _check_dir(out_dir, "report_summary.json")
+    _check_outputs([("--out", out_dir, out_dir / "report_summary.json")],
+                   {"the config file": args.config, "the results CSV": args.results_csv})
     if args.config:  # type-checked, though no setting changes a report
         _load_config_file(args.config)
     text = _read_text(args.results_csv, "results CSV")

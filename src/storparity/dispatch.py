@@ -222,42 +222,30 @@ def simulate_series(
 ) -> DispatchTrace:
     """Dispatch over raw power series of any length (same rule as simulate).
 
-    Each step runs the batched kernel's rule on Python floats: charge what is
-    offered within the headroom, clamp at capacity, deliver what is wanted
-    within the available energy, clamp at soc_min. A tie keeps the second
-    value, as np.minimum and np.maximum do, so every array is bit for bit
-    what the kernel computes for the same row, but for the sign of a zero
-    flow where the kernel skips a half of the rule.
+    Each step runs the batched kernel's rule: charge what is offered within
+    the headroom, clamp at capacity, deliver what is wanted within the
+    available energy, clamp at soc_min. A tie keeps the second value, as
+    np.minimum and np.maximum do, so every array is bit for bit what the
+    kernel computes for the same row, but for the sign of a zero flow where
+    the kernel skips a half of the rule. _soc_series finds the SOC after
+    each step; every flow then follows from the SOC before its step by the
+    same operations, one numpy call each.
     """
     (pv,), (load,) = _check_series(
         [np.array(pv_kw, dtype=float)], [np.array(load_kw, dtype=float)], step_hours
     )
     dt = step_hours
-    cap = battery.capacity_kwh
-    soc_min = battery.soc_min_kwh
-    eta_c = battery.eta_charge
-    eta_d = battery.eta_discharge
+    par = (battery.capacity_kwh, battery.soc_min_kwh, battery.eta_charge, battery.eta_discharge)
+    cap, soc_min, eta_c, eta_d = par
     surplus_e, deficit_e, offered, wanted = _offers(
         pv, load, dt, battery.max_charge_kw * dt, battery.max_discharge_kw * dt,
         [np.empty(len(pv)) for _ in range(4)],
     )
-    soc = soc_min
-    accepted, delivered, soc_series = [], [], []
-    for off, want in zip(offered.tolist(), wanted.tolist()):
-        headroom = (cap - soc) / eta_c
-        acc = off if off < headroom else headroom
-        soc += acc * eta_c
-        soc = soc if soc < cap else cap
-        available = (soc - soc_min) * eta_d
-        dlv = want if want < available else available
-        soc -= dlv / eta_d
-        soc = soc if soc > soc_min else soc_min
-        accepted.append(acc)
-        delivered.append(dlv)
-        soc_series.append(soc)
-
-    charged = np.array(accepted, dtype=float)
-    discharged = np.array(delivered, dtype=float)
+    soc = _soc_series(offered, wanted, par, dt)
+    before = np.concatenate(([soc_min], soc))[:-1]  # the SOC before each step
+    charged = np.minimum(offered, (cap - before) / eta_c, out=offered)
+    charge_end = np.minimum(before + charged * eta_c, cap, out=before)
+    discharged = np.minimum(wanted, (charge_end - soc_min) * eta_d, out=wanted)
     curtailed = np.subtract(surplus_e, charged, out=surplus_e)
     imported = np.subtract(deficit_e, discharged, out=deficit_e)
     for energy in (charged, discharged, curtailed, imported):
@@ -270,8 +258,122 @@ def simulate_series(
         p_discharge_delivered=discharged,
         p_import=imported,
         p_curtail=curtailed,
-        soc_kwh=np.array(soc_series, dtype=float),
+        soc_kwh=soc,
     )
+
+
+#: _soc_series cuts the year into days at this hour after the first step's
+#: start: the hour at which batteries are most often empty.
+_DAY_CUT_HOURS = 6.0
+
+
+def _day_starts(n: int, dt: float) -> np.ndarray:
+    """The first step of each day of n steps of dt hours, a day starting at each cut.
+
+    Steps whose start lies past the float range share one day.
+    """
+    with np.errstate(over="ignore"):  # i * dt past the float range is inf
+        day = np.floor((np.arange(n) * dt - _DAY_CUT_HOURS) / 24.0)
+    return np.flatnonzero(np.concatenate(([n > 0], day[1:] != day[:-1])))
+
+
+def _soc_series(offered, wanted, par, dt: float) -> np.ndarray:
+    """The SOC after each step of simulate_series' rule, from soc_min.
+
+    Pass 1 steps every day (see _day_starts) side by side from soc_min, one
+    numpy call per operation. A day whose true start is soc_min, bit for
+    bit, is then exact as pass 1 stepped it. From any other day's start the
+    true SOC is walked on Python floats until it meets pass 1's at a clamp,
+    bit for bit: from there on it is pass 1's again. No step is taken from
+    pass 1 on any other ground, so the series does not rest on the rule
+    being monotone.
+    """
+    n, soc_min = len(offered), par[1]
+    days = _day_starts(n, dt)
+    soc, full = _from_empty(offered, wanted, days, par)
+    # the days whose start pass 1 may have wrong: the day before ended off soc_min
+    off_min = soc[days[1:] - 1].view(np.int64) != np.array(soc_min).view(np.int64)
+    walk_from = (np.flatnonzero(off_min) + 1).tolist()
+    starts, ends = days.tolist(), [*days[1:].tolist(), n]
+    reached = 0
+    for day in walk_from:
+        while starts[day] >= reached:  # else the walk before has stepped past this day's start
+            lo, hi = starts[day], ends[day]
+            walked = _walk(offered[lo:hi].tolist(), wanted[lo:hi].tolist(),
+                           soc[lo - 1], soc[lo:hi], full[lo:hi], par)
+            reached = lo + len(walked)
+            soc[lo:reached] = walked
+            day += 1
+            if reached < hi or day == len(starts):  # it met pass 1, or the year is over
+                break
+    return soc
+
+
+def _from_empty(offered, wanted, starts, par) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1: every day stepped from soc_min, all days side by side.
+
+    Returns, per step in time order, the SOC after it and whether its charge
+    half clamped at capacity. Each column steps one day; past the day's end
+    it steps later steps, which are dropped.
+    """
+    cap, soc_min, eta_c, eta_d = par
+    n = len(offered)
+    lengths = np.diff(starts, append=n)
+    at = starts + np.arange(lengths.max(initial=0))[:, None]  # (steps, days)
+    offers, wants = offered.take(at, mode="clip"), wanted.take(at, mode="clip")
+    soc, full = np.empty(at.shape), np.empty(at.shape, dtype=bool)
+    now, tmp = np.full(len(starts), soc_min), np.empty(len(starts))
+    sub, div, mul, add, low, high = (
+        np.subtract, np.divide, np.multiply, np.add, np.minimum, np.maximum
+    )
+    for off, want, after, filled in zip(offers, wants, soc, full):
+        sub(cap, now, tmp)
+        div(tmp, eta_c, tmp)  # headroom
+        low(off, tmp, out=tmp)
+        mul(tmp, eta_c, tmp)
+        add(now, tmp, after)
+        np.greater_equal(after, cap, out=filled)
+        low(after, cap, out=after)
+        sub(after, soc_min, tmp)
+        mul(tmp, eta_d, tmp)  # available
+        low(want, tmp, out=tmp)
+        div(tmp, eta_d, tmp)
+        sub(after, tmp, after)
+        high(after, soc_min, out=after)
+        now = after
+    in_day = np.arange(at.shape[0]) < lengths[:, None]  # (days, steps)
+    return soc.T[in_day], full.T[in_day]
+
+
+def _walk(offers, wants, soc, soc1, full1, par) -> list:
+    """The true SOCs after each step of offers and wants, from soc, until they meet pass 1's.
+
+    soc1 and full1 are pass 1's SOC after each of the same steps and whether
+    its charge half clamped at capacity. The SOCs meet where the charge half
+    clamps at capacity where pass 1's did (the step is then pass 1's), or
+    where the step ends clamped at soc_min where pass 1's did: at a clamp
+    both SOCs are the clamp's own bits. Only clamps are checked; anywhere
+    else two SOCs that differ seldom meet.
+    """
+    cap, soc_min, eta_c, eta_d = par
+    soc = float(soc)
+    socs = []
+    append = socs.append
+    for off, want in zip(offers, wants):
+        headroom = (cap - soc) / eta_c
+        soc += (off if off < headroom else headroom) * eta_c
+        if not soc < cap:
+            soc = cap
+            if full1[len(socs)]:
+                break
+        available = (soc - soc_min) * eta_d
+        soc -= (want if want < available else available) / eta_d
+        if not soc > soc_min:
+            soc = soc_min
+            if soc1[len(socs)] == soc_min:  # np.maximum's tie keeps soc_min's bits
+                break
+        append(soc)
+    return socs
 
 
 #: How both dispatch paths sum the four flows: the year is cut into runs of this

@@ -8,6 +8,8 @@ line ends.
 Readers take a document as columns (read_columns) and check whole columns.
 Only when a check fails do they walk it row by row (read_rows) to name the
 first bad line, so the fast path and the error messages cannot drift apart.
+A document proven plain (see _plain_columns) is split once, with no field
+to strip.
 
 Numbered rows of fixed-point values (numbered_rows) are laid out as digits
 by numpy, and a row the digits cannot write exactly falls back to its %
@@ -24,9 +26,10 @@ import numpy as np
 from .errors import MalformedRowError
 
 #: numbered_rows lays out this many rows at a time: enough to pay numpy's
-#: per-call cost once per few thousand values, few enough that its buffers
-#: stay small next to the text.
-_BLOCK = 512
+#: per-call cost once per tens of thousands of values, few enough that its
+#: buffers (about 1 MB for a trace's nine fields) stay small next to a
+#: quarter-hour year's text (about 3 MB).
+_BLOCK = 4096
 
 #: Magnitudes below this are written from their digits; a micro-unit count
 #: below 1e15 is an exact float64 integer.
@@ -35,7 +38,12 @@ _DIGITS_BELOW = 1e9
 #: 10 ** 1 ... 10 ** 18; a count of these at or below n, plus one, is n's length in digits.
 _POWERS = 10.0 ** np.arange(1, 19)
 
-_ZERO, _MINUS, _POINT, _COMMA, _NEWLINE = b"0-.,\n"
+_ZERO, _MINUS, _POINT, _COMMA, _NEWLINE, _SPACE = b"0-.,\n "
+_LINE_END = np.frombuffer(b"\n", np.uint8)
+
+#: _plain_columns looks this many characters into a document for the cheap signs
+#: that it is not plain, before its checks of the whole document.
+_HEAD = 4096
 
 
 def read_columns(text: str, header: str, what: str) -> list[list[str]]:
@@ -44,12 +52,54 @@ def read_columns(text: str, header: str, what: str) -> list[list[str]]:
     Raises what read_rows raises, naming the same line, when the header or a
     row's field count is wrong.
     """
+    columns = _plain_columns(text, header)
+    if columns is not None:
+        return columns
     first, *rows = list(filter(str.strip, text.removeprefix("\ufeff").splitlines())) or [""]
     width = header.count(",") + 1
     if first.strip() != header or set(map(str.count, rows, repeat(","))) - {width - 1}:
         reject(list, read_rows(text, header, what))
     fields = ",".join(rows).split(",") if rows else []
     return [list(map(str.strip, fields[i::width])) for i in range(width)]
+
+
+def _plain_columns(text: str, header: str) -> list[list[str]] | None:
+    """read_columns of a plain document, split once; None for any other document.
+
+    A plain document is ASCII with no control byte but its "\\n" or "\\r\\n"
+    line ends, so str.splitlines breaks it at those alone and str.strip
+    strips only spaces. It has no blank line and no space beside a comma or a
+    line end, so no field needs stripping, its first line is header, and
+    each line holds width - 1 commas. Most documents that are not plain
+    show it in their first lines, so a tab anywhere, or a padded field or a
+    blank line there, turns the document away before it is copied.
+    """
+    head = text[:_HEAD]
+    if (not text.isascii() or "\t" in text
+            or any(mark in head for mark in (" ,", ", ", " \n", "\n ", " \r", "\n\n", "\n\r\n"))):
+        return None
+    body = text.replace("\r\n", "\n") if "\r" in text else text  # a lone "\r" stays
+    data = np.frombuffer(body.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(data == _NEWLINE)
+    if ends.size and ends[-1] == len(data) - 1:  # the last line's end: no line after it
+        data, ends = data[:-1], ends[:-1]
+    if (np.count_nonzero(data < 32) != len(ends)  # a control byte other than "\n"
+            or not body.startswith(header) or len(header) != (ends[0] if ends.size else len(data))
+            or (np.diff(ends, prepend=-1, append=len(data)) == 1).any()):  # a blank line
+        return None
+    if " " in body:  # one at a line's ends or beside a comma would be stripped
+        lined = np.concatenate((_LINE_END, data, _LINE_END))
+        beside = lined[np.add.outer((0, 2), np.flatnonzero(data == _SPACE))]
+        if ((beside == _NEWLINE) | (beside == _COMMA)).any():
+            return None
+    width = header.count(",") + 1
+    commas = np.flatnonzero(data == _COMMA)
+    if (np.diff(np.searchsorted(commas, ends), prepend=0, append=len(commas)) != width - 1).any():
+        return None
+    fields = body.replace("\n", ",").split(",")
+    if len(data) < len(body):  # the empty field after the last line's end
+        fields.pop()
+    return [fields[width + i::width] for i in range(width)]
 
 
 def read_rows(text: str, header: str, what: str) -> Iterator[tuple[int, list[str]]]:

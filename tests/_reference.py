@@ -62,6 +62,35 @@ def reference_simulate(pv_kw, load_kw, battery: BatterySpec, step_hours: float) 
     )
 
 
+def reference_socs(pv_kw, load_kw, battery: BatterySpec, step_hours: float) -> list[float]:
+    """The SOC after each step, from soc_min, with the signs of its zeros.
+
+    reference_simulate's min() and max() keep the first of two equal values,
+    so a zero SOC may come out with the other sign. Here every min and max
+    keeps the second, as np.minimum and np.maximum do, which is how the
+    trace writes a SOC of -0.0.
+    """
+
+    def low(a, b):
+        return a if a < b else b
+
+    def high(a, b):
+        return a if a > b else b
+
+    cap, soc_min = battery.capacity_kwh, battery.soc_min_kwh
+    soc, socs = soc_min, []
+    for p, l in zip(pv_kw, load_kw):
+        surplus_e = (float(p) - float(l)) * step_hours
+        offered = low(high(surplus_e, 0.0), battery.max_charge_kw * step_hours)
+        wanted = low(high(-surplus_e, 0.0), battery.max_discharge_kw * step_hours)
+        soc += low(offered, (cap - soc) / battery.eta_charge) * battery.eta_charge
+        soc = low(soc, cap)
+        delivered = low(wanted, (soc - soc_min) * battery.eta_discharge)
+        soc = high(soc - delivered / battery.eta_discharge, soc_min)
+        socs.append(soc)
+    return socs
+
+
 def reference_flow_sum(values, run: int) -> float:
     """The dispatch paths' summation rule, one add at a time.
 

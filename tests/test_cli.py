@@ -619,6 +619,69 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
                        "step ratio 2.5 is not an integer (1.0 h vs 0.4 h)\n")
 
 
+#: Per case: the command, the flag that names an input (None: the country CSV of
+#: STORPARITY_DATA_DIR; "": report's results_csv), the input's path, which --trace (or
+#: a symlink to it) or a file under --out ({out}) resolves to, and the --trace.
+OVERWRITTEN_INPUTS = {
+    "simulate --trace --config": ("simulate", "--config", "{tmp}/config.json", "trace"),
+    "simulate --trace --countries": ("simulate", "--countries", "{tmp}/countries.csv", "trace"),
+    "simulate --trace data dir": ("simulate", None, "{tmp}/data/countries.csv", "trace"),
+    "simulate --trace --load-profile": ("simulate", "--load-profile", "{tmp}/load.csv", "trace"),
+    "simulate --trace --pv-profile": ("simulate", "--pv-profile", "{tmp}/pv.csv", "trace"),
+    "simulate --trace symlinked --load-profile":
+        ("simulate", "--load-profile", "{tmp}/load.csv", "link"),
+    "simulate --out --pv-profile": ("simulate", "--pv-profile", "{out}/scenario_result.csv", None),
+    "sweep --out --config": ("sweep", "--config", "{out}/run-manifest.json", None),
+    "sweep --out --countries": ("sweep", "--countries", "{out}/results.csv", None),
+    "sweep --out --load-profile": ("sweep", "--load-profile", "{out}/parity_shares.csv", None),
+    "report --out --config": ("report", "--config", "{out}/report_summary.json", None),
+    "report --out results_csv": ("report", "", "{out}/report_summary.json", None),
+}
+
+
+@pytest.mark.parametrize("case", OVERWRITTEN_INPUTS)
+def test_outputs_that_would_overwrite_an_input_exit_2(tmp_path, capsys, monkeypatch, case):
+    command, flag, template, trace = OVERWRITTEN_INPUTS[case]
+    out = tmp_path / "out"
+    path = Path(template.format(tmp=tmp_path, out=out))
+    path.parent.mkdir(exist_ok=True)
+    contents = {  # a readable input of each kind
+        "--config": "{}\n",
+        "--countries": TWO_COUNTRY_CSV,
+        None: TWO_COUNTRY_CSV,
+        "--load-profile": None,
+        "--pv-profile": None,
+        "": ONE_RESULT_CSV,
+    }
+    if contents[flag] is None:
+        profile_csv(path, evening_load if flag == "--load-profile" else midday_pv)
+    else:
+        path.write_text(contents[flag])
+    if flag is None:
+        monkeypatch.setenv(DATA_DIR_ENV, str(path.parent))
+    else:
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    argv = [*COMMAND_ARGV[command], "--out", str(out)]
+    if command == "report" and flag:
+        (tmp_path / "results.csv").write_text(ONE_RESULT_CSV)
+        argv.append(str(tmp_path / "results.csv"))
+    argv += [str(path)] if flag == "" else [flag, str(path)] if flag else []
+    if trace == "link":
+        (tmp_path / "link.csv").symlink_to(path)
+        argv += ["--trace", str(tmp_path / "link.csv")]
+    elif trace:
+        argv += ["--trace", str(path)]
+    before = {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))}
+    assert main(argv) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.count("\n") == 1
+    assert err.startswith("error: --") and " would overwrite " in err
+    assert err.rstrip().endswith(("the config file", "the country CSV", "the load profile CSV",
+                                  "the PV profile CSV", "the results CSV"))
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in sorted(tmp_path.rglob("*"))} == before
+
+
 class TestReport:
     def make_results(self, tmp_path, two_country_csv):
         out = tmp_path / "sweep"
@@ -807,7 +870,8 @@ def test_default_sweep_and_its_report_keep_their_bytes(tmp_path, capsys, monkeyp
 
 
 #: sha256 of simulate --trace's outputs: CI's smoke case on the shipped hourly
-#: profiles, and a quarter-hour measured load beside an hourly PV CSV. The
+#: profiles, and a quarter-hour measured load beside an hourly PV CSV, at
+#: ratios 1, 10 (the largest battery) and -0 (it writes -0.000000 SOCs). The
 #: traces are the bytes of the row template "%d," + ",".join(["%.6f"] * 8).
 SIMULATE_TRACE_SHA256 = {
     "hourly/trace.csv": "00d0717c81329de2f08b42ee5a60c1298611609cb532b2ed6fe96ec1b6dbdaf8",
@@ -818,6 +882,14 @@ SIMULATE_TRACE_SHA256 = {
     "quarter-hour/scenario_result.csv":
         "42499f491fe8db28a7bb9589fe683da6a270ef72ca554bf5ea6384c1423fe97d",
     "quarter-hour stdout": "24fda7595f1e0f4e625745214f26fabe0acf0f51d3e3d04a57fe0d2029c443ba",
+    "ratio 10/trace.csv": "bf197e6121d5ab107dcebf63437f70489878a07336de871915a4a6fee93d6aee",
+    "ratio 10/scenario_result.csv":
+        "5426518357469cd62c9a61a7325c3d33515d782731c51ff7b3c3520c72bd47ed",
+    "ratio 10 stdout": "f8fe061c2609d9388527c64e87c7e868c2bf1948ecee7a5fd4558f44ecccccbb",
+    "ratio -0/trace.csv": "4cd1b1af130b47b8b10fb00bad295fa3646c57405160c7626c57b142d40207c4",
+    "ratio -0/scenario_result.csv":
+        "8618681cfcfc4c4cec5db0c951b47f6c929f68178122097bc17912792f1d27d4",
+    "ratio -0 stdout": "e2d067915c5f94ebb951bdddedae62b93152a8559af2462ec24bea9e577ae1ad",
 }
 
 
@@ -826,16 +898,19 @@ def test_simulate_traces_keep_their_bytes(tmp_path, capsys, monkeypatch):
     load = profile_csv(tmp_path / "load.csv",
                        lambda i: evening_load(i // 4) + 0.01 * (i * 7919 % 101), 35040, 15)
     pv = profile_csv(tmp_path / "pv.csv", midday_pv)
+    measured = ["--type", "B", "--pv-kwp", "5",
+                "--load-profile", str(load), "--pv-profile", str(pv)]
     cases = {
-        "hourly": ["--type", "A", "--pv-kwp", "3"],
-        "quarter-hour": ["--type", "B", "--pv-kwp", "5",
-                         "--load-profile", str(load), "--pv-profile", str(pv)],
+        "hourly": ["--type", "A", "--pv-kwp", "3", "--ratio", "1"],
+        "quarter-hour": [*measured, "--ratio", "1"],
+        "ratio 10": [*measured, "--ratio", "10"],
+        "ratio -0": [*measured, "--ratio", "-0"],
     }
     outputs = {}
     for name, args in cases.items():
         out = tmp_path / name
-        assert main(["simulate", "--country", "Cyprus", *args, "--ratio", "1", "--bess-price",
-                     "150", "--out", str(out), "--trace", str(out / "trace.csv")]) == 0
+        assert main(["simulate", "--country", "Cyprus", *args, "--bess-price", "150",
+                     "--out", str(out), "--trace", str(out / "trace.csv")]) == 0
         outputs[f"{name} stdout"] = capsys.readouterr().out.encode()
         for file in ("trace.csv", "scenario_result.csv"):
             outputs[f"{name}/{file}"] = (out / file).read_bytes()

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _reference import random_dispatch_instance, reference_flow_sum, reference_simulate
+from _reference import (
+    random_dispatch_instance,
+    reference_flow_sum,
+    reference_simulate,
+    reference_socs,
+)
 from storparity import (
     BatterySpec,
     EnergyBooksError,
@@ -24,6 +29,7 @@ from storparity import (
     synthesize_pv_profile,
     trace_to_csv,
 )
+from storparity import dispatch
 from storparity.dispatch import (
     _RUN,
     _SUB,
@@ -31,6 +37,7 @@ from storparity.dispatch import (
     TRACE_CSV_HEADER,
     DispatchTrace,
     _check_books,
+    _day_starts,
     _scale,
     simulate_balances,
 )
@@ -421,6 +428,125 @@ class TestTraceMatchesReference:
             assert trace_bits(got) == trace_bits(want)
             assert np.all(battery.soc_min_kwh <= got.soc_kwh)
             assert np.all(got.soc_kwh <= battery.capacity_kwh)
+
+
+#: Steps of multi-day rows: STEPS, two that divide neither 6 h nor 24 h, and the
+#: extreme finite steps (all of 480 steps of 5e-324 h fall in one day, and a step of
+#: 1e300 h is a day of its own).
+DAY_STEPS = [*STEPS, 5.0, 7.0, 5e-324, 1e300]
+
+#: Batteries for multi-day rows: none at either sign, one that empties every
+#: night, ones that fill on sunny days and empty on long nights, a soc_min of
+#: +0.0, and one that never fills or empties.
+WALK_BATTERIES = [
+    BatterySpec(0.0), BatterySpec(-0.0), BatterySpec(-0.0, usable_fraction=1.0),
+    BatterySpec(0.5), BatterySpec(3.0), BatterySpec(6.0, usable_fraction=1.0),
+    BatterySpec(12.0, max_charge_kw=4.0, max_discharge_kw=1.0), NEVER_CLAMPS,
+]
+
+
+def multi_day_rows(rng, days, step):
+    """pv and load rows of days days of step hours, the last day partial.
+
+    Each day has its own sun (none on some) and night load, so a battery
+    may fill in the afternoon, and empty or not before the next 06:00.
+    """
+    n = int(min(max(days * 24.0 / step, days), 480.0))
+    n -= int(rng.integers(0, max(n // days // 2, 1)))
+    with np.errstate(over="ignore"):
+        hours = np.arange(n) * step
+    day = np.minimum(hours // 24.0, days - 1).astype(int)
+    clear = np.maximum(1.0 - np.abs(hours % 24.0 - 12.5) / 5.0, 0.0)
+    pv = rng.choice([0.0, 1.0, 3.0, 6.0], days)[day] * clear * rng.uniform(0.8, 1.0, n)
+    load = rng.uniform(0.05, 1.5, days)[day] * rng.uniform(0.5, 1.5, n)
+    load[::5] = pv[::5]  # ties
+    if rng.uniform() < 0.5:
+        pv[:1] = NEVER_CLAMPS.max_charge_kw + 4.0  # fills NEVER_CLAMPS part way
+    return pv, load
+
+
+class TestTraceWalk:
+    """simulate_series' pass 1 (every day from soc_min) and its walk (from the true SOC)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 10), st.sampled_from(DAY_STEPS), st.sampled_from(WALK_BATTERIES),
+           st.integers(0, 2**32 - 1))
+    def test_multi_day_rows_match_the_reference(self, days, step, battery, seed):
+        pv, load = multi_day_rows(np.random.default_rng(seed), days, step)
+        want = trace_bits(reference_simulate(pv, load, battery, step))
+        socs = np.array(reference_socs(pv, load, battery, step)).tobytes()
+        got = simulate_series(pv, load, battery, step)
+        assert trace_bits(got) == want
+        assert got.soc_kwh.tobytes() == socs  # and the signs of zeros the trace CSV writes
+
+    def test_both_branches_run(self, monkeypatch):
+        """Walks meet pass 1 at capacity and at soc_min, or run on through a day's end,
+        and the steps neither walked nor of the first day are pass 1's."""
+        seen = Counter()
+        walk = dispatch._walk
+
+        def counted(offers, wants, soc, soc1, full1, par):
+            socs = walk(offers, wants, soc, soc1, full1, par)
+            seen["walked"] += len(socs)
+            if len(socs) == len(offers):
+                seen["through a day's end"] += 1
+            else:
+                seen["met at capacity" if full1[len(socs)] else "met at soc_min"] += 1
+            return socs
+
+        monkeypatch.setattr(dispatch, "_walk", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            step = float(rng.choice(DAY_STEPS))
+            battery = WALK_BATTERIES[rng.integers(len(WALK_BATTERIES))]
+            pv, load = multi_day_rows(rng, int(rng.integers(2, 11)), step)
+            before = seen["walked"]
+            got = simulate_series(pv, load, battery, step)
+            want_socs = np.array(reference_socs(pv, load, battery, step))
+            assert got.soc_kwh.tobytes() == want_socs.tobytes()
+            first_day = np.append(_day_starts(len(pv), step), len(pv))[1]
+            seen["from pass 1"] += len(pv) - first_day - (seen["walked"] - before)
+        assert all(seen[kind] > 0 for kind in (
+            "walked", "from pass 1", "met at capacity", "met at soc_min", "through a day's end",
+        )), seen
+
+    def test_the_walk_meets_pass_1_only_on_equal_bits(self):
+        """The walk stops only where pass 1 clamped as it does, not at any clamp of its own."""
+        battery = BatterySpec(2.0)
+        par = (battery.capacity_kwh, battery.soc_min_kwh, battery.eta_charge,
+               battery.eta_discharge)
+        pv, load = [0.0] * 6 + [2.0] * 6 + [0.0] * 12, [0.5] * 6 + [0.0] * 6 + [1.0] * 12
+        true = reference_socs(pv, load, battery, 1.0)
+        _, _, offered, wanted = dispatch._offers(
+            np.array(pv), np.array(load), 1.0, 1.0, 1.0, [np.empty(24) for _ in range(4)])
+        start = 7  # from 1.15 kWh: full at steps 7-11, empty at steps 13-23
+        assert true[start - 1] not in par[:2] and true[11] == par[0] and true[13] == par[1]
+
+        def walk(pass_1_clamps):
+            soc1, full1 = np.full(24, np.nan), np.zeros(24, dtype=bool)
+            for step, clamp in pass_1_clamps.items():
+                if clamp == "capacity":
+                    full1[step] = True
+                else:
+                    soc1[step] = battery.soc_min_kwh
+            return dispatch._walk(offered[start:].tolist(), wanted[start:].tolist(),
+                                  true[start - 1], soc1[start:], full1[start:], par)
+
+        assert walk({}) == true[start:]
+        assert walk({9: "capacity"}) == true[start:9]
+        assert walk({15: "soc_min"}) == true[start:15]
+        assert walk({9: "soc_min", 15: "capacity"}) == true[start:]
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-3, 0.25, 1.0, 5.0, 7.0, 24.0, 1e300])
+    def test_days_start_at_each_cut(self, step):
+        n = 200
+        starts = _day_starts(n, step).tolist()
+        with np.errstate(over="ignore"):
+            hours = np.arange(n) * step
+        want = [0] + [i for i in range(1, n)
+                      if (hours[i] - 6.0) // 24.0 != (hours[i - 1] - 6.0) // 24.0]
+        assert starts == want
+        assert _day_starts(0, step).size == 0
 
 
 class TestSimulateBalances:
