@@ -72,7 +72,6 @@ from .sweep import (
     ResultsTable,
     Scenario,
     ScenarioGrid,
-    ScenarioResult,
     best_pv_size,
     box_stats,
     box_stats_by_country_price,
@@ -81,7 +80,6 @@ from .sweep import (
     parity_share_table,
     parse_results_csv,
     results_to_csv,
-    run_scenario,
     run_sweep,
 )
 

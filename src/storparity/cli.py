@@ -4,9 +4,9 @@ Exit codes: 0 on success, 1 on computation failure, 2 on usage or
 configuration errors, an input file that cannot be read or an output that
 cannot be written; main prints those as one ``error:`` line, and a
 dispatch whose energy books do not balance, a bug, as one ``internal
-error:`` line with exit 1. Every run
-writes a ``run-manifest.json`` echoing all parameters actually used, so
-results are reproducible byte for byte from the same configuration.
+error:`` line with exit 1. ``simulate`` and ``sweep`` also write a
+``run-manifest.json`` echoing all parameters actually used, so results are
+reproducible byte for byte from the same configuration.
 """
 
 from __future__ import annotations
@@ -449,15 +449,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_outputs(writes, cfg.inputs)
     country = cfg.countries[scenario.country]
     try:
-        trace, result = simulate_scenario(
-            scenario, country, cfg.econ, cfg.profiles, cfg.battery_kwargs
-        )
+        trace, table = simulate_scenario(scenario, country, cfg.econ, cfg.profiles,
+                                         cfg.battery_kwargs)
     except ValueError as exc:  # StorParityError and kin
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 
     with _writing(cfg.out_dir):
-        (cfg.out_dir / outputs[0]).write_text(results_to_csv([result]), encoding="utf-8")
+        (cfg.out_dir / outputs[0]).write_text(results_to_csv(table), encoding="utf-8")
         _write_manifest(cfg, "simulate", {"scenario": asdict(scenario)})
     if args.trace is not None:
         with _writing(args.trace.parent):
@@ -468,15 +467,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{scenario.pv_kwp} kWp PV, {_fmt_axis(scenario.bess_kwh)} kWh BESS @ "
         f"{_fmt_axis(scenario.bess_price_eur_per_kwh)} EUR/kWh"
     )
-    print(f"SCR      : {result.scr:.6f}")
-    print(f"SSR      : {result.ssr:.6f}")
-    print(f"LCOE     : {result.lcoe:.6f} EUR/kWh")
-    print(f"LCOU     : {result.lcou:.6f} EUR/kWh")
-    print(f"NPV      : {result.npv:.2f} EUR")
-    verdict = "yes" if result.grid_parity else "no"
-    print(
-        f"parity   : {verdict} (retail {country.retail_price_eur_per_kwh:.5f} EUR/kWh)"
-    )
+    print(f"SCR      : {table.scr[0]:.6f}")
+    print(f"SSR      : {table.ssr[0]:.6f}")
+    print(f"LCOE     : {table.lcoe[0]:.6f} EUR/kWh")
+    print(f"LCOU     : {table.lcou[0]:.6f} EUR/kWh")
+    print(f"NPV      : {table.npv[0]:.2f} EUR")
+    verdict = "yes" if table.grid_parity[0] else "no"
+    print(f"parity   : {verdict} (retail {country.retail_price_eur_per_kwh:.5f} EUR/kWh)")
     return 0
 
 

@@ -670,6 +670,14 @@ def _check_books(totals, produced, consumed, direct, params) -> None:
         )
 
 
+def _check_balance(b: EnergyBalance, battery: BatterySpec) -> None:
+    """_check_books of the balance b of one dispatch with battery, as config 0."""
+    _check_books(np.array([[b.e_charged], [b.e_delivered], [b.e_curtail], [b.e_import]]),
+                 np.array([b.e_produced]), np.array([b.e_consumed]), np.array([b.e_direct]),
+                 np.array([[battery.capacity_kwh], [battery.soc_min_kwh], [battery.eta_charge],
+                           [battery.eta_discharge]]))
+
+
 def annual_balance(trace: DispatchTrace, step_hours: float) -> EnergyBalance:
     """Aggregate a trace into annual energies plus SCR and SSR.
 

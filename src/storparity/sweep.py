@@ -8,7 +8,6 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ from .dispatch import (
     BatterySpec,
     DispatchTrace,
     EnergyBalance,
+    _check_balance,
     _distinct,
     annual_balance,
     simulate,
@@ -60,7 +60,6 @@ RESULTS_CSV_HEADER = (
     "country,prosumer_type,pv_kwp,ratio_kwh_per_kwp,bess_price_eur_per_kwh,"
     "scr,ssr,lcoe,lcou,npv,grid_parity"
 )
-_AXIS_COLUMNS = RESULTS_CSV_HEADER.split(",")[:5]
 _METRIC_COLUMNS = RESULTS_CSV_HEADER.split(",")[5:10]
 BOX_CSV_HEADER = "country,bess_price,min,q1,median,q3,max"
 PARITY_CSV_HEADER = "country,bess_price,share_percent,parity_count,scenario_count"
@@ -93,6 +92,8 @@ class Scenario:
             raise ValueError(f"unknown prosumer type {self.prosumer_type!r}")
         if int(self.pv_kwp) != self.pv_kwp or self.pv_kwp < 1:
             raise ValueError(f"pv_kwp must be an integer >= 1, got {self.pv_kwp}")
+        if self.pv_kwp >= 2**63:  # no results table holds it
+            raise ValueError(f"pv_kwp must fit in 64 bits, got {self.pv_kwp}")
         object.__setattr__(self, "pv_kwp", int(self.pv_kwp))
         if self.ratio_kwh_per_kwp < 0.0:
             raise ValueError(f"ratio_kwh_per_kwp must be >= 0, got {self.ratio_kwh_per_kwp}")
@@ -123,17 +124,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    scenario: Scenario
-    scr: float
-    ssr: float
-    lcoe: float
-    lcou: float
-    npv: float
-    grid_parity: bool
-
-
-@dataclass(frozen=True)
 class BoxStats:
     """Five-number summary with quartiles by inclusive linear interpolation."""
 
@@ -151,6 +141,9 @@ class BoxStats:
 
 class ResultsTable:
     """Scenario results as columns, one entry per result, in row order.
+
+    The package's one results type: run_sweep, simulate_scenario and
+    parse_results_csv return it, and every summary and writer reads it.
 
     One column per results CSV field, named as there, given in that order.
     The axis columns are lists of the scenarios' values, except pv_kwp, an
@@ -170,38 +163,12 @@ class ResultsTable:
     def __len__(self) -> int:
         return len(self.country)
 
-    @classmethod
-    def from_results(cls, results: Sequence[ScenarioResult]) -> ResultsTable:
-        """The table of any ScenarioResults, in their order."""
-        n = len(results)
-        scenarios = list(map(attrgetter("scenario"), results))
-        country, ptype, kwp, ratio, price = (
-            list(map(attrgetter(name), scenarios)) for name in _AXIS_COLUMNS
-        )
-        return cls(
-            country, ptype, np.fromiter(kwp, np.int64, n), ratio, price,
-            *(np.fromiter(map(attrgetter(name), results), float, n) for name in _METRIC_COLUMNS),
-            np.fromiter(map(attrgetter("grid_parity"), results), bool, n),
-        )
-
-    def rows(self) -> list[ScenarioResult]:
-        """The results as ScenarioResults, in row order."""
-        scenarios = map(Scenario, self.country, self.prosumer_type, self.pv_kwp.tolist(),
-                        self.ratio_kwh_per_kwp, self.bess_price_eur_per_kwh)
-        metrics = (getattr(self, name).tolist() for name in _METRIC_COLUMNS)
-        return list(map(ScenarioResult, scenarios, *metrics, self.grid_parity.tolist()))
-
     def where(self, **columns) -> np.ndarray:
         """The mask of the rows whose named columns equal the given values, as == tells."""
         mask = np.ones(len(self), bool)
         for name, value in columns.items():
             mask &= np.array(getattr(self, name), dtype=object) == value
         return mask
-
-
-def _table(results: ResultsTable | Sequence[ScenarioResult]) -> ResultsTable:
-    """The results as a table, built from ScenarioResults if need be."""
-    return results if isinstance(results, ResultsTable) else ResultsTable.from_results(results)
 
 
 class ScenarioGrid:
@@ -315,31 +282,34 @@ def simulate_scenario(
     econ: EconomicParams,
     source: ProfileSource | None = None,
     battery_kwargs: Mapping | None = None,
-) -> tuple[DispatchTrace, ScenarioResult]:
-    """Full pipeline for one scenario: its trace, and its result priced as a batch of one."""
+) -> tuple[DispatchTrace, ResultsTable]:
+    """Full pipeline for one scenario: its trace, and its one-row results table.
+
+    The row is priced as a batch of one, and the dispatch's energy books
+    are checked as a sweep's are: an EnergyBooksError names the scenario.
+    """
     source = source if source is not None else ProfileSource()
     load = source.load_profile(scenario)
     pv = source.pv_profile(scenario, data)
     battery = BatterySpec(capacity_kwh=scenario.bess_kwh, **(battery_kwargs or {}))
     trace = simulate(pv, load, battery)
     balance = annual_balance(trace, source.step_hours)
+    try:
+        _check_balance(balance, battery)
+    except EnergyBooksError as exc:
+        raise _books_error(scenario, exc) from None
     cell = (scenario.pv_kwp, scenario.bess_kwh, data, balance)
     metrics, parity, errors = _price([cell], [scenario.bess_price_eur_per_kwh], econ)
     if errors:
         raise errors[0]
-    return trace, ScenarioResult(scenario, *metrics[:, 0].tolist(), bool(parity[0]))
+    axes = [[value] for value in scenario.key]
+    return trace, ResultsTable(*axes[:2], np.array(axes[2], np.int64), *axes[3:], *metrics, parity)
 
 
-def run_scenario(
-    scenario: Scenario,
-    data: CountryData,
-    econ: EconomicParams,
-    source: ProfileSource | None = None,
-    *,
-    battery_kwargs: Mapping | None = None,
-) -> ScenarioResult:
-    """simulate_scenario's result alone."""
-    return simulate_scenario(scenario, data, econ, source, battery_kwargs)[1]
+def _books_error(s: Scenario, exc: EnergyBooksError) -> EnergyBooksError:
+    """exc, naming the dispatch key of scenario s instead of its position in a batch."""
+    return EnergyBooksError(f"{s.country} type {s.prosumer_type}, {s.pv_kwp} kWp, "
+                            f"{_fmt_axis(s.bess_kwh)} kWh: {exc}", exc.config)
 
 
 def _failure(exc: Exception) -> str:
@@ -383,10 +353,8 @@ def _dispatch_keys(
         configs.append((index[pv_key], index[load_key], battery))
     try:
         balances = simulate_balances(pv_rows, load_rows, configs, source.step_hours)
-    except EnergyBooksError as exc:  # name the key, not its position in the batch
-        s = scenarios[outcomes.index(exc.config)]
-        raise EnergyBooksError(f"{s.country} type {s.prosumer_type}, {s.pv_kwp} kWp, "
-                               f"{_fmt_axis(s.bess_kwh)} kWh: {exc}", exc.config) from None
+    except EnergyBooksError as exc:
+        raise _books_error(scenarios[outcomes.index(exc.config)], exc) from None
     return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 
@@ -503,13 +471,9 @@ def _price(cells: Sequence[tuple], prices: Sequence[float], econ: EconomicParams
     return metrics, fin.grid_parity, fin.errors
 
 
-def parity_share(
-    results: ResultsTable | Sequence[ScenarioResult],
-    country: str | None = None,
-    bess_price: float | None = None,
-) -> float:
+def parity_share(table: ResultsTable, country: str | None = None,
+                 bess_price: float | None = None) -> float:
     """Percentage of the filtered results that reach grid parity."""
-    table = _table(results)
     wanted = {"country": country, "bess_price_eur_per_kwh": bess_price}
     selected = table.where(**{name: value for name, value in wanted.items() if value is not None})
     if not selected.any():
@@ -550,15 +514,9 @@ def _five_numbers(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -
     return stats
 
 
-def best_pv_size(
-    results: ResultsTable | Sequence[ScenarioResult],
-    country: str,
-    prosumer_type: str,
-    ratio: float,
-    bess_price: float,
-) -> int:
+def best_pv_size(table: ResultsTable, country: str, prosumer_type: str, ratio: float,
+                 bess_price: float) -> int:
     """PV size with the lowest LCOU; ties break toward the smaller size."""
-    table = _table(results)
     selected = table.where(country=country, prosumer_type=prosumer_type,
                            ratio_kwh_per_kwp=ratio, bess_price_eur_per_kwh=bess_price)
     if not selected.any():
@@ -568,15 +526,12 @@ def best_pv_size(
     return min(zip(table.lcou[selected].tolist(), table.pv_kwp[selected].tolist()))[1]
 
 
-def best_pv_sizes(
-    results: ResultsTable | Sequence[ScenarioResult],
-) -> list[tuple[str, str, float, float, int]]:
+def best_pv_sizes(table: ResultsTable) -> list[tuple[str, str, float, float, int]]:
     """best_pv_size of each (country, type, ratio, BESS price) in the results, sorted.
 
     One sort orders every result by cell, then by LCOU, then by size; each
     cell's first result is its best.
     """
-    table = _table(results)
     axes = (table.country, table.prosumer_type, table.ratio_kwh_per_kwp,
             table.bess_price_eur_per_kwh)
     cells, order, starts, _ = _cells(axes, table.lcou, table.pv_kwp)
@@ -593,8 +548,7 @@ def _fmt_axis(x: float) -> str:
 _RESULTS_ROW = "%s,%s,%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s"
 
 
-def results_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:
-    table = _table(results)
+def results_to_csv(table: ResultsTable) -> str:
     columns = (
         table.country, table.prosumer_type, table.pv_kwp.tolist(),
         _axis_labels(table.ratio_kwh_per_kwp), _axis_labels(table.bess_price_eur_per_kwh),
@@ -630,8 +584,8 @@ def _results_columns(text: str) -> ResultsTable:
     axes = (countries, types, list(map(int, kwps)), list(map(float, ratios)),
             list(map(float, prices)))
     metrics = np.array([list(map(float, column)) for column in metrics])
-    if not countries or not -2**63 <= min(axes[2]) <= max(axes[2]) < 2**63:
-        raise ValueError("no rows, or a kWp outside int64")
+    if not countries:  # _check_axes reads a first row; Scenario keeps a kWp within int64
+        raise ValueError("no rows")
     _check_axes([list(dict.fromkeys(column)) for column in axes])
     if (len(set(zip(*axes))) < len(countries) or not np.isfinite(metrics).all()
             or set(parity) - {"true", "false"}):
@@ -640,9 +594,8 @@ def _results_columns(text: str) -> ResultsTable:
                         np.array(parity) == "true")
 
 
-def _results_rows(text: str) -> list[ScenarioResult]:
-    """The results, checked row by row: raises naming the first bad line."""
-    results = []
+def _results_rows(text: str) -> None:
+    """Check the results row by row: raises naming the first bad line."""
     seen = set()
     rows = read_rows(text, RESULTS_CSV_HEADER, "results CSV")
     for lineno, (country, ptype, kwp, ratio, price, *metrics, parity) in rows:
@@ -662,10 +615,8 @@ def _results_rows(text: str) -> list[ScenarioResult]:
         if scenario.key in seen:
             raise ValueError(f"line {lineno}: duplicate scenario {scenario.key}")
         seen.add(scenario.key)
-        results.append(ScenarioResult(scenario, *metrics, parity == "true"))
-    if not results:
+    if not seen:
         raise ValueError("results CSV has no data rows")
-    return results
 
 
 def _cells(columns: Sequence[Sequence], *within: np.ndarray) -> tuple:
@@ -684,14 +635,11 @@ def _cells(columns: Sequence[Sequence], *within: np.ndarray) -> tuple:
     return cells, np.lexsort((*within[::-1], cell)), np.cumsum(counts) - counts, counts
 
 
-def box_stats_by_country_price(
-    results: ResultsTable | Sequence[ScenarioResult],
-) -> list[tuple[str, float, BoxStats]]:
+def box_stats_by_country_price(table: ResultsTable) -> list[tuple[str, float, BoxStats]]:
     """LCOU five-number summary per (country, BESS price), sorted; see _box_rows.
 
     The table's one sort orders every result by cell, then by LCOU.
     """
-    table = _table(results)
     cells, order, starts, counts = table.by_country_price
     rows = _box_rows(table.lcou[order], starts, counts, lambda i: f"LCOUs of {cells[i][0]} "
                      f"at BESS price {_fmt_axis(cells[i][1])}")
@@ -712,11 +660,11 @@ def _box_rows(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray, name)
     return stats.tolist()
 
 
-def box_stats_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:
+def box_stats_to_csv(table: ResultsTable) -> str:
     return write_rows(BOX_CSV_HEADER, (
         f"{country},{_fmt_axis(price)},{stats.minimum:.6f},{stats.q1:.6f},"
         f"{stats.median:.6f},{stats.q3:.6f},{stats.maximum:.6f}"
-        for country, price, stats in box_stats_by_country_price(results)
+        for country, price, stats in box_stats_by_country_price(table)
     ))
 
 
@@ -737,20 +685,18 @@ def _parity_counts(table: ResultsTable) -> list[tuple[str, str, int, int]]:
     return counted
 
 
-def parity_share_table(
-    results: ResultsTable | Sequence[ScenarioResult],
-) -> list[tuple[str, str, float]]:
+def parity_share_table(table: ResultsTable) -> list[tuple[str, str, float]]:
     """Parity share per country at each BESS price plus a pooled row.
 
     Price labels are the numeric price or 'pooled' for the all-prices row.
     The share is parity_share's, bit for bit.
     """
     return [(country, label, 100.0 * hits / n)
-            for country, label, hits, n in _parity_counts(_table(results))]
+            for country, label, hits, n in _parity_counts(table)]
 
 
-def parity_shares_to_csv(results: ResultsTable | Sequence[ScenarioResult]) -> str:
+def parity_shares_to_csv(table: ResultsTable) -> str:
     return write_rows(PARITY_CSV_HEADER, (
         f"{country},{label},{100.0 * hits / n:.6f},{hits},{n}"
-        for country, label, hits, n in _parity_counts(_table(results))
+        for country, label, hits, n in _parity_counts(table)
     ))

@@ -21,11 +21,11 @@ def default_econ():
 
 @pytest.fixture(scope="session")
 def full_sweep(country_data, default_econ):
-    """Default 612-scenario sweep, as Scenarios and ScenarioResults, plus the serial wall
-    time it took."""
+    """Default 612-scenario sweep, as its Scenarios and its ResultsTable, plus the serial
+    wall time it took."""
     grid = sp.build_grid(list(country_data))
     start = time.perf_counter()
     results = sp.run_sweep(grid, country_data, default_econ)
     elapsed = time.perf_counter() - start
     assert len(results) == len(grid)
-    return grid.rows(), results.rows(), elapsed
+    return grid.rows(), results, elapsed

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _reference import random_dispatch_instance, reference_simulate
+from _tables import rows
 from storparity import (
     BatterySpec,
     EconomicParams,
@@ -55,8 +56,8 @@ def test_criterion_1_lcou_npv_identity(full_sweep, country_data):
     start = time.perf_counter()
 
     mismatches = 0
-    for r in results:
-        retail = country_data[r.scenario.country].retail_price_eur_per_kwh
+    for r in rows(results):
+        retail = country_data[r.country].retail_price_eur_per_kwh
         on_boundary = abs(r.lcou - retail) <= 1e-9 * retail
         if not on_boundary and r.grid_parity != (r.npv > 0.0):
             mismatches += 1
@@ -174,18 +175,17 @@ def test_criterion_3_dispatch_oracle_and_conservation(full_sweep, country_data):
 
 def test_criterion_4_monotonicity_suite(full_sweep):
     _, results, _ = full_sweep
-    by_key = {r.scenario.key: r for r in results}
+    by_key = {r[:5]: r for r in rows(results)}
     scr_ok = True
     price_ok = True
-    for r in results:
-        s = r.scenario
-        if s.ratio_kwh_per_kwp == 0.5:
-            mid = by_key[(s.country, s.prosumer_type, s.pv_kwp, 1.0, s.bess_price_eur_per_kwh)]
-            big = by_key[(s.country, s.prosumer_type, s.pv_kwp, 2.0, s.bess_price_eur_per_kwh)]
+    for r in rows(results):
+        if r.ratio_kwh_per_kwp == 0.5:
+            mid = by_key[(r.country, r.prosumer_type, r.pv_kwp, 1.0, r.bess_price_eur_per_kwh)]
+            big = by_key[(r.country, r.prosumer_type, r.pv_kwp, 2.0, r.bess_price_eur_per_kwh)]
             if not (r.scr <= mid.scr + 1e-12 and mid.scr <= big.scr + 1e-12):
                 scr_ok = False
-        if s.bess_price_eur_per_kwh == 150.0 and s.bess_kwh > 0.0:
-            twin = by_key[(s.country, s.prosumer_type, s.pv_kwp, s.ratio_kwh_per_kwp, 500.0)]
+        if r.bess_price_eur_per_kwh == 150.0 and r.pv_kwp * r.ratio_kwh_per_kwp > 0.0:
+            twin = by_key[(r.country, r.prosumer_type, r.pv_kwp, r.ratio_kwh_per_kwp, 500.0)]
             if not r.lcou < twin.lcou:
                 price_ok = False
     _criterion(
@@ -197,7 +197,8 @@ def test_criterion_4_monotonicity_suite(full_sweep):
 
 
 def test_criterion_5_qualitative_trends(full_sweep, country_data):
-    _, results, _ = full_sweep
+    _, table, _ = full_sweep
+    results = rows(table)
 
     type_a_ok = True
     for country in RETAIL:
@@ -207,25 +208,25 @@ def test_criterion_5_qualitative_trends(full_sweep, country_data):
                     (
                         r
                         for r in results
-                        if r.scenario.country == country
-                        and r.scenario.prosumer_type == "A"
-                        and r.scenario.ratio_kwh_per_kwp == ratio
-                        and r.scenario.bess_price_eur_per_kwh == price
+                        if r.country == country
+                        and r.prosumer_type == "A"
+                        and r.ratio_kwh_per_kwp == ratio
+                        and r.bess_price_eur_per_kwh == price
                     ),
-                    key=lambda r: r.scenario.pv_kwp,
+                    key=lambda r: r.pv_kwp,
                 )
                 lcous = [r.lcou for r in sizes]
                 if any(b < a for a, b in zip(lcous, lcous[1:])):
                     type_a_ok = False
 
-    france = [r for r in results if r.scenario.country == "France"]
+    france = [r for r in results if r.country == "France"]
     france_ok = len(france) == 102 and all(
         r.lcou > RETAIL["France"] and not r.grid_parity for r in france
     )
 
     medians = {
         country: float(
-            np.median([r.lcou for r in results if r.scenario.country == country])
+            np.median([r.lcou for r in results if r.country == country])
         )
         for country in RETAIL
     }

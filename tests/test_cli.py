@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import storparity
 import storparity.sweep as sweep_module
+from _tables import table_of
 from storparity.cli import (
     DATA_DIR_ENV,
     INTEGER,
@@ -29,14 +31,11 @@ from storparity.sweep import (
     BOX_CSV_HEADER,
     PARITY_CSV_HEADER,
     RESULTS_CSV_HEADER,
-    ResultsTable,
-    Scenario,
-    ScenarioResult,
     best_pv_sizes,
     build_grid,
     parity_share_table,
-    run_scenario,
     run_sweep,
+    simulate_scenario,
 )
 
 TWO_COUNTRY_CSV = (
@@ -248,6 +247,34 @@ class TestSimulate:
         assert capsys.readouterr().err == "computation error: lcoe must be finite, got inf\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kwp", [str(2**63), str(10**19)])
+    def test_kwp_past_int64_exits_2_before_any_work(self, tmp_path, capsys, kwp):
+        # no results table holds such a kWp; report rejects it in the same words
+        out = tmp_path / "out"
+        argv = [*simulate_args(out, type="A", **{"pv-kwp": kwp}), "--allow-out-of-range"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: pv_kwp must fit in 64 bits, got {kwp}\n"
+        assert not out.exists()
+
+    def test_unbalanced_books_exit_1_in_one_line_and_write_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a trace with twice the charge it dispatched: its PV side stops balancing
+        simulate = sweep_module.simulate
+
+        def doubled_charge(pv, load, battery):
+            trace = simulate(pv, load, battery)
+            return replace(trace, p_charge=trace.p_charge * 2)
+
+        monkeypatch.setattr(sweep_module, "simulate", doubled_charge)
+        out, trace_path = tmp_path / "out", tmp_path / "trace.csv"
+        assert main(simulate_args(out, trace=str(trace_path))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: Cyprus type B, 3 kWp, 3 kWh: energy "
+                                       "books of dispatch config 0 do not balance: residuals ")
+        assert not out.exists() and not trace_path.exists()
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_in_an_unread_config_key_exits_2(
         self, tmp_path, capsys, constant
@@ -388,7 +415,7 @@ class TestSweep:
         expected = []
         for scenario in build_grid(data, ["A"], [0.0, 1.0, 1e308], [150.0, 1e308]).rows():
             try:
-                run_scenario(scenario, data[scenario.country], econ)
+                simulate_scenario(scenario, data[scenario.country], econ)
             except ValueError as exc:
                 expected.append(f"  {scenario.key}: {type(exc).__name__}: {exc}")
         captured = capsys.readouterr()
@@ -935,12 +962,10 @@ def report_summaries(draw):
                  min_size=1, max_size=5),
         max_size=6,
     ))
-    results = [
-        ScenarioResult(Scenario(country, "A", kwp, 1.0, price), 0.5, 0.5, 0.1, lcou, 1.0,
-                       draw(st.booleans()))
+    table = table_of([
+        (country, "A", kwp, 1.0, price, 0.5, 0.5, 0.1, lcou, 1.0, draw(st.booleans()))
         for (country, price), lcous in cells.items() for kwp, lcou in enumerate(lcous, 1)
-    ]
-    table = ResultsTable.from_results(results)
+    ])
     cells, order, starts, counts = table.by_country_price
     with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - -1e308, inf * 0
         five = sweep_module._five_numbers(table.lcou[order], starts, counts).tolist()

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import storparity.sweep as sweep_module
 from _reference import reference_lcou, reference_quartiles
+from _tables import Row, columns, keys, rows, stack, table_of
 from storparity import (
     PROSUMER_TYPES,
     BatterySpec,
@@ -21,10 +22,8 @@ from storparity import (
     IncompatibleProfilesError,
     PV_RANGE_KWP,
     ProfileKind,
-    ResultsTable,
     Scenario,
     ScenarioGrid,
-    ScenarioResult,
     TimeSeriesProfile,
     ZeroEnergyError,
     annual_balance,
@@ -36,7 +35,6 @@ from storparity import (
     parity_share,
     parse_results_csv,
     results_to_csv,
-    run_scenario,
     run_sweep,
     synthesize_pv_profile,
 )
@@ -51,6 +49,7 @@ from storparity.sweep import (
     parity_shares_to_csv,
     simulate_scenario,
 )
+from storparity.table import read_rows
 
 COUNTRIES = ["Cyprus", "France", "Greece", "Italy", "Portugal", "Spain"]
 
@@ -178,6 +177,14 @@ class TestScenario:
         with pytest.raises(ValueError, match="ratio_kwh_per_kwp must be >= 0, got -1.0"):
             ScenarioGrid(["Cyprus"], ["A"], [1.0, -1.0], [150.0])
 
+    def test_kwp_must_fit_in_64_bits(self):
+        # as a results table's int64 column must hold it
+        assert Scenario("Cyprus", "A", 2**63 - 1, 1.0, 150.0).pv_kwp == 2**63 - 1
+        for kwp in (2**63, 10**19, 1e19):
+            with pytest.raises(ValueError) as caught:
+                Scenario("Cyprus", "A", kwp, 1.0, 150.0)
+            assert str(caught.value) == f"pv_kwp must fit in 64 bits, got {kwp}"
+
 
 CYPRUS_A3 = {"country": "Cyprus", "prosumer_type": "A", "pv_kwp": 3}
 CYPRUS_DATA = {"name": "Cyprus", "vat_rate": 0.19}
@@ -207,7 +214,9 @@ def test_non_finite_values_rejected(cls, base, field, bad):
 class TestRunScenario:
     def test_cyprus_b3_fixture_and_dcf_recomputation(self, country_data, default_econ):
         scenario = Scenario("Cyprus", "B", 3, 1.0, 150.0)
-        result = run_scenario(scenario, country_data["Cyprus"], default_econ)
+        _, table = simulate_scenario(scenario, country_data["Cyprus"], default_econ)
+        (result,) = rows(table)
+        assert keys(table) == [scenario.key]
         assert result.grid_parity is True
         assert result.scr == pytest.approx(CYB3_SCR, rel=1e-9)
         assert result.lcou == pytest.approx(CYB3_LCOU, rel=1e-6)
@@ -230,27 +239,27 @@ class TestRunScenario:
         for ptype, kwp in (("A", 1), ("B", 5), ("C", 10)):
             for ratio in (0.5, 1.0, 2.0):
                 scenario = Scenario("France", ptype, kwp, ratio, 500.0)
-                result = run_scenario(scenario, country_data["France"], default_econ)
-                assert result.grid_parity is False
+                _, result = simulate_scenario(scenario, country_data["France"], default_econ)
+                assert result.grid_parity.tolist() == [False]
 
     def test_zero_ratio_matches_pv_only(self, country_data, default_econ):
-        with_zero = run_scenario(
+        _, with_zero = simulate_scenario(
             Scenario("Spain", "A", 3, 0.0, 150.0), country_data["Spain"], default_econ
         )
         # with no storage the BESS price cannot matter: same dispatch, same cost
-        other_price = run_scenario(
+        _, other_price = simulate_scenario(
             Scenario("Spain", "A", 3, 0.0, 500.0), country_data["Spain"], default_econ
         )
-        assert with_zero.scr == other_price.scr
-        assert with_zero.lcou == pytest.approx(other_price.lcou, rel=1e-12)
-        assert with_zero.npv == pytest.approx(other_price.npv, rel=1e-12)
+        assert with_zero.scr[0] == other_price.scr[0]
+        assert with_zero.lcou[0] == pytest.approx(other_price.lcou[0], rel=1e-12)
+        assert with_zero.npv[0] == pytest.approx(other_price.npv[0], rel=1e-12)
 
     def test_econ_vat_override_wins(self, country_data):
         econ = EconomicParams(vat_rate=0.0)
         scenario = Scenario("Cyprus", "A", 1, 0.5, 150.0)
-        no_vat = run_scenario(scenario, country_data["Cyprus"], econ)
-        with_vat = run_scenario(scenario, country_data["Cyprus"], EconomicParams())
-        assert no_vat.lcou < with_vat.lcou
+        _, no_vat = simulate_scenario(scenario, country_data["Cyprus"], econ)
+        _, with_vat = simulate_scenario(scenario, country_data["Cyprus"], EconomicParams())
+        assert no_vat.lcou[0] < with_vat.lcou[0]
 
 
 class TestProfileSource:
@@ -294,16 +303,16 @@ class TestRunSweep:
     def test_full_sweep_counts_and_order(self, full_sweep):
         grid, results, _ = full_sweep
         assert len(results) == 612
-        assert [r.scenario for r in results] == list(grid)
-        assert len({r.scenario.key for r in results}) == 612
+        assert keys(results) == [s.key for s in grid]
+        assert len(set(keys(results))) == 612
 
     def test_empty_grid(self, country_data, default_econ):
         # a grid has a value on every axis; a sweep that prices no row returns an empty table
         failures = []
         empty = run_sweep(build_grid(["Ruritania"], ["A"], [1.0], [150.0]), country_data,
                           default_econ, failures=failures)
-        assert len(empty) == 0 and empty.rows() == [] and len(failures) == 5
-        assert results_to_csv(empty) == results_to_csv([])
+        assert len(empty) == 0 and columns(empty) == columns(table_of([])) and len(failures) == 5
+        assert results_to_csv(empty) == RESULTS_CSV_HEADER + "\n"
 
     def test_rerun_is_identical(self, full_sweep, country_data, default_econ):
         _, results, _ = full_sweep
@@ -359,7 +368,8 @@ class TestRunSweep:
         "name, evaluate",
         [
             # simulate is the one-scenario path; the sweep dispatches through the kernel
-            ("simulate", lambda grid, data, econ: run_scenario(grid.row(0), data["Cyprus"], econ)),
+            ("simulate",
+             lambda grid, data, econ: simulate_scenario(grid.row(0), data["Cyprus"], econ)),
             ("simulate_balances", run_sweep),
         ],
         ids=["simulate", "simulate_balances"],
@@ -379,9 +389,8 @@ class TestRunSweep:
         grid = build_grid(["Cyprus", "Ruritania"], prosumer_types=["A"],
                           ratios=[1.0], bess_prices=[150.0])
         failures = []
-        results = run_sweep(grid, country_data, default_econ, failures=failures).rows()
-        assert len(results) == 5
-        assert all(r.scenario.country == "Cyprus" for r in results)
+        results = run_sweep(grid, country_data, default_econ, failures=failures)
+        assert results.country == ["Cyprus"] * 5
         assert len(failures) == 5
         assert all("Ruritania" in message for _, message in failures)
         # each failure is reported once: to the caller's list, else to the log
@@ -420,27 +429,29 @@ class TestRunSweep:
         balances = dict(zip(firsts, sweep_module._dispatch_keys(
             ProfileSource(), {}, country_data, list(firsts.values()))))
         results = run_sweep(build_grid(list(country_data), **axes), country_data,
-                            default_econ).rows()
+                            default_econ)
         assert len(results) == len(grid) in (612, 2160)
-        for scenario, result in zip(grid, results):
+        alone, one = [], []
+        for scenario in grid:
             data, balance = country_data[scenario.country], balances[scenario.key[:4]]
             econ = replace(default_econ, bess_price_eur_per_kwh=scenario.bess_price_eur_per_kwh,
                            vat_rate=data.vat_rate)
             fin = financial_result(scenario.pv_kwp, scenario.bess_kwh, econ, balance.e_produced,
                                    balance.scr, data.retail_price_eur_per_kwh)
-            alone = ScenarioResult(scenario, balance.scr, balance.ssr, fin.lcoe_eur_per_kwh,
-                                   fin.lcou_eur_per_kwh, fin.npv_eur, fin.grid_parity)
-            assert repr(result) == repr(alone)  # repr keeps every bit of a float
+            alone.append((*scenario.key, balance.scr, balance.ssr, fin.lcoe_eur_per_kwh,
+                          fin.lcou_eur_per_kwh, fin.npv_eur, fin.grid_parity))
             # the same balance priced in a batch of one row
             metrics, parity, errors = sweep_module._price(
                 [(scenario.pv_kwp, scenario.bess_kwh, data, balance)],
                 [scenario.bess_price_eur_per_kwh], default_econ)
-            one = ScenarioResult(scenario, *metrics[:, 0].tolist(), bool(parity[0]))
-            assert not errors and repr(one) == repr(alone)
+            assert not errors
+            one.append((*scenario.key, *metrics[:, 0].tolist(), bool(parity[0])))
+        # repr keeps every bit of a float
+        assert columns(results) == columns(table_of(alone)) == columns(table_of(one))
         # the one-scenario path prices its row through the same columns
-        for scenario, result in list(zip(grid, results))[::37]:
-            assert repr(run_scenario(scenario, country_data[scenario.country],
-                                     default_econ)) == repr(result)
+        sampled = stack(simulate_scenario(scenario, country_data[scenario.country],
+                                          default_econ)[1] for scenario in grid[::37])
+        assert columns(sampled) == columns(table_of(rows(results)[::37]))
 
     def test_pricing_failures_stay_per_scenario(self, country_data, default_econ):
         hour = np.arange(8760) % 24
@@ -454,8 +465,7 @@ class TestRunSweep:
         for pv, failing in ((night_pv, "ZeroSelfConsumptionError"), (zero_pv, "ZeroEnergyError")):
             source = ProfileSource(load=load, pv=pv, rescale=False)
             failures = []
-            results = run_sweep(grid, country_data, default_econ, source,
-                                failures=failures).rows()
+            results = run_sweep(grid, country_data, default_econ, source, failures=failures)
             expected_results, expected_failures = [], []
             for scenario in scenarios:
                 if scenario.country not in country_data:
@@ -463,12 +473,12 @@ class TestRunSweep:
                     expected_failures.append((scenario, message))
                     continue
                 try:
-                    expected_results.append(run_scenario(
-                        scenario, country_data[scenario.country], default_econ, source))
+                    expected_results.append(simulate_scenario(
+                        scenario, country_data[scenario.country], default_econ, source)[1])
                 except ValueError as exc:
                     expected_failures.append((scenario, f"{type(exc).__name__}: {exc}"))
             assert failures == expected_failures
-            assert [repr(r) for r in results] == [repr(r) for r in expected_results]
+            assert columns(results) == columns(stack(expected_results))
             assert {m.split(":")[0] for _, m in failures} == {"KeyError", failing}
             assert len(results) == (0 if pv is zero_pv else 10)  # the batteries of 1 kWh/kWp
         # so little energy that its discounted sum underflows to 0: nothing produced to price
@@ -477,11 +487,11 @@ class TestRunSweep:
         source = ProfileSource(load=load, pv=tiny_pv, rescale=False)
         steep = EconomicParams(discount_rate=1.5)
         failures = []
-        assert run_sweep(grid, country_data, steep, source, failures=failures).rows() == []
+        assert len(run_sweep(grid, country_data, steep, source, failures=failures)) == 0
         assert [m for s, m in failures if s.country != "Ruritania"] == [
             "ZeroEnergyError: no energy produced over the horizon"] * 20
         with pytest.raises(ZeroEnergyError, match="^no energy produced over the horizon$"):
-            run_scenario(scenarios[0], country_data["Cyprus"], steep, source)
+            simulate_scenario(scenarios[0], country_data["Cyprus"], steep, source)
 
     def test_every_failure_kind_matches_the_row_path(self, country_data, default_econ, caplog):
         # an unknown country; batteries of kWp x 1e308 past the float range; and at a
@@ -489,7 +499,7 @@ class TestRunSweep:
         grid = build_grid(["Spain", "Ruritania", "Cyprus"], ["A"], [1e308, 0.0, 1.0],
                           [1e308, 150.0])
         failures = []
-        results = run_sweep(grid, country_data, default_econ, failures=failures).rows()
+        results = run_sweep(grid, country_data, default_econ, failures=failures)
         expected_results, expected_failures = [], []
         for scenario in grid.rows():
             if scenario.country not in country_data:
@@ -498,10 +508,10 @@ class TestRunSweep:
                 continue
             try:
                 expected_results.append(
-                    run_scenario(scenario, country_data[scenario.country], default_econ))
+                    simulate_scenario(scenario, country_data[scenario.country], default_econ)[1])
             except ValueError as exc:
                 expected_failures.append((scenario, f"{type(exc).__name__}: {exc}"))
-        assert [repr(r) for r in results] == [repr(r) for r in expected_results]
+        assert columns(results) == columns(stack(expected_results))
         assert [(repr(s), m) for s, m in failures] == [
             (repr(s), m) for s, m in expected_failures]
         assert {m for _, m in failures} == {
@@ -522,21 +532,22 @@ class TestRunSweep:
         grid = build_grid(["Cyprus", "Spain"], prosumer_types=["A"], ratios=[0.5, 1.0])
         failures = []
         results = run_sweep(grid, country_data, default_econ, source,
-                            parallel=parallel, failures=failures).rows()
+                            parallel=parallel, failures=failures)
         failed = [s for s, _ in failures]
         assert failed == [s for s in grid.rows() if s.pv_kwp == 2] and len(failed) == 8
         assert all(message == "ValueError: no PV year for 2 kWp" for _, message in failures)
-        assert [r.scenario for r in results] == [s for s in grid.rows() if s.pv_kwp != 2]
-        for r in results:  # the batch agrees exactly with the one-scenario path
-            data = country_data[r.scenario.country]
-            assert r == run_scenario(r.scenario, data, default_econ, source)
+        kept = [s for s in grid.rows() if s.pv_kwp != 2]
+        assert keys(results) == [s.key for s in kept]
+        # the batch agrees exactly with the one-scenario path
+        assert columns(results) == columns(stack(
+            simulate_scenario(s, country_data[s.country], default_econ, source)[1] for s in kept))
 
 
 class TestParityShare:
     def test_all_true_subset(self, full_sweep):
         _, results, _ = full_sweep
-        winners = [r for r in results if r.grid_parity]
-        assert parity_share(winners) == 100.0
+        winners = table_of([r for r in rows(results) if r.grid_parity])
+        assert len(winners) and parity_share(winners) == 100.0
 
     def test_france_zero_share(self, full_sweep):
         _, results, _ = full_sweep
@@ -599,24 +610,24 @@ class TestBoxStats:
             box_stats(values)
         results = [_mk_result("Cyprus", "A", kwp, 1.0, 150.0, v) for kwp, v in enumerate(values, 1)]
         with pytest.raises(ValueError, match=r"^LCOUs of Cyprus at BESS price 150 span -1e\+308 "):
-            box_stats_by_country_price(results)
+            box_stats_by_country_price(table_of(results))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_by_country_price_matches_per_cell_filter(self, seed):
         results = _random_results(seed)
         expected = []
         for country, price in _cells(results, "country", "bess_price_eur_per_kwh"):
-            values = [r.lcou for r in results if r.scenario.country == country
-                      and r.scenario.bess_price_eur_per_kwh == price]
+            values = [r.lcou for r in results if r.country == country
+                      and r.bess_price_eur_per_kwh == price]
             if values:
                 expected.append((country, price, box_stats(values)))
-        assert box_stats_by_country_price(results) == expected
+        assert box_stats_by_country_price(table_of(results)) == expected
 
     def test_by_country_price_rows(self, full_sweep):
         _, results, _ = full_sweep
-        rows = box_stats_by_country_price(results)
-        assert len(rows) == 12
-        for _, _, stats in rows:
+        boxes = box_stats_by_country_price(results)
+        assert len(boxes) == 12
+        for _, _, stats in boxes:
             assert stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
 
     @settings(max_examples=300, deadline=None)
@@ -642,23 +653,20 @@ class TestBoxStats:
             country, price = wide[0]
             with pytest.raises(ValueError, match=f"^LCOUs of {country} at BESS price "
                                                  f"{sweep_module._fmt_axis(price)} span "):
-                box_stats_by_country_price(results)
-            results = [r for r in results
-                       if (r.scenario.country, r.scenario.bess_price_eur_per_kwh) not in wide]
-        rows = box_stats_by_country_price(results)
+                box_stats_by_country_price(table_of(results))
+            results = [r for r in results if (r.country, r.bess_price_eur_per_kwh) not in wide]
+        boxes = box_stats_by_country_price(table_of(results))
         narrow = sorted(set(cells) - set(wide))
-        assert [(country, price) for country, price, _ in rows] == narrow
-        for (_, _, stats), key in zip(rows, narrow):
+        assert [(country, price) for country, price, _ in boxes] == narrow
+        for (_, _, stats), key in zip(boxes, narrow):
             for got in (stats, box_stats(cells[key])):
                 five = (got.minimum, got.q1, got.median, got.q3, got.maximum)
                 assert np.array(five).tobytes() == expected[key].tobytes()
 
 
 def _mk_result(country, ptype, kwp, ratio, price, lcou_value, parity=False):
-    return ScenarioResult(
-        scenario=Scenario(country, ptype, kwp, ratio, price),
-        scr=0.5, ssr=0.5, lcoe=lcou_value / 2, lcou=lcou_value, npv=0.0, grid_parity=parity,
-    )
+    return Row(country, ptype, kwp, ratio, price, 0.5, 0.5, lcou_value / 2, lcou_value, 0.0,
+               parity)
 
 
 def _random_results(seed):
@@ -725,7 +733,7 @@ def results_documents(draw):
 
 def _cells(results, *axes):
     """Every combination of the values the results take on the axes, sorted."""
-    return itertools.product(*(sorted({getattr(r.scenario, a) for r in results}) for a in axes))
+    return itertools.product(*(sorted({getattr(r, a) for r in results}) for a in axes))
 
 
 class TestBestPvSize:
@@ -738,18 +746,18 @@ class TestBestPvSize:
     def test_tie_breaks_toward_smaller(self):
         lcous = {3: 0.2, 4: 0.2, 5: 0.3}
         for sizes in [(3, 4, 5), (5, 4, 3)]:  # in either input order
-            rows = [_mk_result("Cyprus", "B", k, 1.0, 150.0, lcous[k]) for k in sizes]
-            assert best_pv_size(rows, "Cyprus", "B", 1.0, 150.0) == 3
-            assert best_pv_sizes(rows) == [("Cyprus", "B", 1.0, 150.0, 3)]
+            table = table_of([_mk_result("Cyprus", "B", k, 1.0, 150.0, lcous[k]) for k in sizes])
+            assert best_pv_size(table, "Cyprus", "B", 1.0, 150.0) == 3
+            assert best_pv_sizes(table) == [("Cyprus", "B", 1.0, 150.0, 3)]
 
     def test_u_shape_picks_interior_minimum(self):
         lcous = {3: 0.22, 4: 0.20, 5: 0.18, 6: 0.17, 7: 0.16, 8: 0.165}
-        rows = [_mk_result("Italy", "B", k, 1.0, 150.0, v) for k, v in lcous.items()]
-        assert best_pv_size(rows, "Italy", "B", 1.0, 150.0) == 7
+        table = table_of([_mk_result("Italy", "B", k, 1.0, 150.0, v) for k, v in lcous.items()])
+        assert best_pv_size(table, "Italy", "B", 1.0, 150.0) == 7
 
     def test_empty_selection_rejected(self):
         with pytest.raises(EmptySelectionError):
-            best_pv_size([], "Cyprus", "A", 1.0, 150.0)
+            best_pv_size(table_of([]), "Cyprus", "A", 1.0, 150.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_pass_rows_match_best_pv_size_per_cell(self, seed):
@@ -758,40 +766,53 @@ class TestBestPvSize:
         for cell in _cells(results, "country", "prosumer_type", "ratio_kwh_per_kwp",
                            "bess_price_eur_per_kwh"):
             try:
-                expected.append((*cell, best_pv_size(results, *cell)))
+                expected.append((*cell, best_pv_size(table_of(results), *cell)))
             except EmptySelectionError:
                 continue
-        assert best_pv_sizes(results) == expected
+        assert best_pv_sizes(table_of(results)) == expected
 
 
 class TestTableAndRows:
     @pytest.mark.parametrize("seed", range(4))
     def test_a_table_and_its_rows_give_equal_answers(self, seed, country_data, default_econ):
+        # each answer of the table's columns against the same question asked row by row
         if seed:
-            table = ResultsTable.from_results(_random_results(seed))
+            table = table_of(_random_results(seed))
         else:  # a sweep's own table
             grid = build_grid(["Cyprus", "France"], ["A", "B"], [1.0, 0.0], [500.0, 150.0])
             table = run_sweep(grid, country_data, default_econ)
-        rows = table.rows()
+        results = rows(table)
 
         def outcome(f, *args):
             try:
                 return repr(f(*args))
-            except EmptySelectionError as exc:
-                return str(exc)
+            except EmptySelectionError:
+                return None
 
-        cells = _cells(rows, "country", "prosumer_type", "ratio_kwh_per_kwp",
+        def picked(*wanted):
+            """The results whose country, type, ratio and price equal the wanted, None any."""
+            return [r for r in results if all(w is None or w == v for w, v in zip(
+                wanted, (r.country, r.prosumer_type, r.ratio_kwh_per_kwp,
+                         r.bess_price_eur_per_kwh)))]
+
+        cells = _cells(results, "country", "prosumer_type", "ratio_kwh_per_kwp",
                        "bess_price_eur_per_kwh")
         for country, ptype, ratio, price in [*cells, ("Atlantis", "A", 1.0, 150.0)]:
-            for args in ((), (country,), (country, price), (None, price)):
-                assert outcome(parity_share, table, *args) == outcome(parity_share, rows, *args)
-            cell = (country, ptype, ratio, price)
-            assert outcome(best_pv_size, table, *cell) == outcome(best_pv_size, rows, *cell)
-            lcous = [r.lcou for r in rows if r.scenario.country == country
-                     and r.scenario.bess_price_eur_per_kwh == price]
+            for c, p in ((None, None), (country, None), (country, price), (None, price)):
+                hits = [r.grid_parity for r in picked(c, None, None, p)]
+                assert outcome(parity_share, table, c, p) == (
+                    repr(100.0 * sum(hits) / len(hits)) if hits else None)
+            sized = [(r.lcou, r.pv_kwp) for r in picked(country, ptype, ratio, price)]
+            assert outcome(best_pv_size, table, country, ptype, ratio, price) == (
+                repr(min(sized)[1]) if sized else None)
+            lcous = [r.lcou for r in picked(country, None, None, price)]
             selected = table.lcou[table.where(country=country, bess_price_eur_per_kwh=price)]
             assert outcome(box_stats, selected) == outcome(box_stats, lcous)
-        assert results_to_csv(table) == results_to_csv(rows)
+        fmt = sweep_module._fmt_axis
+        lines = [f"{r.country},{r.prosumer_type},{r.pv_kwp},{fmt(r.ratio_kwh_per_kwp)},"
+                 f"{fmt(r.bess_price_eur_per_kwh)},{r.scr:.6f},{r.ssr:.6f},{r.lcoe:.6f},"
+                 f"{r.lcou:.6f},{r.npv:.6f},{str(r.grid_parity).lower()}" for r in results]
+        assert results_to_csv(table) == "\n".join([RESULTS_CSV_HEADER, *lines]) + "\n"
 
 
 class TestSummaryCells:
@@ -802,49 +823,49 @@ class TestSummaryCells:
             _mk_result("Cyprus", "A", 2, 1.0, first, 0.3, parity=True),
             _mk_result("Cyprus", "A", 1, 1.0, second, 0.1),
         ]
-        (country, price, stats), _ = box_stats_by_country_price(results)
+        table = table_of(results)
+        (country, price, stats), _ = box_stats_by_country_price(table)
         assert (country, repr(price), stats) == ("Cyprus", repr(first), box_stats([0.3, 0.1]))
-        (*cell, size), _ = best_pv_sizes(results)
+        (*cell, size), _ = best_pv_sizes(table)
         assert list(map(repr, cell)) == list(map(repr, ("Cyprus", "A", 1.0, first)))
-        assert size == best_pv_size(results, "Cyprus", "A", 1.0, second) == 1
-        share = parity_share(results, "Cyprus", second)
-        assert parity_share_table(results)[:2] == [
+        assert size == best_pv_size(table, "Cyprus", "A", 1.0, second) == 1
+        share = parity_share(table, "Cyprus", second)
+        assert parity_share_table(table)[:2] == [
             ("Cyprus", sweep_module._fmt_axis(first), share), ("Cyprus", "pooled", share)]
-        assert parity_shares_to_csv(results).splitlines()[1] == (
+        assert parity_shares_to_csv(table).splitlines()[1] == (
             f"Cyprus,{sweep_module._fmt_axis(first)},{share:.6f},1,2")
 
     def test_no_results_give_no_rows_and_header_only_csvs(self):
-        assert box_stats_by_country_price([]) == best_pv_sizes([]) == parity_share_table([]) == []
-        assert box_stats_to_csv([]) == BOX_CSV_HEADER + "\n"
-        assert parity_shares_to_csv([]) == PARITY_CSV_HEADER + "\n"
+        empty = table_of([])
+        assert (box_stats_by_country_price(empty) == best_pv_sizes(empty)
+                == parity_share_table(empty) == [])
+        assert box_stats_to_csv(empty) == BOX_CSV_HEADER + "\n"
+        assert parity_shares_to_csv(empty) == PARITY_CSV_HEADER + "\n"
 
 
 class TestSweepInvariants:
     def test_parity_iff_positive_npv_cross_module(self, full_sweep):
         _, results, _ = full_sweep
-        for r in results:
-            assert r.grid_parity == (r.npv > 0.0)
+        assert np.array_equal(results.grid_parity, results.npv > 0.0)
 
     def test_scr_monotone_in_ratio(self, full_sweep):
         _, results, _ = full_sweep
-        by_key = {r.scenario.key: r for r in results}
-        for r in results:
-            s = r.scenario
-            if s.ratio_kwh_per_kwp != 0.5:
+        by_key = {r[:5]: r for r in rows(results)}
+        for r in rows(results):
+            if r.ratio_kwh_per_kwp != 0.5:
                 continue
-            s1 = by_key[(s.country, s.prosumer_type, s.pv_kwp, 1.0, s.bess_price_eur_per_kwh)]
-            s2 = by_key[(s.country, s.prosumer_type, s.pv_kwp, 2.0, s.bess_price_eur_per_kwh)]
+            s1 = by_key[(r.country, r.prosumer_type, r.pv_kwp, 1.0, r.bess_price_eur_per_kwh)]
+            s2 = by_key[(r.country, r.prosumer_type, r.pv_kwp, 2.0, r.bess_price_eur_per_kwh)]
             assert r.scr <= s1.scr + 1e-12
             assert s1.scr <= s2.scr + 1e-12
 
     def test_lcou_lower_at_future_bess_price(self, full_sweep):
         _, results, _ = full_sweep
-        by_key = {r.scenario.key: r for r in results}
-        for r in results:
-            s = r.scenario
-            if s.bess_price_eur_per_kwh != 150.0 or s.bess_kwh == 0.0:
+        by_key = {r[:5]: r for r in rows(results)}
+        for r in rows(results):
+            if r.bess_price_eur_per_kwh != 150.0 or r.pv_kwp * r.ratio_kwh_per_kwp == 0.0:
                 continue
-            twin = by_key[(s.country, s.prosumer_type, s.pv_kwp, s.ratio_kwh_per_kwp, 500.0)]
+            twin = by_key[(r.country, r.prosumer_type, r.pv_kwp, r.ratio_kwh_per_kwp, 500.0)]
             assert r.lcou < twin.lcou
 
 
@@ -855,10 +876,10 @@ class TestResultsCsv:
         assert text.splitlines()[0] == RESULTS_CSV_HEADER
         table = parse_results_csv(text)
         assert len(table) == len(results)
-        for a, b in zip(table.rows(), results):
-            assert a.scenario == b.scenario
-            assert a.grid_parity == b.grid_parity
-            assert a.lcou == pytest.approx(b.lcou, abs=5e-7)
+        assert keys(table) == keys(results)
+        assert np.array_equal(table.grid_parity, results.grid_parity)
+        for a, b in zip(table.lcou.tolist(), results.lcou.tolist()):
+            assert a == pytest.approx(b, abs=5e-7)
 
     def test_schema_validation(self):
         with pytest.raises(ValueError):
@@ -879,21 +900,22 @@ class TestResultsCsv:
             data.draw(st.lists(axis, min_size=1, max_size=2)),
         )
         metric = st.floats(-1e7, 1e7)
-        rows = data.draw(st.lists(
+        metrics = data.draw(st.lists(
             st.tuples(metric, metric, metric, metric, metric, st.booleans()),
             min_size=len(grid), max_size=len(grid),
         ))
-        text = results_to_csv([ScenarioResult(s, *row) for s, row in zip(grid.rows(), rows)])
+        text = results_to_csv(table_of([(*s.key, *row) for s, row in zip(grid.rows(), metrics)]))
         mangled = "\ufeff" + text.replace("\n", "\r\n\r\n")
-        for parsed in (parse_results_csv(text).rows(), parse_results_csv(mangled).rows()):
+        for parsed in (parse_results_csv(text), parse_results_csv(mangled)):
             assert results_to_csv(parsed) == text
-            assert [r.scenario for r in parsed] == grid.rows()  # the axes read back losslessly
+            # the axes read back losslessly
+            assert repr(keys(parsed)) == repr([s.key for s in grid.rows()])
 
     def test_bom_and_blank_lines_ignored_and_errors_name_the_physical_line(self):
         row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
         text = "\ufeff" + RESULTS_CSV_HEADER + "\r\n\r\n" + row + "\r\n  \r\n"
-        assert (parse_results_csv(text).rows()
-                == parse_results_csv(RESULTS_CSV_HEADER + "\n" + row).rows())
+        assert (columns(parse_results_csv(text))
+                == columns(parse_results_csv(RESULTS_CSV_HEADER + "\n" + row)))
         with pytest.raises(ValueError, match="^line 5: pv_kwp must be an integer >= 1"):
             parse_results_csv(text + row.replace("A,1,", "A,0,"))
 
@@ -902,24 +924,24 @@ class TestResultsCsv:
     def test_column_checks_agree_with_the_row_reader(self, data):
         text = data.draw(results_documents())
         try:
-            columns = sweep_module._results_columns(text).rows()
+            table = sweep_module._results_columns(text)
         except ValueError:
-            columns = None
-        try:
-            rows = sweep_module._results_rows(text)
-        except ValueError:
-            rows = None
-        assert (columns is None) == (rows is None)
-        assert repr(columns) == repr(rows)  # repr tells -0.0 from 0.0
+            table = None
 
-        def outcome(parse):
+        def error(parse):
             try:
-                return repr(parse(text))
+                parse(text)
             except Exception as exc:  # compared by type and message
                 return type(exc), str(exc)
 
-        assert outcome(lambda t: parse_results_csv(t).rows()) == outcome(
-            sweep_module._results_rows)
+        assert (table is None) == (error(sweep_module._results_rows) is not None)
+        assert error(parse_results_csv) == error(sweep_module._results_rows)
+        if table is not None:  # each field as the row reader reads it
+            fields = [(country, ptype, int(kwp), float(ratio), float(price),
+                       *map(float, metrics), parity == "true")
+                      for _, (country, ptype, kwp, ratio, price, *metrics, parity)
+                      in read_rows(text, RESULTS_CSV_HEADER, "results CSV")]
+            assert columns(parse_results_csv(text)) == columns(table) == columns(table_of(fields))
 
     def test_repeated_scenario_rejected(self):
         row = "Cyprus,A,1,1,150,0.5,0.5,0.08,0.1,10.0,true"
@@ -946,28 +968,29 @@ class TestResultsCsv:
     @pytest.mark.parametrize("seed", range(5))
     def test_parity_csv_matches_per_cell_filter(self, seed):
         results = _random_results(seed)
+        table = table_of(results)
         expected = [PARITY_CSV_HEADER]
         for country, in _cells(results, "country"):
             for price, in _cells(results, "bess_price_eur_per_kwh"):
-                cell = [r for r in results if r.scenario.country == country
-                        and r.scenario.bess_price_eur_per_kwh == price]
+                cell = [r for r in results if r.country == country
+                        and r.bess_price_eur_per_kwh == price]
                 if cell:
                     expected.append(
                         f"{country},{sweep_module._fmt_axis(price)},"
-                        f"{parity_share(results, country, price):.6f},"
+                        f"{parity_share(table, country, price):.6f},"
                         f"{sum(r.grid_parity for r in cell)},{len(cell)}")
-            pooled = [r for r in results if r.scenario.country == country]
-            expected.append(f"{country},pooled,{parity_share(results, country):.6f},"
+            pooled = [r for r in results if r.country == country]
+            expected.append(f"{country},pooled,{parity_share(table, country):.6f},"
                             f"{sum(r.grid_parity for r in pooled)},{len(pooled)}")
-        assert parity_shares_to_csv(results) == "\n".join(expected) + "\n"
+        assert parity_shares_to_csv(table) == "\n".join(expected) + "\n"
 
     def test_axis_values_round_trip_and_group_by_value(self, country_data, default_econ):
         # {:g} keeps 6 significant digits: both prices would read 123.457
         prices = [123.4567, 123.4568]
         grid = build_grid(["Cyprus"], prosumer_types=["A"], ratios=[1 / 3], bess_prices=prices)
         results = run_sweep(grid, country_data, default_econ)
-        parsed = parse_results_csv(results_to_csv(results)).rows()
-        assert [r.scenario for r in parsed] == [r.scenario for r in results.rows()]
+        parsed = parse_results_csv(results_to_csv(results))
+        assert repr(keys(parsed)) == repr(keys(results))
         lines = parity_shares_to_csv(results).strip().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["123.4567", "123.4568", "pooled"]
         assert [line.split(",")[4] for line in lines] == ["5", "5", "10"]
