@@ -19,7 +19,6 @@ from .dispatch import (
     simulate_balances,
     simulate_series,
     trace_to_csv,
-    write_trace_csv,
 )
 from .errors import (
     EmptyAxisError,

@@ -1,12 +1,14 @@
 """Command-line interface: single-scenario simulation, sweeps and reports.
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage or
-configuration errors, an input file that cannot be read or an output that
-cannot be written; main prints those as one ``error:`` line, and a
-dispatch whose energy books do not balance, a bug, as one ``internal
-error:`` line with exit 1. ``simulate`` and ``sweep`` also write a
-``run-manifest.json`` echoing all parameters actually used, so results are
-reproducible byte for byte from the same configuration.
+configuration errors, which main prints as one ``error:`` line (a dispatch
+whose energy books do not balance, a bug, is one ``internal error:`` line
+with exit 1). Each command lists the files it writes once, checks them all
+with _check_outputs before any work and writes them with one _write; a
+horizon past finance.MAX_HORIZON_YEARS or a measured year whose energy is
+not finite is refused as its input is read. ``simulate`` and ``sweep`` also
+write a ``run-manifest.json`` echoing all parameters actually used, so
+results are reproducible byte for byte from the same configuration.
 """
 
 from __future__ import annotations
@@ -17,16 +19,15 @@ import math
 import os
 import sys
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import __version__
+from . import __version__, dispatch
 # Names imported below that cli itself does not call stay importable from
 # it: the benchmark's span recorder (perfbench/spans.py) wraps them here.
-from .dispatch import BatterySpec, annual_balance, simulate, write_trace_csv
+from .dispatch import BatterySpec, annual_balance, simulate
 from .errors import EnergyBooksError
 from .finance import CountryData, EconomicParams, load_country_data
 from .profiles import (
@@ -248,43 +249,43 @@ def _read_text(path: Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-@contextmanager
-def _writing(directory: Path):
-    """A block that writes into directory, created first; an OSError there is a ConfigError."""
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        yield
-    except OSError as exc:  # a file in the way, no permission, a full disk
-        raise ConfigError(f"cannot write to {directory}: {exc}") from exc
-
-
-def _check_dir(directory: Path, *names: str) -> None:
-    """Fail before the work, creating nothing, if directory/name could not be written.
-
-    That is when the directory's nearest existing ancestor is not a
-    directory, or when one of the names is a directory there.
-    """
-    existing = next((p for p in (directory, *directory.parents) if p.exists()), directory)
-    if not existing.is_dir():
-        raise ConfigError(f"cannot write to {directory}: {existing} is not a directory")
-    for name in names:
-        if (directory / name).is_dir():
-            raise ConfigError(f"cannot write {directory / name}: it is a directory")
-
-
 def _check_outputs(outputs: Sequence[tuple[str, Path, Path]],
                    inputs: Mapping[str, Path | None]) -> None:
-    """Fail before the work, writing nothing, if an output would overwrite an input or output.
+    """Fail before the work, creating nothing, if an output could not be written.
 
     outputs are (flag, its value, a path it writes); inputs map what each input
-    is to its path, or to None. Paths are compared resolved, through symlinks.
+    is to its path, or to None. An output cannot be written when its nearest
+    existing ancestor is not a directory, when it is a directory, or when it
+    resolves, through symlinks, to an input or another output, to a directory
+    one of them needs, or to a path under one of them.
     """
     taken = {path.resolve(): what for what, path in inputs.items() if path is not None}
     for flag, value, path in outputs:
+        existing = next((p for p in path.parents if p.exists()), path.parent)
+        if not existing.is_dir():
+            raise ConfigError(f"cannot write {path}: {existing} is not a directory")
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
         where = path.resolve()
-        if where in taken:
-            raise ConfigError(f"{flag} {value} would overwrite {path}, {taken[where]}")
+        for other, what in taken.items():
+            if where == other:
+                raise ConfigError(f"{flag} {value} would overwrite {path}, {what}")
+            if other in where.parents:
+                raise ConfigError(f"{flag} {value} would write {path} under {other}, {what}")
+            if where in other.parents:
+                raise ConfigError(f"{flag} {value} would write {path}, "
+                                  f"a directory that {other}, {what}, needs")
         taken[where] = f"an output of {flag}"
+
+
+def _write(files: Mapping[Path, str]) -> None:
+    """Write each text to its path, making its directory first; an OSError is a ConfigError."""
+    for path, text in files.items():
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:  # a file in the way, no permission, a full disk
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_config_file(path: Path) -> dict:
@@ -374,8 +375,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                      args.out or Path("."), inputs)
 
 
-def _write_manifest(cfg: RunConfig, command: str, extra: dict) -> None:
-    """Write run-manifest.json: every parameter the run used, byte-reproducibly."""
+def _manifest(cfg: RunConfig, command: str, extra: dict) -> str:
+    """run-manifest.json's text: every parameter the run used, byte-reproducibly."""
     battery_defaults = BatterySpec(capacity_kwh=1.0, **cfg.battery_kwargs)
     manifest = {
         "tool": "storparity",
@@ -415,8 +416,7 @@ def _write_manifest(cfg: RunConfig, command: str, extra: dict) -> None:
         },
         **extra,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True, default=sorted) + "\n"
-    (cfg.out_dir / MANIFEST_NAME).write_text(text, encoding="utf-8")
+    return json.dumps(manifest, indent=2, sort_keys=True, default=sorted) + "\n"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -440,13 +440,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"type {scenario.prosumer_type}; pass --allow-out-of-range to override"
         )
 
-    outputs = ("scenario_result.csv", MANIFEST_NAME)
-    _check_dir(cfg.out_dir, *outputs)
-    writes = [("--out", cfg.out_dir, cfg.out_dir / name) for name in outputs]
+    outputs = [("--out", cfg.out_dir, cfg.out_dir / name)
+               for name in ("scenario_result.csv", MANIFEST_NAME)]
     if args.trace is not None:
-        _check_dir(args.trace.parent, args.trace.name)
-        writes.append(("--trace", args.trace, args.trace))
-    _check_outputs(writes, cfg.inputs)
+        outputs.append(("--trace", args.trace, args.trace))
+    _check_outputs(outputs, cfg.inputs)
     country = cfg.countries[scenario.country]
     try:
         trace, table = simulate_scenario(scenario, country, cfg.econ, cfg.profiles,
@@ -455,12 +453,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 
-    with _writing(cfg.out_dir):
-        (cfg.out_dir / outputs[0]).write_text(results_to_csv(table), encoding="utf-8")
-        _write_manifest(cfg, "simulate", {"scenario": asdict(scenario)})
+    texts = [results_to_csv(table), _manifest(cfg, "simulate", {"scenario": asdict(scenario)})]
     if args.trace is not None:
-        with _writing(args.trace.parent):
-            write_trace_csv(trace, args.trace)
+        # looked up on the module, where the benchmark's span recorder wraps it
+        texts.append(dispatch.trace_to_csv(trace))
+    _write({path: text for (_, _, path), text in zip(outputs, texts)})
 
     print(
         f"scenario : {scenario.country} type {scenario.prosumer_type}, "
@@ -499,10 +496,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # an empty axis, a Scenario out of range
         raise ConfigError(exc) from exc
 
-    outputs = ("results.csv", "parity_shares.csv", "box_stats.csv")
-    _check_dir(cfg.out_dir, *outputs, MANIFEST_NAME)
-    _check_outputs([("--out", cfg.out_dir, cfg.out_dir / name)
-                    for name in (*outputs, MANIFEST_NAME)], cfg.inputs)
+    outputs = [("--out", cfg.out_dir, cfg.out_dir / name)
+               for name in ("results.csv", "parity_shares.csv", "box_stats.csv", MANIFEST_NAME)]
+    _check_outputs(outputs, cfg.inputs)
     failures: list = []
     results = run_sweep(
         grid,
@@ -514,14 +510,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures=failures,
     )
 
-    # a ResultsTable: one sort serves both summary CSVs and stdout
-    texts = (results_to_csv(results), parity_shares_to_csv(results), box_stats_to_csv(results))
-    with _writing(cfg.out_dir):
-        # all three always, header-only when nothing was priced, so no file of
-        # an earlier run is left beside them
-        for name, text in zip(outputs, texts):
-            (cfg.out_dir / name).write_text(text, encoding="utf-8")
-        _write_manifest(cfg, "sweep", {"axes": axes})
+    # a ResultsTable: one sort serves both summary CSVs and stdout; every file
+    # is written, a CSV header-only when nothing was priced, so no file of an
+    # earlier run is left beside them
+    texts = (results_to_csv(results), parity_shares_to_csv(results), box_stats_to_csv(results),
+             _manifest(cfg, "sweep", {"axes": axes}))
+    _write({path: text for (_, _, path), text in zip(outputs, texts)})
 
     print(f"evaluated {len(results)} of {len(grid)} scenarios")
     for country, price_label, share in parity_share_table(results):
@@ -584,8 +578,8 @@ def _json_column(values: list) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = args.out or Path(".")
-    _check_dir(out_dir, "report_summary.json")
-    _check_outputs([("--out", out_dir, out_dir / "report_summary.json")],
+    summary_json = out_dir / "report_summary.json"
+    _check_outputs([("--out", out_dir, summary_json)],
                    {"the config file": args.config, "the results CSV": args.results_csv})
     if args.config:  # type-checked, though no setting changes a report
         _load_config_file(args.config)
@@ -617,8 +611,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     summary = {name: [dict(zip(keys, row)) for row in rows]
                for (name, keys), rows in zip(SUMMARY_KEYS.items(), (shares, quartiles, best_rows))}
-    with _writing(out_dir):
-        (out_dir / "report_summary.json").write_text(write_json_records(summary), encoding="utf-8")
+    _write({summary_json: write_json_records(summary)})
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -715,7 +714,3 @@ def trace_to_csv(trace: DispatchTrace) -> str:
         trace.p_pv, trace.p_load, trace.p_direct, trace.p_charge,
         trace.p_discharge_delivered, trace.p_import, trace.p_curtail, trace.soc_kwh,
     )))
-
-
-def write_trace_csv(trace: DispatchTrace, path: str | Path) -> None:
-    Path(path).write_text(trace_to_csv(trace), encoding="utf-8")

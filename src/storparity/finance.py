@@ -42,6 +42,8 @@ DEFAULT_PV_PRICE_EUR_PER_KWP = 1300.0
 BESS_PRICE_CURRENT_EUR_PER_KWH = 500.0
 BESS_PRICE_FUTURE_EUR_PER_KWH = 150.0
 DEFAULT_HORIZON_YEARS = 20
+# The longest horizon accepted: pricing allocates a few arrays of this length.
+MAX_HORIZON_YEARS = 100_000
 
 # Household discount rate. Chosen at the upper end of the usual 3..7%
 # range so that the zero-remuneration baseline stays conservative; fully
@@ -81,9 +83,11 @@ class EconomicParams:
             raise ValueError(f"maintenance_rate must be in [0, 1), got {self.maintenance_rate}")
         if self.discount_rate < 0.0:
             raise ValueError(f"discount_rate must be >= 0, got {self.discount_rate}")
-        if int(self.horizon_years) != self.horizon_years or self.horizon_years < 1:
-            raise ValueError(f"horizon_years must be an integer >= 1, got {self.horizon_years}")
-        object.__setattr__(self, "horizon_years", int(self.horizon_years))
+        years = self.horizon_years
+        if int(years) != years or not 1 <= years <= MAX_HORIZON_YEARS:
+            raise ValueError(f"horizon_years must be an integer in 1..{MAX_HORIZON_YEARS}, "
+                             f"got {years}")
+        object.__setattr__(self, "horizon_years", int(years))
         if not 0.0 <= self.pv_degradation_rate < 1.0:
             raise ValueError(
                 f"pv_degradation_rate must be in [0, 1), got {self.pv_degradation_rate}"

@@ -85,7 +85,11 @@ class TimeSeriesProfile:
                              f"{self.step_hours} h, expected {DAYS_PER_YEAR * round(per_day)}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "year_energy_kwh", float(values.sum() * self.step_hours))
+        with np.errstate(over="ignore"):
+            energy = float(values.sum() * self.step_hours)
+        if not math.isfinite(energy):
+            raise ValueError(f"the year's energy must be finite, got {energy} kWh")
+        object.__setattr__(self, "year_energy_kwh", energy)
 
     def __len__(self) -> int:
         return int(self.values.size)

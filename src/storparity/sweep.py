@@ -87,12 +87,15 @@ class Scenario:
     bess_price_eur_per_kwh: float
 
     def __post_init__(self) -> None:
+        # no results table holds it; first, as check_finite cannot tell if 10**400 is finite
+        if isinstance(self.pv_kwp, int) and not -2**63 <= self.pv_kwp < 2**63:
+            raise ValueError(f"pv_kwp must fit in 64 bits, got {self.pv_kwp}")
         check_finite(self)
         if self.prosumer_type not in PROSUMER_TYPES:
             raise ValueError(f"unknown prosumer type {self.prosumer_type!r}")
         if int(self.pv_kwp) != self.pv_kwp or self.pv_kwp < 1:
             raise ValueError(f"pv_kwp must be an integer >= 1, got {self.pv_kwp}")
-        if self.pv_kwp >= 2**63:  # no results table holds it
+        if self.pv_kwp >= 2**63:  # a float, such as 1e19
             raise ValueError(f"pv_kwp must fit in 64 bits, got {self.pv_kwp}")
         object.__setattr__(self, "pv_kwp", int(self.pv_kwp))
         if self.ratio_kwh_per_kwp < 0.0:
@@ -600,10 +603,7 @@ def _results_rows(text: str) -> None:
     rows = read_rows(text, RESULTS_CSV_HEADER, "results CSV")
     for lineno, (country, ptype, kwp, ratio, price, *metrics, parity) in rows:
         try:
-            axes = (country, ptype, int(kwp), float(ratio), float(price))
-            if not -2**63 <= axes[2] < 2**63:  # first: Scenario cannot tell if 10**400 is finite
-                raise ValueError(f"pv_kwp must fit in 64 bits, got {axes[2]}")
-            scenario = Scenario(*axes)
+            scenario = Scenario(country, ptype, int(kwp), float(ratio), float(price))
             metrics = [float(m) for m in metrics]
             for name, value in zip(_METRIC_COLUMNS, metrics):
                 if not math.isfinite(value):

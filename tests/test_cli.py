@@ -555,6 +555,11 @@ COMMAND_ARGV = {
     # a trace that would replace simulate's own outputs
     ("simulate", ["--trace", "{out}/scenario_result.csv"]),
     ("simulate", ["--trace", "{out}/../out/run-manifest.json"]),
+    # outputs nested in one another: a trace under simulate's own output, a trace
+    # where --out is to be, and an --out under the trace
+    ("simulate", ["--trace", "{out}/scenario_result.csv/trace.csv"]),
+    ("simulate", ["--trace", "{out}"]),
+    ("simulate", ["--out", "{trace}/out", "--trace", "{trace}"]),
     # a profile one step short of a year, or one step past it
     ("sweep", ["--load-profile", "{short}"]),
     ("sweep", ["--pv-profile", "{long}"]),
@@ -563,6 +568,12 @@ COMMAND_ARGV = {
     # a measured year with no energy, which sweep would have to rescale
     ("sweep", ["--pv-profile", "{zero}"]),
     ("sweep", ["--load-profile", "{zero}"]),
+    # a measured year whose energy overflows a float
+    ("simulate", ["--pv-profile", "{overflow}"]),
+    ("sweep", ["--pv-profile", "{overflow}"]),
+    # a horizon whose discount factors could not be allocated
+    ("simulate", ["--horizon", "1000000000000"]),
+    ("sweep", ["--config", "{horizon}"]),
     # steps of which neither is a whole multiple of the other: 24 minutes against an hour
     ("sweep", ["--pv-profile", "{pv24}"]),
     ("simulate", ["--pv-profile", "{pv24}"]),
@@ -596,6 +607,8 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "results": tmp_path / "results.csv",
         "taken": tmp_path / "taken",  # its outputs below are directories
         "out": tmp_path / "out",
+        "trace": tmp_path / "trace.csv",  # not made
+        "horizon": tmp_path / "horizon.json",
         "wide": tmp_path / "wide.csv",
         "huge": "1" + "0" * 400,  # not a path: argparse reads it as an int
     }
@@ -603,6 +616,7 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
         "short": (evening_load, 8759, 60),
         "long": (evening_load, 8761, 60),
         "zero": (lambda hour: 0.0, 8760, 60),
+        "overflow": (lambda hour: 1e308, 8760, 60),
         "hourly": (midday_pv, 8760, 60),
         "pv24": (lambda i: midday_pv(0.4 * i), 365 * 60, 24),
         "load24": (lambda i: evening_load(0.4 * i), 365 * 60, 24),
@@ -615,6 +629,7 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["results"].write_text(ONE_RESULT_CSV)
+    paths["horizon"].write_text('{"horizon_years": 1000000000000}')
     paths["wide"].write_text(ONE_RESULT_CSV.replace(",0.1,", ",1e308,")
                              + "Cyprus,A,2,1,150,0.5,0.5,0.08,-1e308,10.0,true\n")
     for name in ("box_stats.csv", "run-manifest.json", "report_summary.json"):
@@ -633,8 +648,17 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(
                            f"{hours} steps of 1.0 h, expected 8760\n")
     if "{zero}" in args:
         assert err == f"error: profile CSV {paths['zero']}: cannot rescale a profile with zero energy\n"
-    if "{huge}" in args:
-        assert err == "error: pv_kwp must be finite, got an int too large for a float\n"
+    if "{huge}" in args:  # in report's words for a kWp past int64
+        assert err == f"error: pv_kwp must fit in 64 bits, got {paths['huge']}\n"
+    if "{overflow}" in args:
+        assert err == (f"error: profile CSV {paths['overflow']}: "
+                       "the year's energy must be finite, got inf kWh\n")
+    if "1000000000000" in args or "{horizon}" in args:
+        assert err == ("error: bad economic parameters: horizon_years must be an integer in "
+                       "1..100000, got 1000000000000\n")
+    if "--trace" in args and any("{out}" in arg or "{trace}" in arg for arg in args):
+        # an output in another's way: both flags are named
+        assert err.startswith("error: --trace ") and ", an output of --out" in err
     if "{wide}" in args:
         assert err == (f"error: results CSV {paths['wide']}: LCOUs of Cyprus at BESS price 150 "
                        "span -1e+308 to 1e+308, too wide for float quartiles\n")

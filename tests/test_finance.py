@@ -17,6 +17,7 @@ from storparity import (
     load_country_data,
     parse_country_csv,
 )
+from storparity.finance import MAX_HORIZON_YEARS
 
 
 def econ(**kwargs):
@@ -462,6 +463,12 @@ class TestEconomicParams:
             EconomicParams(discount_rate=-0.01)
         with pytest.raises(ValueError):
             EconomicParams(horizon_years=0)
+        # rejected before any array of that length is made
+        assert EconomicParams(horizon_years=MAX_HORIZON_YEARS).horizon_years == 100_000
+        for years in (MAX_HORIZON_YEARS + 1, 10**12):
+            with pytest.raises(ValueError, match=f"^horizon_years must be an integer in "
+                                                 f"1..100000, got {years}$"):
+                EconomicParams(horizon_years=years)
         with pytest.raises(ValueError):
             EconomicParams(maintenance_rate=1.0)
         with pytest.raises(ValueError):

@@ -410,6 +410,14 @@ class TestProfileInvariants:
         with pytest.raises(NegativePowerError):
             TimeSeriesProfile(step_hours=1.0, values=values, kind=ProfileKind.LOAD)
 
+    def test_year_whose_energy_overflows_rejected(self):
+        # every value is finite, the year's energy is not: first the sum overflows,
+        # then the product with a 24 h step; no overflow warning on the way
+        for step, value in ((1.0, 1e308), (24.0, 4e305)):
+            values = np.full(round(365 * 24 / step), value)
+            with pytest.raises(ValueError, match="^the year's energy must be finite, got inf kWh$"):
+                TimeSeriesProfile(step_hours=step, values=values, kind=ProfileKind.PV)
+
     def test_values_are_read_only(self):
         profile = synthesize_load_profile(4500.0)
         with pytest.raises(ValueError):

@@ -180,7 +180,8 @@ class TestScenario:
     def test_kwp_must_fit_in_64_bits(self):
         # as a results table's int64 column must hold it
         assert Scenario("Cyprus", "A", 2**63 - 1, 1.0, 150.0).pv_kwp == 2**63 - 1
-        for kwp in (2**63, 10**19, 1e19):
+        # an int past the float range too: it is not called "not finite"
+        for kwp in (2**63, 10**19, 1e19, 10**400, -10**400):
             with pytest.raises(ValueError) as caught:
                 Scenario("Cyprus", "A", kwp, 1.0, 150.0)
             assert str(caught.value) == f"pv_kwp must fit in 64 bits, got {kwp}"
