@@ -282,6 +282,15 @@ def _z_as_utc(stamps: list[str]) -> list[str]:
 
 def _profile_columns(text: str) -> tuple[np.ndarray, float] | None:
     """The powers and the step in seconds, checked column by column; None if a check fails."""
+    # imported here: only a command that reads a profile CSV compiles the byte reader
+    from .profile_bytes import byte_columns
+
+    parsed = byte_columns(text)
+    return _str_columns(text) if parsed is None else parsed
+
+
+def _str_columns(text: str) -> tuple[np.ndarray, float] | None:
+    """_profile_columns of any document: each field a str, each stamp a datetime."""
     stamps, powers = read_columns(text, PROFILE_CSV_HEADER, "profile CSV")
     times = list(map(datetime.fromisoformat, _z_as_utc(stamps)))
     values = np.fromiter(map(float, powers), float, len(powers))

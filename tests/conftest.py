@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -7,6 +8,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import storparity as sp
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """The benchmark's workloads module, perfbench/workloads.py, which writes its seeded inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,17 @@
 import math
+import re
+import runpy
+import subprocess
+import sys
+import textwrap
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import storparity.profile_bytes as profile_bytes
 import storparity.profiles as profiles
 from _reference import reference_pv_profile
 from storparity import (
@@ -25,6 +32,8 @@ from storparity import (
     synthesize_load_profile,
     synthesize_pv_profile,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_csv(n_rows, step_hours, power=1.0):
@@ -199,6 +208,161 @@ def profile_documents(draw):
     bom = draw(st.sampled_from(["", "\ufeff"]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return bom + end.join([header, *lines]) + draw(st.sampled_from(["", end]))
+
+
+#: Stamps at the edges of the calendar, in the byte reader's form or next to it: 29 February
+#: of common and leap years, year ends, the first and last years, month 13, hour 24.
+_EDGE_STAMPS = (
+    "2019-02-28T00:00:00", "2019-02-29T00:00:00", "2019-03-01T00:00:00", "2020-02-29T00:00:00",
+    "1900-02-29T00:00:00", "2000-02-29T00:00:00", "2100-02-29T00:00:00", "2019-04-31T00:00:00",
+    "2019-12-31T23:59:59", "2020-01-01T00:00:00", "0000-12-31T23:59:59", "0001-01-01T00:00:00",
+    "9999-12-31T23:59:59", "2019-13-01T00:00:00", "2019-00-10T00:00:00", "2019-01-00T00:00:00",
+    "2019-01-01T24:00:00", "2019-01-01T00:60:00", "2019-01-01T00:00:60",
+)
+#: Valid stamps to set another stamp beside: the first, the last and one of each step's sign.
+_ANCHORS = ("0001-01-01T00:00:00", "9999-12-31T23:59:59", "2019-06-15T12:00:00")
+#: Stamps of other forms, which the byte reader leaves to the str columns.
+_OTHER_STAMPS = ("2019-01-01T00:00:00Z", "2019-01-01T00:00:00+00:00", "2019-01-01T00:00:00.5",
+                 "2019-01-01 00:00:00", "2019-01-01T00:00", "2019-1-01T00:00:00", "20190101T000000")
+#: Powers at the edges of the byte reader's decimals: leading zeros, a point first or last, a
+#: sign, 15 and 16 digits, exponents.
+_EDGE_POWERS = ("007", "5.", ".5", "-0.0", "+1", "0", "0.0", "999999999999999",
+                "9999999999999999", "99999999999999.9", "0.00000000000001", "0.000000000000001",
+                "1e3", "1E-3", "1_0", "1..2", "")
+_STAMP_FORM = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
+_DECIMAL_FORM = re.compile(r"\d+(\.\d+)?")
+
+
+@st.composite
+def byte_form_documents(draw):
+    """A profile CSV near the byte reader's form, and whether its lines are cleanly laid out."""
+    n = draw(st.integers(2, 6) if draw(st.integers(0, 9)) else st.integers(0, 1))
+    if draw(st.integers(0, 2)):  # stamps at one step from a start, as isoformat() writes them
+        start = draw(st.sampled_from([datetime(2019, 2, 28, 23), datetime(2020, 2, 28, 23),
+                                      datetime(2019, 12, 31, 23), datetime(1, 1, 1),
+                                      datetime(9999, 12, 31, 22)])
+                     | st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)).map(
+                         lambda t: t.replace(microsecond=0)))
+        step = draw(st.sampled_from([timedelta(seconds=1), timedelta(minutes=15),
+                                     timedelta(hours=1), timedelta(days=1), timedelta(days=365)]))
+        stamps = []
+        for i in range(n):
+            if datetime.max - start < i * step:
+                break
+            stamps.append((start + i * step).isoformat())
+    else:  # one stamp beside an anchor, before or after it; its fields drawn past their ranges
+        field = st.integers(0, 99)
+        stamp = draw(st.sampled_from(_EDGE_STAMPS + _OTHER_STAMPS) | st.builds(
+            "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format,
+            st.sampled_from([0, 1, 1900, 2000, 2019, 2020, 2100, 9999]) | st.integers(0, 9999),
+            st.integers(0, 13) | field, st.integers(0, 32) | field, st.integers(0, 24) | field,
+            st.integers(0, 60) | field, st.integers(0, 60) | field))
+        anchor = draw(st.sampled_from(_ANCHORS))
+        stamps = [anchor, stamp] if draw(st.booleans()) else [stamp, anchor]
+    if stamps and draw(st.integers(0, 4)) == 0:
+        stamps[draw(st.integers(0, len(stamps) - 1))] = draw(st.sampled_from(_OTHER_STAMPS))
+    digits = st.text("0123456789", min_size=1, max_size=9)
+    decimal = st.builds(lambda a, b: a + "." + b, digits, digits)
+    power = draw(st.sampled_from([  # one kind for the whole column
+        decimal, st.text("0123456789", min_size=1, max_size=16),
+        st.floats(0.0, 1e6).map("{:.4f}".format), st.floats(0.0, 1e6).map(repr)]))
+    powers = [draw(power) for _ in stamps]
+    if powers and draw(st.integers(0, 2)) == 0:
+        powers[draw(st.integers(0, len(powers) - 1))] = draw(st.sampled_from(_EDGE_POWERS))
+    rows = [stamp + "," + power for stamp, power in zip(stamps, powers)]
+    clean = draw(st.integers(0, 9)) > 0
+    if not clean:  # a form the byte reader leaves to the str columns
+        kind = draw(st.sampled_from(["bom", "crlf", "unended", "padded", "blank"]))
+        if kind == "padded" and rows:
+            rows[0] = rows[0].replace(",", " ,")
+        elif kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), "")
+        body = "\n".join([profiles.PROFILE_CSV_HEADER, *rows])
+        return {"bom": "\ufeff" + body + "\n", "crlf": body.replace("\n", "\r\n") + "\r\n",
+                "unended": body}.get(kind, body + "\n"), False
+    return "\n".join([profiles.PROFILE_CSV_HEADER, *rows]) + "\n", True
+
+
+def _in_byte_form(text, clean):
+    """Whether a document that the str columns accept is in the byte reader's form."""
+    if not clean:
+        return False
+    stamps, powers = zip(*(line.split(",") for line in text.splitlines()[1:]))
+    return all(map(_STAMP_FORM.fullmatch, stamps)) and all(
+        _DECIMAL_FORM.fullmatch(p) and len(p.replace(".", "")) <= 15 for p in powers)
+
+
+def _ci_profiles(tmp_path):
+    """The measured years CI's wheel-smoke step writes, by side: plain, zoned and rewritten."""
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
+    script = workflow.read_text("utf-8").split("python - <<'EOF'\n", 1)[1]
+    script = textwrap.dedent(script.split("\n          EOF\n", 1)[0])
+    sides = ("plain", "zoned", "rewritten")
+    for side in sides:
+        (tmp_path / "measured" / side).mkdir(parents=True)
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=True)
+    return {side: [(tmp_path / "measured" / side / name).read_text("utf-8")
+                   for name in ("load.csv", "pv.csv")] for side in sides}
+
+
+def _check_byte_columns(text, clean):
+    """byte_columns gives exactly the str columns' values and step where the document is in
+    its form, and None where it is not."""
+    columns = profile_bytes.byte_columns(text)
+    try:
+        expected = profiles._str_columns(text)
+    except (ValueError, TypeError):
+        expected = None
+    assert (columns is not None) == (expected is not None and _in_byte_form(text, clean))
+    if columns is not None:
+        values, step_seconds = columns
+        assert values.dtype == expected[0].dtype and values.tobytes() == expected[0].tobytes()
+        assert type(step_seconds) is float and step_seconds == expected[1]
+
+
+class TestByteColumns:
+    @settings(max_examples=600, deadline=None)
+    @given(byte_form_documents())
+    def test_equal_the_str_columns_or_decline(self, drawn):
+        _check_byte_columns(*drawn)
+
+    @pytest.mark.parametrize("stamp", _EDGE_STAMPS + _OTHER_STAMPS)
+    @pytest.mark.parametrize("anchor", _ANCHORS)
+    def test_edge_stamps(self, stamp, anchor):
+        for pair in ([anchor, stamp], [stamp, anchor]):
+            _check_byte_columns("".join([profiles.PROFILE_CSV_HEADER + "\n"] + [
+                f"{t},1.5\n" for t in pair]), True)
+
+    @pytest.mark.parametrize("power", _EDGE_POWERS)
+    def test_edge_powers(self, power):
+        for powers in ([power, "2"], ["2.25", power]):
+            _check_byte_columns("".join([profiles.PROFILE_CSV_HEADER + "\n"] + [
+                f"2019-01-01T0{i}:00:00,{p}\n" for i, p in enumerate(powers)]), True)
+
+    def test_the_benchmark_ci_and_demo_years_take_the_byte_path(
+            self, tmp_path, monkeypatch, perfbench_workloads):
+        perfbench_workloads.make_plan("measured-quarter-hour", 1, tmp_path / "workload")
+        ci = _ci_profiles(tmp_path / "ci")
+        documents = [(tmp_path / "workload" / "inputs" / name).read_text("utf-8")
+                     for name in ("load.csv", "pv.csv")] + ci["plain"]
+        assert [len(text.splitlines()) for text in documents] == [35041, 8761] * 2
+        for text in documents:
+            columns = profile_bytes.byte_columns(text)
+            assert columns is not None
+            values, step_seconds = profiles._str_columns(text)
+            assert columns[0].tobytes() == values.tobytes() and columns[1] == step_seconds
+        for side in ("zoned", "rewritten"):  # the same years, read on the str path
+            for text, plain in zip(ci[side], ci["plain"]):
+                assert profile_bytes.byte_columns(text) is None
+                assert profiles._str_columns(text)[0].tobytes() == profile_bytes.byte_columns(
+                    plain)[0].tobytes()
+
+        def no_str_columns(text):
+            raise AssertionError("a document of demo 02 left the byte path")
+
+        monkeypatch.setattr(profiles, "_str_columns", no_str_columns)
+        demo = runpy.run_path(str(ROOT / "demos" / "02_measured_profiles.py"))
+        assert len(demo["load"]) == 35040
 
 
 def uniform_load_shape():

@@ -1,7 +1,4 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,13 +108,8 @@ class TestReadColumns:
             assert (_plain_columns(doc, "a") is not None) == plain
             assert outcome(lambda: read_columns(doc, "a", "doc")) == transposed_rows(doc, "a")
 
-    def test_the_seeded_quarter_hour_load_csv_is_plain(self, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-        spec.loader.exec_module(workloads)
-        text = workloads.measured_load_csv(random.Random("measured-quarter-hour:1"))
+    def test_the_seeded_quarter_hour_load_csv_is_plain(self, perfbench_workloads):
+        text = perfbench_workloads.measured_load_csv(random.Random("measured-quarter-hour:1"))
         columns = _plain_columns(text, PROFILE_CSV_HEADER)
         assert columns is not None and len(columns[0]) == 35040
         assert columns == transposed_rows(text, PROFILE_CSV_HEADER)
