@@ -31,6 +31,7 @@ from .errors import (
     NonUniformStepError,
     StorParityError,
     UnalignedProfilesError,
+    WorkerError,
     ZeroEnergyError,
     ZeroProductionError,
     ZeroSelfConsumptionError,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage or
 configuration errors, which main prints as one ``error:`` line (a dispatch
-whose energy books do not balance, a bug, is one ``internal error:`` line
-with exit 1). Each command lists the files it writes once, checks them all
+whose energy books do not balance, a bug, or a parallel sweep's worker that
+dies is one ``internal error:`` line with exit 1). Each command lists the
+files it writes once, checks them all
 with _check_outputs before any work and writes them with one _write; a
 horizon past finance.MAX_HORIZON_YEARS or a measured year whose energy is
 not finite is refused as its input is read. ``simulate`` and ``sweep`` also
@@ -28,7 +29,7 @@ from . import __version__, dispatch
 # Names imported below that cli itself does not call stay importable from
 # it: the benchmark's span recorder (perfbench/spans.py) wraps them here.
 from .dispatch import BatterySpec, annual_balance, simulate
-from .errors import EnergyBooksError
+from .errors import EnergyBooksError, WorkerError
 from .finance import CountryData, EconomicParams, load_country_data
 from .profiles import (
     ProfileKind,
@@ -626,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnergyBooksError as exc:  # a bug: no result is written
+    except (EnergyBooksError, WorkerError) as exc:  # a bug or a lost worker: nothing is written
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,11 +45,16 @@ class EnergyBooksError(RuntimeError):
     """
 
     def __init__(self, message: str, config: int) -> None:
-        super().__init__(message, config)  # both, so a pool worker's error unpickles
+        super().__init__(message, config)  # both, so a forked worker's error unpickles
         self.config = config
 
     def __str__(self) -> str:
         return self.args[0]
+
+
+class WorkerError(RuntimeError):
+    """A parallel sweep's worker exited without sending its dispatches: it was
+    killed (say, out of memory) or could not pickle its outcome; never bad input."""
 
 
 class StorParityError(ValueError):

@@ -1,14 +1,15 @@
 """The profile CSV reader's byte path: the form isoformat() and "%.Nf" write, read with numpy.
 
 profiles.parse_profile_csv tries a document here first. The form is ASCII,
-the header line, then on every line a stamp YYYY-MM-DDTHH:MM:SS, a comma
-and a decimal of 1 to 15 digits with at most one point, neither first nor
-last, each line ending in "\\n". byte_columns returns what the str column
-path (profiles._str_columns) returns for such a document, bit for bit:
+the header line, then on every line a stamp YYYY-MM-DDTHH:MM:SS, followed
+by a Z (UTC) on every line or on none, a comma and a decimal of 1 to 15
+digits with at most one point, neither first nor last, each line ending in
+"\\n". byte_columns returns what the str column path (profiles._str_columns)
+returns for such a document, bit for bit:
 
 - The stamps become seconds from day numbers in int64, after every digit,
   separator and range is checked (29 February only in leap years), so each
-  step is exactly what subtracting the two datetimes gives.
+  step is exactly what subtracting the two datetimes gives, naive or UTC.
 - A decimal is M / 10 ** k, with M its digits and k the digits after the
   point. M is below 10 ** 15 < 2 ** 53 and 10 ** k is exact, so the one
   division rounds the decimal's exact value once, correctly, as float()
@@ -25,11 +26,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import DAYS_IN_MONTH, PROFILE_CSV_HEADER
 
-#: A line of the byte form starts with these bytes, a 0 standing for any digit: a
-#: stamp as datetime.isoformat() writes it, then the comma.
-_STAMP = np.frombuffer(b"0000-00-00T00:00:00,", np.uint8)
-_STAMP_DIGITS = np.flatnonzero(_STAMP == ord("0"))
-_STAMP_MARKS = np.flatnonzero(_STAMP != ord("0"))
+#: A line of the byte form starts with one of these, a 0 standing for any digit: a stamp
+#: as datetime.isoformat() writes it, then the comma or a Z and the comma; keyed by the
+#: byte after the stamp. The digits lie at the same places in both.
+_STAMPS = {mark: np.frombuffer(form, np.uint8) for mark, form in [
+    (",", b"0000-00-00T00:00:00,"), ("Z", b"0000-00-00T00:00:00Z,")]}
+_STAMP_DIGITS = np.flatnonzero(_STAMPS[","] == ord("0"))
 _NEWLINE, _POINT = b"\n."
 #: The stamp's two-digit numbers, by the place of their first digit: century, year, month, day,
 #: hour, minute, second; and the largest each may be.
@@ -46,17 +48,20 @@ _AFTER = np.arange(15, -1, -1, dtype=np.uint8)
 
 def byte_columns(text: str) -> tuple[np.ndarray, float] | None:
     """The powers and the step in seconds of a document in the byte form; None for any other."""
-    comma = len(PROFILE_CSV_HEADER) + _STAMP.size  # the first row's, after the header's "\n"
-    if not (text.isascii() and text.startswith(PROFILE_CSV_HEADER + "\n") and text.endswith("\n")
-            and text[comma:comma + 1] == ","):  # so a Z, an offset or a fraction leaves at once
+    # the byte after the first row's 19 stamp bytes: a document with an offset or a fraction
+    # leaves at once
+    after = len(PROFILE_CSV_HEADER) + 1 + 19
+    stamp = _STAMPS.get(text[after:after + 1])
+    if not (stamp is not None and text.isascii() and text.startswith(PROFILE_CSV_HEADER + "\n")
+            and text.endswith("\n")):
         return None
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     ends = np.flatnonzero(data == _NEWLINE)
     starts, ends = ends[:-1] + 1, ends[1:]
-    widths = ends - starts - _STAMP.size  # of each decimal, in bytes
+    widths = ends - starts - stamp.size  # of each decimal, in bytes
     if ends.size < 2 or widths.min() < 1 or widths.max() > 16:
         return None
-    seconds = _stamp_seconds(_windows(data, starts, _STAMP.size))
+    seconds = _stamp_seconds(_windows(data, starts, stamp.size), stamp)
     if seconds is None:
         return None
     steps = np.diff(seconds)
@@ -71,12 +76,12 @@ def _windows(data: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
     return sliding_window_view(data, size)[starts].T.copy()
 
 
-def _stamp_seconds(block: np.ndarray) -> np.ndarray | None:
-    """Seconds since 0001-01-01 of each column of a (20, rows) block of stamp bytes, or None
-    if any column is not a stamp or names no date and time."""
+def _stamp_seconds(block: np.ndarray, stamp: np.ndarray) -> np.ndarray | None:
+    """Seconds since 0001-01-01 of each column of a (stamp.size, rows) block of stamp bytes, or
+    None if any column is not in the stamp's form or names no date and time."""
     digits = block - np.uint8(ord("0"))  # a digit's value; any other byte wraps past 9
-    if ((digits[_STAMP_DIGITS] > 9).any()
-            or (block[_STAMP_MARKS] != _STAMP[_STAMP_MARKS, None]).any()):
+    marks = stamp != ord("0")
+    if (digits[_STAMP_DIGITS] > 9).any() or (block[marks] != stamp[marks, None]).any():
         return None
     pairs = digits[_PAIRS] * np.uint8(10) + digits[_PAIRS + 1]  # each below 100, so exact in uint8
     if (pairs > _PAIR_MAX).any():

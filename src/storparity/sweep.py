@@ -5,10 +5,11 @@ from __future__ import annotations
 import logging
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -22,7 +23,13 @@ from .dispatch import (
     simulate,
     simulate_balances,
 )
-from .errors import EmptyAxisError, EmptySelectionError, EnergyBooksError, check_finite
+from .errors import (
+    EmptyAxisError,
+    EmptySelectionError,
+    EnergyBooksError,
+    WorkerError,
+    check_finite,
+)
 # financial_result is not called here: perfbench/spans.py wraps this name.
 from .finance import (
     CountryData,
@@ -361,6 +368,72 @@ def _dispatch_keys(
     return [o if isinstance(o, str) else balances[o] for o in outcomes]
 
 
+def _dispatch_slices(work: Callable[[list], list], slices: list[list]) -> list:
+    """work(part) of every part, joined in order: the first part in this process, each
+    other in a child forked for it, which sends back its list, or what it raised, pickled.
+
+    A child's exception is raised here as work raised it; a child that exits without
+    sending raises WorkerError. Whether this returns or raises, every child has exited
+    and been reaped.
+    """
+    import signal  # imported here: its 0.6 ms is for a parallel sweep alone to pay
+
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of each child not yet reaped
+    try:
+        for part in slices[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _send(work, part, write, [pipe.fileno() for _, pipe in children] + [read])
+            children.append((pid, open(read, "rb")))
+            os.close(write)
+        outcomes = work(slices[0])
+        while children:
+            pid, pipe = children[0]
+            payload = pipe.read()  # to EOF: the child holds the only write end
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            pipe.close()
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise WorkerError(f"sweep worker {pid} " + (
+                    f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                    else f"exited with status {code}") + " before sending its dispatches")
+            sent, value = pickle.loads(payload)
+            if not sent:
+                raise value
+            outcomes += value
+        return outcomes
+    finally:
+        for pid, pipe in children:  # left only when this process raises
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _send(work: Callable[[list], list], part: list, write: int, reads: list[int]) -> NoReturn:
+    """In a forked child: write (True, work(part)), or (False, what it raised), pickled, to
+    the write end, and leave without flushing the parent's stdio or running its exit hooks."""
+    code = 1
+    try:
+        for fd in reads:  # so every read end sees EOF once its own child has exited
+            os.close(fd)
+        try:
+            payload = pickle.dumps((True, work(part)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_sweep(
     grid: ScenarioGrid,
     data: Mapping[str, CountryData],
@@ -376,12 +449,12 @@ def run_sweep(
     The BESS price only enters the finance, so each cell of the other axes
     has one dispatch key (country yield, prosumer type, PV size, BESS
     capacity). Each key is dispatched once, all in one batched kernel call,
-    or a contiguous slice of keys per worker of a pool of ``parallel``
-    processes, at most one per usable CPU and per key, with identical
-    output; then every scenario is priced at once (see _price). A scenario's
-    ValueError (StorParityError included) leaves it out of the results: the
-    failure goes to ``failures`` as a (scenario, message) pair, in grid
-    order, when that list is given, and to the log otherwise. Other
+    or a contiguous slice of keys per worker of ``parallel`` workers, at
+    most one per usable CPU and per key, with identical output (see
+    _dispatch_slices); then every scenario is priced at once (see _price).
+    A scenario's ValueError (StorParityError included) leaves it out of the
+    results: the failure goes to ``failures`` as a (scenario, message) pair,
+    in grid order, when that list is given, and to the log otherwise. Other
     exceptions propagate.
     """
     index: dict[tuple, int] = {}  # dispatch key -> its position in keys
@@ -400,17 +473,14 @@ def run_sweep(
                 cells.append((index[key], kwp, kwp * ratio, c))
     source = source if source is not None else ProfileSource()
     work = partial(_dispatch_keys, source, dict(battery_kwargs or {}), data)
-    # the CPUs this process may run on, where the platform tells; else all of them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(parallel or 1, len(keys), cpus or 1)
+    # workers fork, at most one per CPU this process may run on; where the
+    # platform cannot fork or tell those CPUs, the sweep is serial
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(parallel or 1, len(keys), len(os.sched_getaffinity(0)))
     if workers > 1:
-        # imported here: a serial sweep, simulate and report never load the pool
-        from concurrent.futures import ProcessPoolExecutor
-
         bounds = [len(keys) * i // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            slices = pool.map(work, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-            outcomes = [outcome for part in slices for outcome in part]
+        outcomes = _dispatch_slices(work, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     else:
         outcomes = work(keys)
 

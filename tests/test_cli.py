@@ -2,7 +2,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -337,6 +339,29 @@ class TestSweep:
             "--parallel", "2", "--types", "A",
         ]
         assert main(argv) == 0
+        for name in ("results.csv", "parity_shares.csv", "box_stats.csv", "run-manifest.json"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_three_workers_match_serial_bytes(self, tmp_path, two_country_csv, monkeypatch):
+        # two children at once: one holding the other's write end would hang the read
+        forked = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(self.sweep_argv(serial, two_country_csv, ("--types", "A"))) == 0
+        argv = [
+            "sweep", "--out", str(parallel), "--countries", str(two_country_csv),
+            "--parallel", "3", "--types", "A",
+        ]
+        assert main(argv) == 0 and len(forked) == 2
         for name in ("results.csv", "parity_shares.csv", "box_stats.csv", "run-manifest.json"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
@@ -1048,12 +1073,17 @@ class TestParserBasics:
 
 
 def test_import_leaves_the_process_pool_unloaded(tmp_path):
-    # only a sweep with --parallel above 1 imports it; a sweep without the flag is serial
+    # a sweep's workers fork: no command loads concurrent.futures or multiprocessing
     sweep = ["sweep", "--out", str(tmp_path), "--types", "A", "--ratios", "1,2"]
-    for code in ("pass", f"assert storparity.cli.main({sweep!r}) == 0"):
+    parallel = [*sweep, "--parallel", "2"]
+    for code in ("pass", f"assert storparity.cli.main({sweep!r}) == 0",
+                 # two usable CPUs on any host, so the sweep forks
+                 "os.sched_getaffinity = lambda pid: {0, 1}; "
+                 f"assert storparity.cli.main({parallel!r}) == 0"):
         result = subprocess.run(
-            [sys.executable, "-c", f"import sys, storparity.cli; {code}; "
-                                   "sys.exit('concurrent.futures.process' in sys.modules)"],
+            [sys.executable, "-c", f"import os, sys, storparity.cli; {code}; sys.exit(sorted({{"
+                                   "'concurrent.futures', 'multiprocessing'} & set(sys.modules)) "
+                                   "or None)"],
             cwd=Path(storparity.__file__).parents[1], capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
@@ -1095,6 +1125,39 @@ def test_unbalanced_books_exit_1_in_one_line(tmp_path, capsys, monkeypatch, work
     assert re.match(r"internal error: \w+ type A, \d kWp, \d kWh: energy books of dispatch "
                     r"config \d+ do not balance: residuals ", captured.err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("killed", r"sweep worker \d+ was killed by signal 9 \(.+\) before sending its dispatches"),
+    # the child's slice is the second half of the 30 keys: the last three countries
+    ("unbalanced", r"(Italy|Portugal|Spain) type A, \d kWp, \d kWh: energy books of dispatch "
+                   r"config \d+ do not balance: residuals .+"),
+], ids=["killed", "unbalanced"])
+def test_a_failed_worker_exits_1_in_one_line(tmp_path, capsys, monkeypatch, failure, message):
+    # only the forked child fails: killed mid-slice, as the OOM killer would end it, or
+    # with books that do not balance, an error that crosses the pipe to be raised here
+    import storparity.dispatch as dispatch_module
+
+    in_order, test_pid = dispatch_module._in_order, os.getpid()
+
+    def in_order_failing_in_a_child(sums):
+        if os.getpid() == test_pid:
+            return in_order(sums)
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return in_order(sums) * 1.5
+
+    monkeypatch.setattr(dispatch_module, "_in_order", in_order_failing_in_a_child)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    argv = ["sweep", "--types", "A", "--ratios", "1", "--bess-prices", "150",
+            "--parallel", "2", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(f"internal error: {message}\n", captured.err)
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):

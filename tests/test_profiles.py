@@ -221,15 +221,16 @@ _EDGE_STAMPS = (
 )
 #: Valid stamps to set another stamp beside: the first, the last and one of each step's sign.
 _ANCHORS = ("0001-01-01T00:00:00", "9999-12-31T23:59:59", "2019-06-15T12:00:00")
-#: Stamps of other forms, which the byte reader leaves to the str columns.
-_OTHER_STAMPS = ("2019-01-01T00:00:00Z", "2019-01-01T00:00:00+00:00", "2019-01-01T00:00:00.5",
+#: Stamps of other forms, which the byte reader leaves to the str columns. A Z (UTC) after
+#: every stamp of a document is in its form (see _zoned), and after some alone is not.
+_OTHER_STAMPS = ("2019-01-01T00:00:00+00:00", "2019-01-01T00:00:00.5",
                  "2019-01-01 00:00:00", "2019-01-01T00:00", "2019-1-01T00:00:00", "20190101T000000")
 #: Powers at the edges of the byte reader's decimals: leading zeros, a point first or last, a
 #: sign, 15 and 16 digits, exponents.
 _EDGE_POWERS = ("007", "5.", ".5", "-0.0", "+1", "0", "0.0", "999999999999999",
                 "9999999999999999", "99999999999999.9", "0.00000000000001", "0.000000000000001",
                 "1e3", "1E-3", "1_0", "1..2", "")
-_STAMP_FORM = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
+_STAMP_FORM = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(Z?)")
 _DECIMAL_FORM = re.compile(r"\d+(\.\d+)?")
 
 
@@ -259,8 +260,11 @@ def byte_form_documents(draw):
             st.integers(0, 60) | field, st.integers(0, 60) | field))
         anchor = draw(st.sampled_from(_ANCHORS))
         stamps = [anchor, stamp] if draw(st.booleans()) else [stamp, anchor]
-    if stamps and draw(st.integers(0, 4)) == 0:
-        stamps[draw(st.integers(0, len(stamps) - 1))] = draw(st.sampled_from(_OTHER_STAMPS))
+    if draw(st.integers(0, 3)) == 0:  # marked UTC, as exports write them
+        stamps = [_zoned(t) for t in stamps]
+    if stamps and draw(st.integers(0, 4)) == 0:  # a stamp of another form, or zoned unlike the rest
+        i = draw(st.integers(0, len(stamps) - 1))
+        stamps[i] = draw(st.sampled_from(_OTHER_STAMPS + (_zoned(stamps[i]),)))
     digits = st.text("0123456789", min_size=1, max_size=9)
     decimal = st.builds(lambda a, b: a + "." + b, digits, digits)
     power = draw(st.sampled_from([  # one kind for the whole column
@@ -283,12 +287,18 @@ def byte_form_documents(draw):
     return "\n".join([profiles.PROFILE_CSV_HEADER, *rows]) + "\n", True
 
 
+def _zoned(stamp):
+    """The stamp with a Z (UTC) after it, or without the Z it ends in."""
+    return stamp[:-1] if stamp.endswith("Z") else stamp + "Z"
+
+
 def _in_byte_form(text, clean):
     """Whether a document that the str columns accept is in the byte reader's form."""
     if not clean:
         return False
     stamps, powers = zip(*(line.split(",") for line in text.splitlines()[1:]))
-    return all(map(_STAMP_FORM.fullmatch, stamps)) and all(
+    forms = list(map(_STAMP_FORM.fullmatch, stamps))
+    return all(forms) and len({form[1] for form in forms}) == 1 and all(
         _DECIMAL_FORM.fullmatch(p) and len(p.replace(".", "")) <= 15 for p in powers)
 
 
@@ -326,12 +336,21 @@ class TestByteColumns:
     def test_equal_the_str_columns_or_decline(self, drawn):
         _check_byte_columns(*drawn)
 
-    @pytest.mark.parametrize("stamp", _EDGE_STAMPS + _OTHER_STAMPS)
+    @pytest.mark.parametrize("stamp", _EDGE_STAMPS + _OTHER_STAMPS + ("2019-01-01T00:00:00Z",))
     @pytest.mark.parametrize("anchor", _ANCHORS)
     def test_edge_stamps(self, stamp, anchor):
         for pair in ([anchor, stamp], [stamp, anchor]):
             _check_byte_columns("".join([profiles.PROFILE_CSV_HEADER + "\n"] + [
                 f"{t},1.5\n" for t in pair]), True)
+
+    @pytest.mark.parametrize("stamp", _EDGE_STAMPS + _OTHER_STAMPS)
+    @pytest.mark.parametrize("anchor", _ANCHORS)
+    def test_zoned_edge_stamps(self, stamp, anchor):
+        # a Z (UTC) after both stamps, or after the anchor alone
+        for zoned in ([_zoned(anchor), _zoned(stamp)], [_zoned(anchor), stamp]):
+            for pair in (zoned, zoned[::-1]):
+                _check_byte_columns("".join([profiles.PROFILE_CSV_HEADER + "\n"] + [
+                    f"{t},1.5\n" for t in pair]), True)
 
     @pytest.mark.parametrize("power", _EDGE_POWERS)
     def test_edge_powers(self, power):
@@ -344,18 +363,20 @@ class TestByteColumns:
         perfbench_workloads.make_plan("measured-quarter-hour", 1, tmp_path / "workload")
         ci = _ci_profiles(tmp_path / "ci")
         documents = [(tmp_path / "workload" / "inputs" / name).read_text("utf-8")
-                     for name in ("load.csv", "pv.csv")] + ci["plain"]
-        assert [len(text.splitlines()) for text in documents] == [35041, 8761] * 2
+                     for name in ("load.csv", "pv.csv")] + ci["plain"] + ci["zoned"]
+        assert [len(text.splitlines()) for text in documents] == [35041, 8761] * 3
         for text in documents:
             columns = profile_bytes.byte_columns(text)
             assert columns is not None
             values, step_seconds = profiles._str_columns(text)
             assert columns[0].tobytes() == values.tobytes() and columns[1] == step_seconds
-        for side in ("zoned", "rewritten"):  # the same years, read on the str path
-            for text, plain in zip(ci[side], ci["plain"]):
-                assert profile_bytes.byte_columns(text) is None
-                assert profiles._str_columns(text)[0].tobytes() == profile_bytes.byte_columns(
-                    plain)[0].tobytes()
+        for zoned, rewritten, plain in zip(ci["zoned"], ci["rewritten"], ci["plain"]):
+            assert profile_bytes.byte_columns(zoned)[0].tobytes() == profile_bytes.byte_columns(
+                plain)[0].tobytes()
+            # the same year, read on the str path
+            assert profile_bytes.byte_columns(rewritten) is None
+            assert profiles._str_columns(rewritten)[0].tobytes() == profile_bytes.byte_columns(
+                plain)[0].tobytes()
 
         def no_str_columns(text):
             raise AssertionError("a document of demo 02 left the byte path")

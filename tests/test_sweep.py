@@ -1,8 +1,8 @@
-import concurrent.futures
 import itertools
 import math
 import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -326,44 +326,57 @@ class TestRunSweep:
         parallel = run_sweep(grid, country_data, default_econ, parallel=2)
         assert results_to_csv(serial) == results_to_csv(parallel)
 
-    def test_pool_is_no_wider_than_the_cpus_or_the_keys(
+    def test_workers_are_no_more_than_the_cpus_or_the_keys(
         self, country_data, default_econ, monkeypatch
     ):
-        widths = []
+        forked = []
+        fork = os.fork
 
-        class InProcessPool:
-            """Records its width and runs every slice here: no process starts."""
+        def counted_fork():
+            pid = fork()
+            if pid:  # in the child the list is a copy and goes unread
+                forked.append(pid)
+            return pid
 
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         grid = build_grid(["Cyprus"], prosumer_types=["A"])  # 15 dispatch keys
         serial = results_to_csv(run_sweep(grid, country_data, default_econ))
-        # (CPUs the process may use, or None where the platform cannot tell; CPUs
-        # of the machine): the pool width. Affinity, where known, is what counts.
-        for usable, cpus, width in [
-            (3, 64, [3]), (64, 64, [15]), (1, 2, []),
-            (None, 3, [3]), (None, 64, [15]), (None, None, []), (None, 1, []),
-        ]:
+        # CPUs the process may use, or None where the platform cannot tell: the children
+        # forked, one per worker beside this process. Where it cannot tell, the sweep is serial.
+        for usable, children in [(3, 2), (64, 14), (1, 0), (None, 0)]:
             if usable is None:
                 monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             else:
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
                                     raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            widths.clear()
-            pooled = run_sweep(grid, country_data, default_econ, parallel=5000)
-            assert widths == width and results_to_csv(pooled) == serial
+            forked.clear()
+            parallel = run_sweep(grid, country_data, default_econ, parallel=5000)
+            assert len(forked) == children and results_to_csv(parallel) == serial
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_raising_sweep_kills_and_reaps_its_children(
+        self, country_data, default_econ, monkeypatch
+    ):
+        # the child would dispatch for a minute; this process's own slice is interrupted
+        import storparity.dispatch as dispatch_module
+
+        test_pid = os.getpid()
+
+        def interrupted_here_slow_in_a_child(sums):
+            if os.getpid() == test_pid:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(dispatch_module, "_in_order", interrupted_here_slow_in_a_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(build_grid(["Cyprus"], prosumer_types=["A"]), country_data, default_econ,
+                      parallel=2)
+        assert time.monotonic() - start < 30  # the child was killed, not waited for
+        with pytest.raises(ChildProcessError):  # and reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "name, evaluate",
